@@ -37,7 +37,6 @@ from repro.observability.bench import BenchTrajectory, validate_bench
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 BENCH_ARTIFACT = RESULTS_DIR / "BENCH_throughput.json"
-PARALLEL_ARTIFACT = RESULTS_DIR / "BENCH_parallel.json"
 SERVICE_ARTIFACT = RESULTS_DIR / "BENCH_service.json"
 SLO_ARTIFACT = RESULTS_DIR / "BENCH_slo.json"
 INGEST_ARTIFACT = RESULTS_DIR / "BENCH_ingest.json"
@@ -47,7 +46,6 @@ OBSERVABILITY_ARTIFACT = RESULTS_DIR / "BENCH_observability.json"
 SMOKE = bool(os.environ.get("BENCH_SMOKE"))
 
 _TRAJECTORY = BenchTrajectory("throughput")
-_PARALLEL_TRAJECTORY = BenchTrajectory("parallel")
 _SERVICE_TRAJECTORY = BenchTrajectory("service")
 _SLO_TRAJECTORY = BenchTrajectory("slo")
 _INGEST_TRAJECTORY = BenchTrajectory("ingest")
@@ -71,19 +69,6 @@ def report(rows, title: str) -> None:
 def bench_record():
     """Record one solver run into the session's bench trajectory."""
     return _TRAJECTORY.record_solver
-
-
-@pytest.fixture(scope="session")
-def parallel_record():
-    """Record one solver run into the parallel-engine trajectory
-    (``BENCH_parallel.json``)."""
-    return _PARALLEL_TRAJECTORY.record_solver
-
-
-@pytest.fixture(scope="session")
-def parallel_figure():
-    """Attach a comparison table to the parallel trajectory."""
-    return _PARALLEL_TRAJECTORY.record_figure
 
 
 @pytest.fixture(scope="session")
@@ -183,8 +168,6 @@ def pytest_sessionfinish(session, exitstatus):
     # run has nothing a BENCH reader requires, so skip emission then.
     if _TRAJECTORY.solvers:
         _emit(_TRAJECTORY, BENCH_ARTIFACT)
-    if _PARALLEL_TRAJECTORY.solvers:
-        _emit(_PARALLEL_TRAJECTORY, PARALLEL_ARTIFACT)
     if _SERVICE_TRAJECTORY.solvers:
         _emit(_SERVICE_TRAJECTORY, SERVICE_ARTIFACT)
     if _SLO_TRAJECTORY.solvers:

@@ -1,9 +1,9 @@
 """The facade's zero-overhead-when-disabled contract, measured.
 
 ``_scan_posts`` pays exactly one ``_obs.enabled()`` check per *call* (the
-inner loops are byte-identical to the uninstrumented originals via the
-counted-twin pattern), so disabled Scan must track a hand-inlined
-reference within noise.  The gate is 5% on the min-of-rounds timing —
+inner loop carries no counter: enabled runs derive the index advances
+from the posting-list lengths after the loop), so disabled Scan must
+track a hand-inlined reference within noise.  The gate is 5% on the min-of-rounds timing —
 minima are robust to scheduler preemption, and the two loops are
 interleaved so drift (thermal, frequency scaling) hits both sides alike.
 ``BENCH_SMOKE=1`` relaxes the gate for shared CI runners, where even

@@ -92,12 +92,6 @@ from .resilience import (
     solve_with_ladder,
 )
 from . import observability
-from .engine import (
-    make_parallel_solver,
-    parallel_greedy_sc,
-    parallel_scan,
-    parallel_scan_plus,
-)
 from .ingest import (
     ConsumerGroup,
     IngestConfig,
@@ -146,13 +140,8 @@ __all__ = [
     "register",
     "unregister",
     "available_algorithms",
-    "make_parallel_solver",
     "max_coverage",
     "coverage_curve",
-    # sharded parallel engine
-    "parallel_scan",
-    "parallel_scan_plus",
-    "parallel_greedy_sc",
     # streaming
     "StreamScan",
     "StreamScanPlus",

@@ -20,9 +20,8 @@ read only the post's own labels' coverage state.  So the union of the
 shard picks *is* the single-process solution.  Seam posts (labels on
 two nodes) break independence; the router detects them on merge — a
 uid in more than one sub-instance — and in ``stitch_mode="exact"``
-re-solves the merged instance locally (byte-identical by construction,
-the label analogue of the engine's halo fallback).  In
-``stitch_mode="stitch"`` it instead repairs the union with
+re-solves the merged instance locally (byte-identical by construction).
+In ``stitch_mode="stitch"`` it instead repairs the union with
 :func:`repro.engine.sharding.stitch_repair` — bounded extra picks,
 verifier-guaranteed valid.  Either way the merged cover passes through
 the verifier before it is served; an invalid stitched cover cannot
@@ -1279,7 +1278,6 @@ class ClusterRouter:
                 _obs.count("cluster.router.seam_requests")
             if seam_uids and self.config.stitch_mode == "exact" \
                     and not missing:
-                # the label analogue of the engine's halo fallback:
                 # seams break block independence, so re-solve the
                 # merged instance — byte-identical by construction
                 solution = solve(algorithm, instance)

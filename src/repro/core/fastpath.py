@@ -17,10 +17,7 @@ allocation and hashing; this module replaces it with numpy:
 
 The per-label posting arrays come from the columnar snapshot
 (:func:`repro.engine.columnar.snapshot`), built once per instance and
-shared with every other accelerated path — the ``np.fromiter`` rebuild
-this module used to pay on every call is gone, and the per-label stage
-(:func:`_label_window_pairs`) is a flat-array function the parallel
-engine fans out across executor workers.
+shared with the ``engine="auto"`` density probe.
 
 The output is semantically identical to
 :func:`repro.core.greedy_sc.build_setcover_family` (property-tested pick
@@ -57,9 +54,6 @@ def _label_window_pairs(
     within-lambda ordered pair, the covering post's global index and the
     covered pair's flat encoding; ``enumerated`` counts the ulp-widened
     candidates inspected before the exact filter.
-
-    Module-level and operating on plain arrays so process executors can
-    ship it to workers as-is.
     """
     lo = np.searchsorted(values, values - lam, side="left")
     hi = np.searchsorted(values, values + lam, side="right")

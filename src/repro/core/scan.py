@@ -17,7 +17,7 @@ matters; it is exposed as a parameter and examined by the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..observability import facade as _obs
 from .instance import Instance, PostingList
@@ -81,47 +81,6 @@ def scan_label(
     return picks
 
 
-def _scan_label_counted(
-    plist: PostingList,
-    lam: float,
-    is_covered: Optional[Callable[[int], bool]] = None,
-    on_pick: Optional[Callable[[Post], None]] = None,
-) -> Tuple[List[Post], int]:
-    """:func:`scan_label` plus an exact posting-list advance count.
-
-    This is the observability twin of :func:`scan_label`: same loop, same
-    picks (``tests/observability`` asserts parity), but every index
-    advance — the unit of Scan work — is tallied.  It exists as a
-    separate function so the uninstrumented path stays byte-identical
-    when observability is disabled; keep the two loops in lockstep.
-    """
-    picks: List[Post] = []
-    advances = 0
-    posts = plist.posts
-    n = len(posts)
-    i = 0
-    while i < n:
-        if is_covered is not None and is_covered(i):
-            i += 1
-            advances += 1
-            continue
-        left = posts[i]
-        j = i
-        while j + 1 < n and posts[j + 1].value - left.value <= lam:
-            j += 1
-            advances += 1
-        picked = posts[j]
-        picks.append(picked)
-        if on_pick is not None:
-            on_pick(picked)
-        i = j + 1
-        advances += 1
-        while i < n and posts[i].value - picked.value <= lam:
-            i += 1
-            advances += 1
-    return picks, advances
-
-
 def order_labels(instance: Instance, order: str = "sorted") -> List[str]:
     """Resolve a label processing order for Scan/Scan+.
 
@@ -139,29 +98,26 @@ def order_labels(instance: Instance, order: str = "sorted") -> List[str]:
     raise ValueError(f"unknown label order {order!r}")
 
 
+def _window_advances(instance: Instance, label_order: Sequence[str]) -> int:
+    """Posting-list index advances of one Scan or Scan+ pass.
+
+    :func:`scan_label` advances its index past every position exactly
+    once (a pick round's ``j`` steps are matched by the jump to
+    ``j + 1``), so the count — the ``s|P|`` of the ``O(s|P|)`` bound — is
+    the summed length of the processed posting lists.
+    """
+    return sum(len(instance.posting(label)) for label in label_order)
+
+
 def _scan_posts(instance: Instance, label_order: Sequence[str]) -> List[Post]:
-    if _obs.enabled():
-        return _scan_posts_observed(instance, label_order)
     picks: List[Post] = []
     for label in label_order:
         picks.extend(scan_label(instance.posting(label), instance.lam))
-    return picks
-
-
-def _scan_posts_observed(
-    instance: Instance, label_order: Sequence[str]
-) -> List[Post]:
-    picks: List[Post] = []
-    advances = 0
-    for label in label_order:
-        label_picks, label_advances = _scan_label_counted(
-            instance.posting(label), instance.lam
-        )
-        picks.extend(label_picks)
-        advances += label_advances
-    _obs.count("scan.window_advances", advances)
-    _obs.count("scan.labels_processed", len(label_order))
-    _obs.count("scan.picks", len(picks))
+    if _obs.enabled():
+        _obs.count("scan.window_advances",
+                   _window_advances(instance, label_order))
+        _obs.count("scan.labels_processed", len(label_order))
+        _obs.count("scan.picks", len(picks))
     return picks
 
 
@@ -169,7 +125,6 @@ def _scan_plus_posts(
     instance: Instance, label_order: Sequence[str]
 ) -> List[Post]:
     lam = instance.lam
-    observed = _obs.enabled()
     # covered[a] is a bitmap over LP(a) indices marking pairs already
     # lambda-covered by picks made for earlier labels.
     covered: Dict[str, List[bool]] = {
@@ -205,29 +160,19 @@ def _scan_plus_posts(
                     flags[idx] = True
 
     picks: List[Post] = []
-    advances = 0
     for rank, label in enumerate(label_order):
         flags = covered[label]
-        is_covered = lambda idx, flags=flags: flags[idx]  # noqa: E731
-        on_pick = lambda post, rank=rank: mark(post, rank)  # noqa: E731
-        if observed:
-            label_picks, label_advances = _scan_label_counted(
-                instance.posting(label), lam,
-                is_covered=is_covered, on_pick=on_pick,
+        picks.extend(
+            scan_label(
+                instance.posting(label),
+                lam,
+                is_covered=lambda idx, flags=flags: flags[idx],
+                on_pick=lambda post, rank=rank: mark(post, rank),
             )
-            picks.extend(label_picks)
-            advances += label_advances
-        else:
-            picks.extend(
-                scan_label(
-                    instance.posting(label),
-                    lam,
-                    is_covered=is_covered,
-                    on_pick=on_pick,
-                )
-            )
-    if observed:
-        _obs.count("scan_plus.window_advances", advances)
+        )
+    if _obs.enabled():
+        _obs.count("scan_plus.window_advances",
+                   _window_advances(instance, label_order))
         _obs.count("scan_plus.strike_positions", strike_window[0])
         _obs.count("scan_plus.labels_processed", len(label_order))
         _obs.count("scan_plus.picks", len(picks))

@@ -1,101 +1,46 @@
-"""The sharded parallel execution engine.
+"""Shared machinery beneath :mod:`repro.core`'s serial solvers.
 
-A performance layer beneath :mod:`repro.core`'s solver API, exploiting
-the paper's 1-D structure (Section 4.3): coverage never reaches further
-than lambda along the diversity dimension, so instances decompose at
-value gaps wider than lambda into provably independent shards.
+Scan, Scan+ and GreedySC each have one implementation, in
+:mod:`repro.core`; this package holds what the serving paths need around
+them:
 
-* :mod:`~repro.engine.columnar` — the struct-of-arrays instance
-  snapshot every accelerated path shares (built once, cached weakly);
-* :mod:`~repro.engine.kernels` — the vectorised Scan inner loop
-  (``searchsorted`` hops, pick-for-pick parity with the scalar kernel);
-* :mod:`~repro.engine.sharding` — the gap-cut planner, the lambda-halo
-  fallback, and the verifier-backed stitch repair;
-* :mod:`~repro.engine.executors` — pluggable ``serial`` / ``thread`` /
-  ``process`` shard executors;
-* :mod:`~repro.engine.parallel` — the sharded solvers
-  (:func:`parallel_scan`, :func:`parallel_scan_plus`,
-  :func:`parallel_greedy_sc`);
+* :mod:`~repro.engine.columnar` — the per-instance posting arrays the
+  numpy GreedySC family builder and the density probe read (built once,
+  cached weakly);
 * :mod:`~repro.engine.auto` — the density probe behind GreedySC's
-  ``engine="auto"`` family-builder selection.
+  ``engine="auto"`` family-builder selection;
+* :mod:`~repro.engine.sharding` — the gap-cut independence argument and
+  the verifier-backed :func:`stitch_repair` the cluster router uses;
+* :mod:`~repro.engine.executors` — the ``serial`` / ``thread``
+  executors the service batches solves onto.
 
-See ``docs/performance.md`` for the correctness argument and the
-executor selection guide; ``benchmarks/test_parallel.py`` emits the
-``BENCH_parallel.json`` trajectory that tracks the speedups.
+``docs/performance.md`` gives the measurements behind running each
+solver serially.
 """
 
 from .auto import AUTO_PAIR_THRESHOLD, choose_engine, probe_pair_count
-from .columnar import (
-    ColumnarInstance,
-    SharedSnapshot,
-    ShardPayload,
-    payload_from_shm,
-    posting_values_from_shm,
-    shared_snapshot,
-    shm_available,
-    snapshot,
-)
+from .columnar import ColumnarInstance, snapshot
 from .executors import (
-    ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
     ThreadExecutor,
     default_workers,
     get_executor,
 )
-from .kernels import (
-    first_uncovered,
-    scan_label_kernel,
-    scan_segment_kernel,
-    scan_values_kernel,
-)
-from .parallel import (
-    make_parallel_solver,
-    parallel_greedy_sc,
-    parallel_scan,
-    parallel_scan_plus,
-)
-from .sharding import (
-    Shard,
-    ShardPlan,
-    plan_halo_shards,
-    plan_shards,
-    stitch_repair,
-)
+from .sharding import stitch_repair
 
 __all__ = [
     # columnar snapshots
     "ColumnarInstance",
-    "ShardPayload",
-    "SharedSnapshot",
     "snapshot",
-    "shared_snapshot",
-    "shm_available",
-    "payload_from_shm",
-    "posting_values_from_shm",
-    # kernels
-    "scan_values_kernel",
-    "scan_segment_kernel",
-    "scan_label_kernel",
-    "first_uncovered",
-    # sharding
-    "Shard",
-    "ShardPlan",
-    "plan_shards",
-    "plan_halo_shards",
+    # seam repair
     "stitch_repair",
     # executors
     "ShardExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "get_executor",
     "default_workers",
-    # parallel solvers
-    "make_parallel_solver",
-    "parallel_scan",
-    "parallel_scan_plus",
-    "parallel_greedy_sc",
     # auto engine selection
     "AUTO_PAIR_THRESHOLD",
     "probe_pair_count",

@@ -1,53 +1,29 @@
 """Columnar (struct-of-arrays) instance snapshots.
 
-Every accelerated path in :mod:`repro.engine` wants the same three things
-from an :class:`~repro.core.instance.Instance`: the global value array,
-the per-label posting lists as *index arrays* into it, and a cheap way to
-ship a contiguous slice of posts to another process.  Building those from
-the object model costs one ``np.fromiter`` per posting list per call —
-exactly the rebuild :mod:`repro.core.fastpath` used to pay on every
-``build_family_encoded`` invocation.
+GreedySC's numpy family builder (:mod:`repro.core.fastpath`) and the
+``engine="auto"`` density probe (:mod:`repro.engine.auto`) want the same
+things from an :class:`~repro.core.instance.Instance`: the global value
+array and the per-label posting lists as *index arrays* into it.
+Building those from the object model costs one pass over the posts.
 
 A :class:`ColumnarInstance` materialises them **once per instance** and is
-cached in a :class:`weakref.WeakKeyDictionary` (behind a lock — thread
-executors hit ``snapshot`` concurrently), so every solver, probe and
-shard planner reuses the same arrays; the cache dies with the instance.
-
-Shipping a shard to another process has two tiers:
-
-* :class:`ShardPayload` — plain arrays plus integer-encoded label sets,
-  pickled per task.  Always available; the fallback tier.
-* :class:`SharedSnapshot` — the whole snapshot published **once** into a
-  :mod:`multiprocessing.shared_memory` segment.  Workers attach by name
-  (cached per process) and build payloads as zero-copy views, so a task
-  shrinks to ``(shm_name, start, end)`` and per-call serialisation drops
-  to a few bytes.  :func:`shared_snapshot` returns ``None`` wherever
-  shared memory is unavailable, and the callers fall back to payloads.
+cached in a :class:`weakref.WeakKeyDictionary` (behind a lock — the
+service's thread executor hits ``snapshot`` concurrently), so the probe
+and the builder of one cold solve share the same arrays; the cache dies
+with the instance.
 """
 
 from __future__ import annotations
 
-import pickle
-import struct
 import threading
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..core.instance import Instance
-from ..core.post import Post
 
-__all__ = [
-    "ColumnarInstance",
-    "ShardPayload",
-    "SharedSnapshot",
-    "payload_from_shm",
-    "posting_values_from_shm",
-    "shared_snapshot",
-    "shm_available",
-    "snapshot",
-]
+__all__ = ["ColumnarInstance", "snapshot"]
 
 
 class ColumnarInstance:
@@ -61,15 +37,6 @@ class ColumnarInstance:
         The label universe, sorted — label *index* means position here.
     values:
         ``float64[n]`` — every post's diversity value, ascending.
-    uids:
-        ``int64[n]`` — the posts' uids, aligned with ``values``.
-    label_sets:
-        Per post, the tuple of label indices it carries (ragged, so a
-        tuple of tuples rather than an array).
-    pair_counts:
-        ``int64[n]`` — ``len(label_sets[k])`` per post: how many
-        ``(post, label)`` coverage pairs the post contributes.  The shard
-        planner balances on this cost, not on raw post counts.
     posting_indices:
         label -> ``int64`` array of *global post indices* in ``LP(label)``
         order (which is value order, so each array is sorted).
@@ -78,27 +45,16 @@ class ColumnarInstance:
     """
 
     __slots__ = (
-        "lam", "labels", "values", "uids", "label_sets", "pair_counts",
-        "posting_indices", "posting_values", "__weakref__",
+        "lam", "labels", "values", "posting_indices", "posting_values",
+        "__weakref__",
     )
 
     def __init__(self, instance: Instance):
         posts = instance.posts
         self.lam = instance.lam
         self.labels: Tuple[str, ...] = tuple(sorted(instance.labels))
-        label_pos = {label: idx for idx, label in enumerate(self.labels)}
-        n = len(posts)
         self.values = np.fromiter(
-            (p.value for p in posts), dtype=np.float64, count=n
-        )
-        self.uids = np.fromiter(
-            (p.uid for p in posts), dtype=np.int64, count=n
-        )
-        self.label_sets: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(sorted(label_pos[a] for a in p.labels)) for p in posts
-        )
-        self.pair_counts = np.fromiter(
-            (len(s) for s in self.label_sets), dtype=np.int64, count=n
+            (p.value for p in posts), dtype=np.float64, count=len(posts)
         )
         buckets: Dict[str, List[int]] = {a: [] for a in self.labels}
         for k, p in enumerate(posts):
@@ -114,70 +70,6 @@ class ColumnarInstance:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def payload(self, start: int, end: int) -> "ShardPayload":
-        """The picklable payload for the post slice ``[start, end)``."""
-        return ShardPayload(
-            lam=self.lam,
-            labels=self.labels,
-            values=self.values[start:end],
-            uids=self.uids[start:end],
-            label_sets=self.label_sets[start:end],
-        )
-
-
-class ShardPayload:
-    """A contiguous post slice in columnar form, cheap to pickle.
-
-    Process workers receive one of these instead of an :class:`Instance`:
-    two flat arrays plus integer label sets, reconstructed into a
-    sub-instance on the far side.  The declared label universe is the
-    *parent's*, so label indices (and the fastpath pair encoding) agree
-    across shards.
-    """
-
-    __slots__ = ("lam", "labels", "values", "uids", "label_sets")
-
-    def __init__(
-        self,
-        lam: float,
-        labels: Sequence[str],
-        values: np.ndarray,
-        uids: np.ndarray,
-        label_sets: Sequence[Tuple[int, ...]],
-    ):
-        self.lam = lam
-        self.labels = tuple(labels)
-        self.values = values
-        self.uids = uids
-        self.label_sets = tuple(label_sets)
-
-    # ShardPayload is pickled into process workers; __slots__ classes
-    # need explicit state hooks.
-    def __getstate__(self):
-        return (self.lam, self.labels, self.values, self.uids,
-                self.label_sets)
-
-    def __setstate__(self, state):
-        (self.lam, self.labels, self.values, self.uids,
-         self.label_sets) = state
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_instance(self) -> Instance:
-        """Rebuild the shard as a real :class:`Instance`."""
-        posts = [
-            Post(
-                uid=int(uid),
-                value=float(value),
-                labels=frozenset(self.labels[i] for i in label_set),
-            )
-            for uid, value, label_set in zip(
-                self.uids, self.values, self.label_sets
-            )
-        ]
-        return Instance(posts, self.lam, labels=self.labels)
 
 
 # The snapshot cache is hit concurrently by thread executors (every
@@ -200,309 +92,3 @@ def snapshot(instance: Instance) -> ColumnarInstance:
                 snap = ColumnarInstance(instance)
                 _CACHE[instance] = snap
     return snap
-
-
-# ---------------------------------------------------------------------------
-# shared-memory snapshots
-# ---------------------------------------------------------------------------
-#
-# Segment layout:  [u64 header length][pickled header][arrays...]
-# The header records lam, the label universe, and the byte offset /
-# element count of every array; the arrays are the snapshot's flat
-# columns plus two ragged-to-flat encodings:
-#
-#   values           float64[n]        uids            int64[n]
-#   ls_offsets       int64[n+1]        ls_flat         int64[sum pairs]
-#   posting_offsets  int64[L+1]        posting_flat    int64[sum pairs]
-#
-# label_sets[k]           == ls_flat[ls_offsets[k]:ls_offsets[k+1]]
-# posting_indices[lbl i]  == posting_flat[posting_offsets[i]:...[i+1]]
-
-_ARRAY_FIELDS = ("values", "uids", "ls_offsets", "ls_flat",
-                 "posting_offsets", "posting_flat")
-
-_SHM_PROBE: Optional[bool] = None
-
-# Process-local registry of open segments, by name.  The publisher's own
-# entry serves in-process fallback runs; workers fill it on first attach
-# (and forked workers inherit the publisher's entries for free).
-_SEGMENTS: Dict[str, dict] = {}
-_SEGMENTS_LOCK = threading.Lock()
-_MAX_ATTACHED = 32
-
-
-def shm_available() -> bool:
-    """Whether ``multiprocessing.shared_memory`` works here (probed once
-    with a real segment; some platforms lack /dev/shm)."""
-    global _SHM_PROBE
-    if _SHM_PROBE is None:
-        try:
-            from multiprocessing import shared_memory
-
-            probe = shared_memory.SharedMemory(create=True, size=8)
-            probe.close()
-            probe.unlink()
-            _SHM_PROBE = True
-        except Exception:
-            _SHM_PROBE = False
-    return _SHM_PROBE
-
-
-def _untrack(shm) -> None:
-    """Detach an *attached* segment from the resource tracker.
-
-    Attaching registers the name with ``resource_tracker`` a second time
-    (fixed only in 3.13's ``track=False``); without this, a worker's exit
-    can unlink a segment the publisher still serves.
-    """
-    try:  # pragma: no cover - depends on stdlib internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
-
-
-def _write_segment(shm, header_bytes: bytes, arrays: Dict[str, np.ndarray],
-                   offsets: Dict[str, int]) -> None:
-    """Copy the header and every array into the segment."""
-    shm.buf[:8] = struct.pack("<Q", len(header_bytes))
-    shm.buf[8:8 + len(header_bytes)] = header_bytes
-    for field, array in arrays.items():
-        start = offsets[field]
-        shm.buf[start:start + array.nbytes] = array.tobytes()
-
-
-def _parse_segment(shm) -> dict:
-    """Build a registry entry (lam, labels, array views) over a segment."""
-    (header_len,) = struct.unpack_from("<Q", shm.buf, 0)
-    header = pickle.loads(bytes(shm.buf[8:8 + header_len]))
-    entry = {
-        "shm": shm,
-        "lam": header["lam"],
-        "labels": tuple(header["labels"]),
-        "posting_values": {},
-    }
-    for field in _ARRAY_FIELDS:
-        offset, count, dtype = header[field]
-        entry[field] = np.frombuffer(
-            shm.buf, dtype=np.dtype(dtype), count=count, offset=offset
-        )
-    return entry
-
-
-def _close_segment(entry: dict) -> None:
-    shm = entry.pop("shm", None)
-    entry.clear()
-    if shm is None:
-        return
-    try:
-        shm.close()
-    except BufferError:  # a live view pins the mapping; the OS frees it
-        pass             # when the view dies — unlinking is what matters
-
-
-class SharedSnapshot:
-    """A :class:`ColumnarInstance` published into shared memory.
-
-    The publisher owns the segment: :meth:`close` unlinks it (idempotent;
-    also run by a ``weakref.finalize`` when the source instance dies, so
-    segments cannot outlive their instance).  Workers never unlink — they
-    attach read-only views through :func:`payload_from_shm`.
-    """
-
-    __slots__ = ("name", "lam", "labels", "_shm", "__weakref__")
-
-    def __init__(self, name: str, lam: float, labels: Tuple[str, ...],
-                 shm) -> None:
-        self.name = name
-        self.lam = lam
-        self.labels = labels
-        self._shm = shm
-
-    @classmethod
-    def publish(cls, snap: ColumnarInstance) -> "SharedSnapshot":
-        """Copy ``snap``'s columns into one fresh segment.
-
-        Raises whatever the platform raised when shared memory is not
-        usable; a partially-written segment is unlinked before the error
-        propagates — failure never leaks a named segment.
-        """
-        from multiprocessing import shared_memory
-
-        n = len(snap)
-        ls_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(snap.pair_counts, out=ls_offsets[1:])
-        ls_flat = np.fromiter(
-            (i for s in snap.label_sets for i in s),
-            dtype=np.int64, count=int(ls_offsets[-1]),
-        )
-        posting = [snap.posting_indices[a] for a in snap.labels]
-        posting_offsets = np.zeros(len(snap.labels) + 1, dtype=np.int64)
-        if posting:
-            np.cumsum(
-                np.asarray([len(p) for p in posting], dtype=np.int64),
-                out=posting_offsets[1:],
-            )
-        posting_flat = (
-            np.concatenate(posting) if posting
-            else np.empty(0, dtype=np.int64)
-        ).astype(np.int64, copy=False)
-        arrays = {
-            "values": snap.values, "uids": snap.uids,
-            "ls_offsets": ls_offsets, "ls_flat": ls_flat,
-            "posting_offsets": posting_offsets,
-            "posting_flat": posting_flat,
-        }
-        header = {"lam": snap.lam, "labels": list(snap.labels)}
-        # lay arrays out back to back after the header, 8-byte aligned;
-        # the final header also carries per-array (offset, count, dtype)
-        # records, so reserve generous slack beyond the probe pickle
-        probe = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-        cursor = 8 + len(probe) + 128 * len(_ARRAY_FIELDS) + 256
-        offsets: Dict[str, int] = {}
-        for field in _ARRAY_FIELDS:
-            cursor = (cursor + 7) & ~7
-            offsets[field] = cursor
-            cursor += arrays[field].nbytes
-        for field in _ARRAY_FIELDS:
-            array = arrays[field]
-            header[field] = (offsets[field], len(array), array.dtype.str)
-        header_bytes = pickle.dumps(
-            header, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        if 8 + len(header_bytes) > min(offsets.values()):
-            raise RuntimeError("shared snapshot header overflow")
-        shm = shared_memory.SharedMemory(create=True, size=max(cursor, 16))
-        try:
-            _write_segment(shm, header_bytes, arrays, offsets)
-            entry = _parse_segment(shm)
-        except BaseException:
-            shm.close()
-            try:
-                shm.unlink()
-            except FileNotFoundError:
-                pass
-            raise
-        with _SEGMENTS_LOCK:
-            _SEGMENTS[shm.name] = entry
-        return cls(shm.name, snap.lam, tuple(snap.labels), shm)
-
-    def close(self) -> None:
-        """Unlink the segment (idempotent).  Attached workers keep their
-        existing mappings; new attaches fail, as they must."""
-        shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        with _SEGMENTS_LOCK:
-            entry = _SEGMENTS.pop(self.name, None)
-        if entry is not None:
-            _close_segment(entry)
-        else:  # registry entry already evicted; close our own handle
-            try:
-                shm.close()
-            except BufferError:
-                pass
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-
-
-def _attach(name: str) -> dict:
-    """The registry entry for ``name``, attaching on first use.
-
-    Worker-side: attached segments are cached per process (bounded FIFO)
-    so one epoch's snapshot is mapped once, not per task.
-    """
-    entry = _SEGMENTS.get(name)
-    if entry is not None:
-        return entry
-    from multiprocessing import shared_memory
-
-    with _SEGMENTS_LOCK:
-        entry = _SEGMENTS.get(name)
-        if entry is not None:
-            return entry
-        shm = shared_memory.SharedMemory(name=name)
-        _untrack(shm)
-        entry = _parse_segment(shm)
-        while len(_SEGMENTS) >= _MAX_ATTACHED:
-            _close_segment(_SEGMENTS.pop(next(iter(_SEGMENTS))))
-        _SEGMENTS[name] = entry
-    return entry
-
-
-def payload_from_shm(name: str, start: int, end: int) -> ShardPayload:
-    """Rebuild the ``[start, end)`` shard payload from a shared segment.
-
-    The arrays are *copied* out of the mapping (a shard slice is small;
-    the savings live in never pickling it across the process boundary).
-    Returning views instead would pin the mapping: a payload outliving
-    ``SharedSnapshot.close`` would turn the close into a ``BufferError``
-    and keep the memory alive behind the unlink.
-    """
-    entry = _attach(name)
-    ls_offsets = entry["ls_offsets"]
-    ls_flat = entry["ls_flat"]
-    label_sets = tuple(
-        tuple(ls_flat[int(ls_offsets[k]):int(ls_offsets[k + 1])].tolist())
-        for k in range(start, end)
-    )
-    return ShardPayload(
-        lam=entry["lam"],
-        labels=entry["labels"],
-        values=entry["values"][start:end].copy(),
-        uids=entry["uids"][start:end].copy(),
-        label_sets=label_sets,
-    )
-
-
-def posting_values_from_shm(
-    name: str, label_index: int
-) -> Tuple[np.ndarray, float]:
-    """One label's full posting-value array (gathered once per process)
-    plus lambda — what a Scan shard task needs."""
-    entry = _attach(name)
-    cached = entry["posting_values"].get(label_index)
-    if cached is None:
-        offsets = entry["posting_offsets"]
-        idx = entry["posting_flat"][
-            int(offsets[label_index]):int(offsets[label_index + 1])
-        ]
-        cached = entry["values"][idx]
-        entry["posting_values"][label_index] = cached
-    return cached, entry["lam"]
-
-
-_SHM_CACHE: "weakref.WeakKeyDictionary[Instance, SharedSnapshot]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def shared_snapshot(instance: Instance) -> Optional[SharedSnapshot]:
-    """The instance's published shared-memory snapshot, or ``None``.
-
-    Published once per instance and cached; a finalizer unlinks the
-    segment when the instance is collected.  Returns ``None`` when
-    shared memory is unavailable or publishing fails — callers fall back
-    to pickled :class:`ShardPayload` tasks.
-    """
-    if not shm_available():
-        return None
-    shared = _SHM_CACHE.get(instance)
-    if shared is None:
-        # build the columnar snapshot BEFORE taking the lock: snapshot()
-        # takes _CACHE_LOCK itself on a cache miss, and the lock is not
-        # reentrant
-        snap = snapshot(instance)
-        with _CACHE_LOCK:
-            shared = _SHM_CACHE.get(instance)
-            if shared is None:
-                try:
-                    shared = SharedSnapshot.publish(snap)
-                except Exception:
-                    return None
-                _SHM_CACHE[instance] = shared
-                weakref.finalize(instance, SharedSnapshot.close, shared)
-    return shared

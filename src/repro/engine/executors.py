@@ -1,60 +1,38 @@
-"""Pluggable shard executors: serial / thread / process.
+"""Pluggable task executors: serial / thread.
 
-A deliberately narrow contract: an executor maps a **top-level function**
-over a list of task tuples and returns the results in task order.  That
-is all the parallel solvers need, and it is the strictest common
-denominator — process pools additionally require the function to be
-importable and every task to be picklable, which the solvers honour by
-shipping :class:`~repro.engine.columnar.ShardPayload` objects (flat
-arrays) or :class:`~repro.engine.columnar.SharedSnapshot` references
-rather than live instances.
+A deliberately narrow contract: an executor maps a function over a list
+of task tuples and returns the results in task order.  That is all the
+service's micro-batcher needs (it runs a batch of distinct solves as one
+task list).
 
 Pool lifecycle
 --------------
 
-``ThreadExecutor`` and ``ProcessExecutor`` own **one lazily-created
-pool, reused across ``run()`` calls**.  Spinning a fresh pool inside
-every call — the original design — charged every solve the full pool
-start-up (process fork + interpreter warm-up for process pools), which
-is exactly the per-call overhead that flattened the measured scaling
-curve.  The pool is created on the first ``run()`` that needs it and
-lives until :meth:`~ShardExecutor.close` (or the context manager exit);
-a closed executor stays usable — the next ``run()`` simply builds a new
-pool.
-
-Callers that want a warm pool must therefore hold the executor instance
-across calls (the service does; benchmarks do).  When the engine
-resolves a *string* spec itself it also closes the executor after the
-solve, so one-shot ``executor="process"`` calls keep their original
-no-leak semantics.
+``ThreadExecutor`` owns **one lazily-created pool, reused across
+``run()`` calls**.  The pool is created on the first ``run()`` that
+needs it and lives until :meth:`~ShardExecutor.close` (or the context
+manager exit); a closed executor stays usable — the next ``run()``
+simply builds a new pool.  Callers that want a warm pool must therefore
+hold the executor instance across calls (the service does).
 
 ``get_executor`` resolves the user-facing spec:
 
 ========== ===========================================================
 ``serial``  in-process loop; zero overhead, the parity baseline
 ``thread``  ``ThreadPoolExecutor``; shares memory, helps when the work
-            releases the GIL (numpy kernels) or is I/O-bound
-``process`` ``ProcessPoolExecutor``; true parallelism, pays pickling —
-            kept cheap by shared-memory snapshots / columnar payloads
+            releases the GIL (numpy) or is I/O-bound
 ========== ===========================================================
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
-from concurrent.futures import (
-    FIRST_EXCEPTION,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from typing import Callable, List, Optional, Sequence
 
 __all__ = ["ShardExecutor", "SerialExecutor", "ThreadExecutor",
-           "ProcessExecutor", "get_executor", "default_workers"]
+           "get_executor", "default_workers"]
 
 
 def default_workers() -> int:
@@ -100,11 +78,12 @@ class SerialExecutor(ShardExecutor):
         return [fn(*task) for task in tasks]
 
 
-class _PooledExecutor(ShardExecutor):
-    """Shared lifecycle for the thread/process executors: one lazily
-    created pool, reused across ``run()`` calls, torn down by
-    :meth:`close` — and fail-fast error handling (the first failing
-    shard cancels every shard still queued)."""
+class ThreadExecutor(ShardExecutor):
+    """A thread pool: one lazily created pool, reused across ``run()``
+    calls, torn down by :meth:`close` — and fail-fast error handling
+    (the first failing task cancels every task still queued)."""
+
+    name = "thread"
 
     def __init__(self, workers: Optional[int] = None):
         self.workers = workers or default_workers()
@@ -116,42 +95,34 @@ class _PooledExecutor(ShardExecutor):
         """True while a warm pool exists."""
         return self._pool is not None
 
-    def _make_pool(self):
-        raise NotImplementedError
-
     def _ensure_pool(self):
         pool = self._pool
         if pool is None:
             with self._lock:
                 pool = self._pool
                 if pool is None:
-                    pool = self._pool = self._make_pool()
+                    pool = self._pool = ThreadPoolExecutor(
+                        max_workers=self.workers)
         return pool
 
     def run(self, fn: Callable, tasks: Sequence[tuple]) -> List:
         if len(tasks) <= 1 or self.workers <= 1:
             return [fn(*task) for task in tasks]
         pool = self._ensure_pool()
-        try:
-            futures = [pool.submit(fn, *task) for task in tasks]
-            done, pending = wait(futures, return_when=FIRST_EXCEPTION)
-        except BrokenExecutor:
-            self.close()
-            raise
+        futures = [pool.submit(fn, *task) for task in tasks]
+        done, pending = wait(futures, return_when=FIRST_EXCEPTION)
         failures = [
             future for future in futures
             if future in done and not future.cancelled()
             and future.exception() is not None
         ]
         if failures:
-            # Fail fast: shards still queued must not run to completion
+            # Fail fast: tasks still queued must not run to completion
             # behind a failure nobody will read.  Cancel them, then
             # surface the *first* failure in submission order (raising
             # through result() keeps the original traceback).
             for future in pending:
                 future.cancel()
-            if isinstance(failures[0].exception(), BrokenExecutor):
-                self.close()
             failures[0].result()
         return [future.result() for future in futures]
 
@@ -167,49 +138,13 @@ class _PooledExecutor(ShardExecutor):
             pool.shutdown(wait=False)
 
 
-class ThreadExecutor(_PooledExecutor):
-    name = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Worker processes; ``fn`` must be a module-level function and every
-    task element picklable (the solvers pass shared-memory references or
-    columnar payloads)."""
-
-    name = "process"
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def run(self, fn: Callable, tasks: Sequence[tuple]) -> List:
-        if len(tasks) > 1 and self.workers > 1:
-            # Reject unpicklable functions (lambdas, locals) before they
-            # reach the pool: a work item that fails to pickle on the
-            # queue-feeder thread leaves ProcessPoolExecutor.shutdown
-            # hanging forever on CPython 3.11 — a clear error here beats
-            # a deadlocked close() later.
-            try:
-                pickle.dumps(fn)
-            except Exception as err:
-                raise TypeError(
-                    f"process executor requires a picklable module-level "
-                    f"function, got {fn!r}"
-                ) from err
-        return super().run(fn, tasks)
-
-
 def get_executor(
     spec, workers: Optional[int] = None
 ) -> ShardExecutor:
     """Resolve an executor spec: a name, or an executor instance.
 
     A name builds a *fresh* executor; hold the instance (and
-    :meth:`~ShardExecutor.close` it) to keep a warm pool across solves —
-    the engine closes executors it resolved from strings itself, so
-    one-shot calls never leak pools.
+    :meth:`~ShardExecutor.close` it) to keep a warm pool across solves.
     """
     if isinstance(spec, ShardExecutor):
         return spec
@@ -217,9 +152,7 @@ def get_executor(
         return SerialExecutor()
     if spec == "thread":
         return ThreadExecutor(workers)
-    if spec == "process":
-        return ProcessExecutor(workers)
     raise ValueError(
         f"unknown executor {spec!r}; expected 'serial', 'thread', "
-        f"'process', or a ShardExecutor instance"
+        f"or a ShardExecutor instance"
     )

@@ -1,10 +1,11 @@
-"""Shard planning: cutting an instance into independently solvable pieces.
+"""Why instances decompose at wide gaps, and the seam repair for when
+they do not.
 
 The 1-D structure the paper exploits in Scan (Section 4.3) makes MQDP
 instances *decomposable*: coverage never reaches further than lambda
 along the diversity dimension, so any gap in the global value sequence
-wider than lambda separates the instance into two halves that share no
-coverage relation — for any label, under every solver in this
+strictly wider than lambda separates the instance into two halves that
+share no coverage relation — for any label, under every solver in this
 repository.  Solving the halves independently and taking the union is
 exact:
 
@@ -19,208 +20,27 @@ exact:
   tie-break — so per-block greedy picks, concatenated, equal the global
   run's picks.
 
-:func:`plan_shards` finds those gaps and balances them into at most
-``max_shards`` contiguous slices.  When an instance has no usable gaps
-(the dense worst case), :func:`plan_halo_shards` falls back to
-equal-count cuts with a lambda *halo* on each side; halo shards are NOT
-independent, so their merged result goes through :func:`stitch_repair`,
-which re-verifies coverage with the existing verifier and repairs any
-seam damage with the optimal 1-D per-label greedy.
+A gap of *exactly* lambda still couples the sides (the coverage test is
+``<=``).  The same argument holds for blocks of labels instead of blocks
+of values, which is why the cluster router's scatter-gather merge is
+exact when no post spans two shards.
+
+When blocks are *not* independent, a union of block-local picks is not
+guaranteed to be a cover.  :func:`stitch_repair` re-verifies such a
+union with the existing verifier and repairs any seam damage with the
+optimal 1-D per-label greedy; the router's ``stitch_mode="stitch"``
+merge uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from ..core.coverage import uncovered_pairs, verify_cover
 from ..core.instance import Instance
 from ..core.post import Post
-from .columnar import ColumnarInstance
 
-__all__ = ["Shard", "ShardPlan", "plan_shards", "plan_halo_shards",
-           "stitch_repair"]
-
-
-@dataclass(frozen=True)
-class Shard:
-    """One contiguous slice of the global post order.
-
-    ``[start, end)`` is the *core* the shard is responsible for;
-    ``[halo_start, halo_end)`` is what it gets to look at.  Gap shards
-    have ``halo_start == start`` and ``halo_end == end``.
-    """
-
-    start: int
-    end: int
-    halo_start: int
-    halo_end: int
-
-    @property
-    def has_halo(self) -> bool:
-        return self.halo_start != self.start or self.halo_end != self.end
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """The planner's output: how an instance splits, and how safely.
-
-    ``kind`` is ``"single"`` (no split), ``"gap"`` (provably independent
-    cuts — exact parity), or ``"halo"`` (overlapping cuts — requires
-    :func:`stitch_repair`).  ``gap_cuts_available`` records how many safe
-    cut points existed before balancing, for observability.
-    """
-
-    kind: str
-    shards: Tuple[Shard, ...]
-    gap_cuts_available: int
-
-    def __len__(self) -> int:
-        return len(self.shards)
-
-
-def _gap_cut_positions(values: np.ndarray, lam: float) -> np.ndarray:
-    """Indices ``k`` such that a shard may start at ``k``: the gap to the
-    previous post is strictly wider than lambda (the same subtraction
-    arithmetic the coverage verifier uses, so 'independent' here means
-    independent under the verifier too)."""
-    if len(values) < 2:
-        return np.empty(0, dtype=np.int64)
-    gaps = values[1:] - values[:-1]
-    return np.flatnonzero(gaps > lam).astype(np.int64) + 1
-
-
-def _cost_prefix(snap: ColumnarInstance) -> np.ndarray:
-    """``cost[k]`` = solver cost of the first ``k`` posts, measured in
-    ``(post, label)`` coverage pairs — what the per-shard work actually
-    scales with (a post carrying four labels feeds four posting lists
-    and four set-cover members, not one).  Balancing on raw post counts
-    let label-dense regions pile into one shard, and the straggler set
-    the wall clock."""
-    cost = np.zeros(len(snap) + 1, dtype=np.int64)
-    np.cumsum(snap.pair_counts, out=cost[1:])
-    return cost
-
-
-def _balance_cuts(
-    cuts: np.ndarray, cost: np.ndarray, max_shards: int
-) -> List[int]:
-    """Pick at most ``max_shards - 1`` cut points, nearest to the ideal
-    equal-**cost** boundaries, preserving order and uniqueness."""
-    if max_shards <= 1 or len(cuts) == 0:
-        return []
-    if len(cuts) <= max_shards - 1:
-        return [int(c) for c in cuts]
-    total = float(cost[-1])
-    cut_costs = cost[cuts]
-    chosen: List[int] = []
-    for k in range(1, max_shards):
-        ideal = k * total / max_shards
-        pos = int(np.searchsorted(cut_costs, ideal))
-        best: Optional[int] = None
-        best_gap = 0.0
-        for cand_pos in (pos - 1, pos):
-            if 0 <= cand_pos < len(cuts):
-                cand = int(cuts[cand_pos])
-                if cand in chosen:
-                    continue
-                gap = abs(float(cut_costs[cand_pos]) - ideal)
-                if best is None or gap < best_gap:
-                    best, best_gap = cand, gap
-        if best is not None and (not chosen or best > chosen[-1]):
-            chosen.append(best)
-    return chosen
-
-
-def plan_shards(
-    snap: ColumnarInstance,
-    max_shards: int,
-    *,
-    min_shard_posts: int = 1,
-) -> ShardPlan:
-    """Cut at global gaps wider than lambda; exact-parity shards only.
-
-    Cuts are balanced by per-shard *cost* (coverage pairs), not raw post
-    count.  Returns a ``"single"`` plan when no gap exists (or
-    ``max_shards <= 1``) — callers wanting forced sharding use
-    :func:`plan_halo_shards`.
-    """
-    n = len(snap)
-    cuts = _gap_cut_positions(snap.values, snap.lam)
-    if max_shards <= 1 or n == 0 or len(cuts) == 0:
-        return ShardPlan(
-            kind="single",
-            shards=(Shard(0, n, 0, n),),
-            gap_cuts_available=len(cuts),
-        )
-    chosen = _balance_cuts(cuts, _cost_prefix(snap), max_shards)
-    if min_shard_posts > 1:
-        filtered: List[int] = []
-        prev = 0
-        for cut in chosen:
-            if cut - prev >= min_shard_posts:
-                filtered.append(cut)
-                prev = cut
-        chosen = filtered
-    if not chosen:
-        return ShardPlan(
-            kind="single",
-            shards=(Shard(0, n, 0, n),),
-            gap_cuts_available=len(cuts),
-        )
-    bounds = [0] + chosen + [n]
-    shards = tuple(
-        Shard(start, end, start, end)
-        for start, end in zip(bounds, bounds[1:])
-    )
-    return ShardPlan(kind="gap", shards=shards,
-                     gap_cuts_available=len(cuts))
-
-
-def plan_halo_shards(
-    snap: ColumnarInstance,
-    shards: int,
-) -> ShardPlan:
-    """Equal-**cost** cuts with a lambda halo on each side.
-
-    Each shard's halo contains every post within lambda of its core, so a
-    shard solved in isolation covers all of its core's (post, label)
-    pairs; the union over shards is therefore always a valid cover, but
-    not a pick-parity one — seams can duplicate or misalign picks, which
-    :func:`stitch_repair` cleans up.  Cores are bounded where the
-    cumulative coverage-pair cost crosses the ideal equal split, so a
-    label-dense region is spread over workers instead of becoming one
-    straggler shard.
-    """
-    n = len(snap)
-    values = snap.values
-    lam = snap.lam
-    cut_gaps = _gap_cut_positions(values, lam)
-    if shards <= 1 or n < 2:
-        return ShardPlan(kind="single", shards=(Shard(0, n, 0, n),),
-                         gap_cuts_available=len(cut_gaps))
-    cost = _cost_prefix(snap)
-    total = float(cost[-1])
-    bounds = sorted({
-        int(np.searchsorted(cost, k * total / shards, side="left"))
-        for k in range(1, shards)
-    })
-    bounds = [b for b in bounds if 0 < b < n]
-    all_bounds = [0] + bounds + [n]
-    out: List[Shard] = []
-    for start, end in zip(all_bounds, all_bounds[1:]):
-        lo = int(np.searchsorted(values, values[start] - lam, side="left"))
-        hi = int(np.searchsorted(values, values[end - 1] + lam,
-                                 side="right"))
-        # one-step ulp widening; over-inclusion is harmless (halos only
-        # add context), the verifier remains the arbiter of coverage
-        lo = max(0, lo - 1)
-        hi = min(n, hi + 1)
-        out.append(Shard(start, end, lo, hi))
-    return ShardPlan(kind="halo", shards=tuple(out),
-                     gap_cuts_available=len(cut_gaps))
+__all__ = ["stitch_repair"]
 
 
 def _repair_label(
@@ -261,7 +81,7 @@ def _repair_label(
 def stitch_repair(
     instance: Instance, picks: List[Post]
 ) -> Tuple[List[Post], int]:
-    """Re-verify a merged halo-shard cover and repair seam damage.
+    """Re-verify a merged cover of coupled blocks and repair seam damage.
 
     Runs the existing verifier machinery (:func:`uncovered_pairs`) over
     the full instance; any pair a seam left uncovered is repaired with

@@ -67,7 +67,6 @@ from .facade import (
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profiling import Profiler
-from .requesttrace import traced_run
 from .slo import SLOMonitor
 from .traces import (
     SamplingPolicy,
@@ -128,5 +127,4 @@ __all__ = [
     "Tracer",
     "mint_trace_id",
     "structlog",
-    "traced_run",
 ]

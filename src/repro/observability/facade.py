@@ -10,10 +10,11 @@ it.  The contract:
   and one ``is None`` test.
 * Solvers publish at **call granularity** — work units are accumulated in
   local integers inside the loops (or derived arithmetically) and handed
-  to the registry once per solver call, never per iteration.  Paths where
-  even a local accumulator would show up (Scan's inner loop) switch to an
-  instrumented twin only when observability is on; the disabled code path
-  is byte-for-byte the uninstrumented one, which
+  to the registry once per solver call, never per iteration.  Where even
+  a local accumulator would show up (Scan's inner loop), the count is
+  derived after the loop instead: Scan's index advances equal the summed
+  posting-list lengths, so its loop carries no counter at all and the
+  disabled path pays one ``enabled()`` check per call, which
   ``benchmarks/test_observability_overhead.py`` enforces (≤5% delta).
 * :func:`enable` / :func:`disable` swap the whole bundle atomically;
   :func:`session` scopes it for tests and benches.

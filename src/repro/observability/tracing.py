@@ -10,15 +10,16 @@ Request-scoped tracing (PR 5) adds three ideas on top of plain nesting:
 * a :class:`TraceContext` — ``(trace_id, span_id, tenant)`` — names one
   request's trace and the span new work should hang under.  Contexts are
   explicit values, so they can cross executor boundaries (thread pools,
-  process pools, micro-batch closures) that implicit stacks cannot;
+  micro-batch closures, cluster frames) that implicit stacks cannot;
 * :meth:`Tracer.activate` installs a context as the *remote parent* for
   spans opened where no local span is open — this is how a solver job
   running on a pool thread parents its spans into the request that
   submitted it;
-* :meth:`Tracer.adopt` grafts spans recorded *elsewhere* (a process-pool
-  shard worker's local tracer) into this tracer, re-identifying them so
-  a request's span tree includes the work its shards did in other
-  processes, and :meth:`Tracer.assemble` renders any trace as that tree.
+* :meth:`Tracer.adopt` grafts spans recorded *elsewhere* (a cluster
+  worker's spans, shipped back in its reply frame) into this tracer,
+  re-identifying them so a request's span tree includes the work its
+  shards did on other nodes, and :meth:`Tracer.assemble` renders any
+  trace as that tree.
 
 Concurrency: nesting state lives in per-tracer :mod:`contextvars`
 variables rather than thread-locals.  Threads behave as before (each
@@ -296,7 +297,7 @@ class Tracer:
                 self.finished.append(span)
                 self._trim_finished_locked()
 
-    # -- adoption (cross-process re-parenting) -----------------------------
+    # -- adoption (cross-node re-parenting) --------------------------------
 
     def adopt(
         self,

@@ -23,10 +23,9 @@ those runs byte-identical.  Two cooperating pieces exploit that:
 
 Both are asyncio-native: they must be used from a running event loop.
 The executor contract is the narrow :class:`~repro.engine.executors
-.ShardExecutor` one; the batcher ships live closures, so it supports the
-``serial`` and ``thread`` executors (process pools would need picklable
-tasks — digests close over matchers and documents, so the service
-validates the spec up front).
+.ShardExecutor` one; the batcher ships live closures (digests close over
+matchers and documents), which the ``serial`` and ``thread`` executors
+run in-process.
 """
 
 from __future__ import annotations

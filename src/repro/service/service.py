@@ -1351,7 +1351,7 @@ class DiversificationService:
 
         Idempotent, and not terminal: a request served after ``close()``
         simply rebuilds the pool.  Call it when retiring the service so
-        worker threads/processes don't linger until interpreter exit.
+        worker threads don't linger until interpreter exit.
         """
         self.executor.close()
 

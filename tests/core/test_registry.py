@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.core.greedy_sc import greedy_sc
 from repro.core.registry import available_algorithms, register, solve
+from repro.core.scan import scan, scan_plus
 from repro.core.solution import Solution
 from repro.errors import UnknownAlgorithmError
 
@@ -18,6 +20,20 @@ class TestRegistry:
         solution = solve("scan", figure2_instance)
         assert isinstance(solution, Solution)
         assert solution.algorithm == "scan"
+
+    @pytest.mark.parametrize("name, direct, kwargs", [
+        ("scan", scan, {"label_order": "shortest_first"}),
+        ("scan+", scan_plus, {"label_order": "longest_first"}),
+        ("greedy_sc", greedy_sc, {"strategy": "lazy_heap"}),
+    ], ids=["scan", "scan+", "greedy_sc"])
+    def test_served_by_name_matches_direct_call(
+        self, figure2_instance, name, direct, kwargs
+    ):
+        # the name a digest request carries reaches the one serial
+        # implementation, keyword options included
+        served = solve(name, figure2_instance, **kwargs)
+        assert served.algorithm == name
+        assert served.uids == direct(figure2_instance, **kwargs).uids
 
     def test_unknown_name_raises_with_suggestions(self, figure2_instance):
         with pytest.raises(UnknownAlgorithmError) as excinfo:

@@ -1,13 +1,15 @@
 """Algorithm Scan / Scan+ (Section 4.3)."""
 
+import math
 from typing import Dict, List
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.brute_force import exact_via_setcover
 from repro.core.coverage import is_cover
-from repro.core.instance import Instance
+from repro.core.instance import Instance, PostingList
 from repro.core.post import Post
 from repro.core.scan import order_labels, scan, scan_label, scan_plus
 
@@ -110,6 +112,130 @@ class TestScanLabel:
         assert len(picks) == optimal.size
 
 
+def scan_index_reference(values: List[float], lam: float) -> List[int]:
+    """Index-level transliteration of :func:`scan_label` over a sorted
+    value list: the picked positions, with no Post objects involved."""
+    picks = []
+    n = len(values)
+    i = 0
+    while i < n:
+        left = values[i]
+        j = i
+        while j + 1 < n and values[j + 1] - left <= lam:
+            j += 1
+        picks.append(j)
+        i = j + 1
+        while i < n and values[i] - values[j] <= lam:
+            i += 1
+    return picks
+
+
+sorted_value_lists = st.lists(
+    st.floats(min_value=0.0, max_value=100.0,
+              allow_nan=False, allow_infinity=False),
+    min_size=1, max_size=80,
+).map(sorted)
+
+lambdas = st.sampled_from([0.0, 0.25, 1.0, 3.0, 10.0, 100.0])
+
+
+def single_label_list(values: List[float], lam: float) -> PostingList:
+    return Instance.from_specs([(v, "a") for v in values], lam).posting("a")
+
+
+def pick_positions(plist: PostingList, picks: List[Post]) -> List[int]:
+    position = {p.uid: k for k, p in enumerate(plist)}
+    return [position[p.uid] for p in picks]
+
+
+class TestScanLabelBoundaries:
+    """Window-edge behaviour of the single-list greedy: exact-lambda
+    ties, duplicate values, one-ulp windows, and the restart property
+    the gap-decomposition argument of ``repro.engine.sharding`` uses."""
+
+    @given(sorted_value_lists, lambdas)
+    def test_matches_index_reference(self, values, lam):
+        plist = single_label_list(values, lam)
+        assert pick_positions(plist, scan_label(plist, lam)) == \
+            scan_index_reference([p.value for p in plist], lam)
+
+    def test_exact_lambda_spacing(self):
+        # posts exactly lambda apart: the window [v, v + lam] holds two
+        # posts and the pick's reach one more, so every third is picked
+        plist = single_label_list([i * 2.0 for i in range(24)], 2.0)
+        assert pick_positions(plist, scan_label(plist, 2.0)) == \
+            [1, 4, 7, 10, 13, 16, 19, 22]
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_all_ties_pick_the_last_tie(self, lam):
+        plist = single_label_list([0.0] * 10, lam)
+        assert pick_positions(plist, scan_label(plist, lam)) == [9]
+
+    def test_empty_list_picks_nothing(self):
+        assert scan_label(PostingList("a", []), 1.0) == []
+
+    def test_one_ulp_windows(self):
+        # three posts one ulp apart under a one-ulp lambda: the middle
+        # post reaches both neighbours, the ends reach only the middle
+        first = 1.0
+        second = math.nextafter(first, 2.0)
+        third = math.nextafter(second, 2.0)
+        lam = second - first
+        plist = single_label_list([first, second, third], lam)
+        assert pick_positions(plist, scan_label(plist, lam)) == [1]
+
+    @given(sorted_value_lists)
+    def test_zero_lambda_picks_each_distinct_value_once(self, values):
+        plist = single_label_list(values, 0.0)
+        picked = [p.value for p in scan_label(plist, 0.0)]
+        assert picked == sorted(set(values))
+
+    @given(sorted_value_lists, lambdas)
+    def test_picks_spaced_over_lambda_and_covering(self, values, lam):
+        plist = single_label_list(values, lam)
+        picks = [p.value for p in scan_label(plist, lam)]
+        for left, right in zip(picks, picks[1:]):
+            assert right - left > lam
+        for value in values:
+            assert any(abs(value - pick) <= lam for pick in picks)
+
+    @given(sorted_value_lists, lambdas)
+    def test_restart_after_a_pick_reproduces_the_tail(self, values, lam):
+        # resuming at the first post a pick leaves uncovered and scanning
+        # the rest alone yields exactly the remaining picks
+        plist = single_label_list(values, lam)
+        picks = scan_label(plist, lam)
+        positions = pick_positions(plist, picks)
+        for k, j in enumerate(positions):
+            resume = j + 1
+            while resume < len(plist) and \
+                    plist[resume].value - plist[j].value <= lam:
+                resume += 1
+            tail = PostingList("a", plist.posts[resume:])
+            assert scan_label(tail, lam) == picks[k + 1:]
+
+    @given(sorted_value_lists, lambdas)
+    def test_gap_wider_than_lambda_splits_the_list(self, values, lam):
+        plist = single_label_list(values, lam)
+        cuts = [k for k in range(1, len(plist))
+                if plist[k].value - plist[k - 1].value > lam]
+        whole = scan_label(plist, lam)
+        for cut in cuts:
+            left = PostingList("a", plist.posts[:cut])
+            right = PostingList("a", plist.posts[cut:])
+            assert scan_label(left, lam) + scan_label(right, lam) == whole
+
+    def test_everything_covered_picks_nothing(self):
+        plist = single_label_list([0.0, 5.0, 10.0], 1.0)
+        assert scan_label(plist, 1.0, is_covered=lambda idx: True) == []
+
+    @given(sorted_value_lists, lambdas)
+    def test_nothing_covered_is_plain_scan(self, values, lam):
+        plist = single_label_list(values, lam)
+        assert scan_label(plist, lam, is_covered=lambda idx: False) == \
+            scan_label(plist, lam)
+
+
 class TestScan:
     def test_figure2_scan(self, figure2_instance):
         solution = scan(figure2_instance)
@@ -132,6 +258,21 @@ class TestScan:
             for order in ("sorted", "longest_first", "shortest_first")
         }
         assert len(set(sizes.values())) == 1
+
+    @pytest.mark.parametrize("order, expected", [
+        ("sorted", ["a", "b", "c", "z"]),
+        ("longest_first", ["b", "c", "a", "z"]),
+        ("shortest_first", ["z", "a", "b", "c"]),
+    ])
+    def test_orders_are_total_with_name_tie_break(self, order, expected):
+        # equal posting-list lengths ("b", "c") fall back to the name, and
+        # a declared label with no posts still takes its place
+        instance = Instance(
+            [Post(uid=0, value=0.0, labels=frozenset("abc")),
+             Post(uid=1, value=5.0, labels=frozenset("bc"))],
+            lam=1.0, labels="abcz",
+        )
+        assert order_labels(instance, order) == expected
 
     def test_unknown_order_rejected(self, figure2_instance):
         with pytest.raises(ValueError):

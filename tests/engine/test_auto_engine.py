@@ -7,11 +7,11 @@ from hypothesis import given
 
 from repro.core.greedy_sc import greedy_sc
 from repro.core.instance import Instance
-from repro.engine import auto
+from repro.engine import auto, columnar
 from repro.engine.auto import choose_engine, probe_pair_count
 from repro.observability import facade
 
-from .conftest import engine_instances
+from .conftest import engine_instances, exact_lambda_instance
 
 
 def brute_force_pairs(instance: Instance) -> int:
@@ -80,6 +80,39 @@ class TestGreedyScAutoDefault:
         auto_picks = greedy_sc(inst, engine="auto").uids
         assert auto_picks == greedy_sc(inst, engine="python").uids
         assert auto_picks == greedy_sc(inst, engine="numpy").uids
+
+    def test_probe_and_builder_share_one_snapshot(self, monkeypatch):
+        # a cold solve that the probe sends to the numpy builder builds
+        # the columnar snapshot once; the builder reuses the probe's
+        inst = Instance.from_specs(
+            [(float(i) * 0.5, "ab"[i % 2] + "c") for i in range(30)],
+            lam=1.0,
+        )
+        builds = []
+        real = columnar.ColumnarInstance
+
+        class Counting(real):
+            def __init__(self, instance):
+                builds.append(instance)
+                super().__init__(instance)
+
+        monkeypatch.setattr(columnar, "ColumnarInstance", Counting)
+        monkeypatch.setattr(auto, "AUTO_PAIR_THRESHOLD", 1)
+        with facade.session() as bundle:
+            solution = greedy_sc(inst)
+        assert bundle.registry.counters()["engine.auto.numpy_selected"] == 1
+        assert builds == [inst]
+        assert solution.uids == greedy_sc(inst, engine="python").uids
+
+    @pytest.mark.parametrize("strategy", ["rescan", "lazy_heap"])
+    @pytest.mark.parametrize("lam", [0.5, 2.0])
+    def test_engines_agree_on_exact_lambda_spacing(self, strategy, lam):
+        # every window edge is a `<=` tie both builders must include
+        inst = exact_lambda_instance(lam=lam, n=30)
+        python = greedy_sc(inst, strategy=strategy, engine="python")
+        assert greedy_sc(inst, strategy=strategy, engine="numpy").uids \
+            == python.uids
+        assert greedy_sc(inst, strategy=strategy).uids == python.uids
 
     def test_unknown_engine_still_raises(self):
         inst = Instance.from_specs([(0.0, "a")], lam=1.0)

@@ -1,15 +1,17 @@
-"""Columnar snapshots: array fidelity, caching, payload round-trips."""
+"""Columnar snapshots: array fidelity and caching."""
 
 from __future__ import annotations
 
-import pickle
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 
 from repro.core.instance import Instance
+from repro.core.post import Post
 from repro.engine import columnar
 from repro.engine.columnar import ColumnarInstance, snapshot
 
@@ -26,12 +28,11 @@ def instance() -> Instance:
 
 
 class TestColumnarInstance:
-    def test_values_and_uids_aligned(self, instance):
+    def test_values_aligned_with_posts(self, instance):
         snap = ColumnarInstance(instance)
         assert len(snap) == len(instance)
         for k, post in enumerate(instance.posts):
             assert snap.values[k] == post.value
-            assert snap.uids[k] == post.uid
 
     def test_values_ascending(self, instance):
         snap = ColumnarInstance(instance)
@@ -53,20 +54,6 @@ class TestColumnarInstance:
                 np.asarray([p.value for p in plist]),
             )
 
-    def test_label_sets_roundtrip(self, instance):
-        snap = ColumnarInstance(instance)
-        for k, post in enumerate(instance.posts):
-            decoded = frozenset(snap.labels[i] for i in snap.label_sets[k])
-            assert decoded == post.labels
-
-    def test_pair_counts_match_label_cardinality(self, instance):
-        snap = ColumnarInstance(instance)
-        assert snap.pair_counts.tolist() == \
-            [len(p.labels) for p in instance.posts]
-        assert int(snap.pair_counts.sum()) == sum(
-            len(snap.posting_indices[a]) for a in snap.labels
-        )
-
     @given(engine_instances())
     def test_property_posting_fidelity(self, inst):
         snap = ColumnarInstance(inst)
@@ -76,6 +63,47 @@ class TestColumnarInstance:
             assert len(idx) == len(plist)
             assert np.all(np.diff(idx) > 0)  # global order, unique
 
+    @given(engine_instances())
+    def test_property_label_sets_recoverable_from_postings(self, inst):
+        # the posting arrays alone encode every post's label set
+        snap = ColumnarInstance(inst)
+        recovered = [set() for _ in range(len(snap))]
+        for label, idx in snap.posting_indices.items():
+            for k in idx:
+                recovered[int(k)].add(label)
+        assert [frozenset(r) for r in recovered] == \
+            [p.labels for p in inst.posts]
+
+    @given(engine_instances())
+    def test_property_posting_values_index_the_value_array(self, inst):
+        snap = ColumnarInstance(inst)
+        assert snap.lam == inst.lam
+        for label, idx in snap.posting_indices.items():
+            assert idx.dtype == np.int64
+            assert snap.posting_values[label].dtype == np.float64
+            assert np.array_equal(snap.posting_values[label],
+                                  snap.values[idx])
+
+    @given(engine_instances())
+    def test_property_agrees_with_posting_list_arrays(self, inst):
+        # the probe and numpy builder read the snapshot; range queries
+        # read PostingList.values_array — both views must be one data
+        snap = ColumnarInstance(inst)
+        for label in inst.labels:
+            assert np.array_equal(snap.posting_values[label],
+                                  inst.posting(label).values_array)
+
+    def test_declared_empty_label_has_empty_arrays(self):
+        inst = Instance(
+            [Post(uid=0, value=1.0, labels=frozenset("a"))],
+            lam=1.0, labels="az",
+        )
+        snap = ColumnarInstance(inst)
+        assert snap.labels == ("a", "z")
+        assert snap.posting_indices["z"].tolist() == []
+        assert snap.posting_values["z"].tolist() == []
+        assert snap.posting_indices["z"].dtype == np.int64
+
 
 class TestSnapshotCache:
     def test_snapshot_cached_per_instance(self, instance):
@@ -84,6 +112,14 @@ class TestSnapshotCache:
     def test_distinct_instances_distinct_snapshots(self, instance):
         other = Instance.from_specs([(0.0, "a")], lam=1.0)
         assert snapshot(instance) is not snapshot(other)
+
+    def test_snapshot_released_with_its_instance(self):
+        inst = Instance.from_specs([(0.0, "a"), (2.0, "ab")], lam=1.0)
+        snap_ref = weakref.ref(snapshot(inst))
+        assert snap_ref() is not None
+        del inst
+        gc.collect()
+        assert snap_ref() is None
 
     def test_concurrent_snapshot_builds_exactly_once(self, monkeypatch):
         # hammer the cache: many threads released together must agree on
@@ -120,44 +156,3 @@ class TestSnapshotCache:
         assert len(builds) == 1
         assert all(r is results[0] for r in results)
         assert results[0] is not None
-
-
-class TestShardPayload:
-    def test_full_slice_rebuilds_instance(self, instance):
-        snap = snapshot(instance)
-        sub = snap.payload(0, len(snap)).to_instance()
-        assert [p.uid for p in sub.posts] == \
-            [p.uid for p in instance.posts]
-        assert sub.lam == instance.lam
-        assert sub.labels == instance.labels
-
-    def test_partial_slice_keeps_parent_label_universe(self, instance):
-        snap = snapshot(instance)
-        sub = snap.payload(0, 2).to_instance()
-        # posts 0..1 only use labels a/b, but the universe is declared
-        assert sub.labels == instance.labels
-        assert len(sub) == 2
-
-    def test_payload_pickle_roundtrip(self, instance):
-        snap = snapshot(instance)
-        payload = snap.payload(1, 4)
-        clone = pickle.loads(pickle.dumps(payload))
-        assert clone.lam == payload.lam
-        assert clone.labels == payload.labels
-        assert np.array_equal(clone.values, payload.values)
-        assert np.array_equal(clone.uids, payload.uids)
-        assert clone.label_sets == payload.label_sets
-        rebuilt = clone.to_instance()
-        assert [p.uid for p in rebuilt.posts] == \
-            [int(u) for u in payload.uids]
-
-    @given(engine_instances(max_posts=30))
-    def test_property_payload_posts_match_slice(self, inst):
-        snap = snapshot(inst)
-        n = len(snap)
-        mid = n // 2
-        sub = snap.payload(0, mid).to_instance()
-        assert [p.uid for p in sub.posts] == \
-            [p.uid for p in inst.posts[:mid]]
-        for post, original in zip(sub.posts, inst.posts[:mid]):
-            assert post.labels == original.labels

@@ -1,78 +1,40 @@
-"""Executor and shared-memory lifecycle: warm pools, clean teardown.
+"""Executor lifecycle: warm pools, clean teardown, fail-fast errors.
 
-The contract under test here is the one the scaling fix rests on:
-
-* pooled executors keep ONE pool across ``run()`` calls (same worker
-  PIDs observed twice) and release it fully on ``close()`` — no leaked
-  processes, and the executor stays usable afterwards;
-* shared-memory snapshot segments are unlinked on ``close()``, on
-  publish failure, and when the source instance is garbage-collected;
-* with shared memory forced off, the process path falls back to pickled
-  payloads and still produces byte-identical covers.
+The contract under test: the thread executor keeps ONE pool across
+``run()`` calls and releases it on ``close()`` — and the executor stays
+usable afterwards; the first failing task surfaces its own exception,
+cancels the tasks still queued, and leaves the pool alive.
 """
 
 from __future__ import annotations
 
-import gc
 import os
+import threading
 import time
 
-import numpy as np
 import pytest
 
-from repro.core.greedy_sc import greedy_sc
-from repro.core.instance import Instance
-from repro.core.scan import scan, scan_plus
-from repro.engine import columnar
-from repro.engine.columnar import (
-    SharedSnapshot,
-    payload_from_shm,
-    posting_values_from_shm,
-    shared_snapshot,
-    shm_available,
-    snapshot,
-)
-from repro.engine.executors import ProcessExecutor, ThreadExecutor
-from repro.engine.parallel import (
-    parallel_greedy_sc,
-    parallel_scan,
-    parallel_scan_plus,
-)
-
-needs_shm = pytest.mark.skipif(
-    not shm_available(), reason="shared memory unavailable"
-)
+from repro.engine import executors
+from repro.engine.executors import SerialExecutor, ThreadExecutor
 
 
 def worker_pid(_k):
-    """Module-level: process pools must import the task fn."""
     return os.getpid()
 
 
-def slow_pid(delay):
+def slow_ident(delay):
     time.sleep(delay)
-    return os.getpid()
+    return threading.get_ident()
 
 
 def boom(msg):
     raise ValueError(msg)
 
 
-def make_instance(n=60, seed=3):
-    rng = np.random.default_rng(seed)
-    specs = []
-    value = 0.0
-    alphabet = "abcd"
-    for k in range(n):
-        value += float(rng.uniform(0.05, 0.6))
-        if k % 17 == 0:
-            value += 5.0  # gaps wider than lambda: gap shards exist
-        count = int(rng.integers(1, 4))
-        labels = "".join(
-            sorted(rng.choice(list(alphabet), size=count, replace=False))
-        )
-        specs.append((value, labels))
-    return Instance.from_specs(specs, lam=1.0)
+def boom_or_sleep(arg):
+    if isinstance(arg, str):
+        raise ValueError(arg)
+    time.sleep(arg)
 
 
 class TestPoolReuse:
@@ -87,28 +49,8 @@ class TestPoolReuse:
         ex.close()
         assert not ex.alive
 
-    def test_process_pool_same_pids_across_runs(self):
-        with ProcessExecutor(2) as ex:
-            # slow tasks: both workers must serve each run, so the PID
-            # sets overlap iff the pool survived between runs (instant
-            # tasks can all land on one worker and alias a rebuild)
-            first = set(ex.run(slow_pid, [(0.02,) for _ in range(8)]))
-            pool = ex._pool
-            second = set(ex.run(slow_pid, [(0.02,) for _ in range(8)]))
-            assert ex._pool is pool
-            assert first and first & second  # the pool was reused
-            assert all(pid != os.getpid() for pid in first)
-
-    def test_close_terminates_worker_processes(self):
-        ex = ProcessExecutor(2)
-        pids = set(ex.run(worker_pid, [(k,) for k in range(8)]))
-        ex.close()
-        for pid in pids:
-            with pytest.raises(OSError):
-                os.kill(pid, 0)  # ESRCH: the worker is gone
-
     def test_executor_usable_after_close(self):
-        ex = ProcessExecutor(2)
+        ex = ThreadExecutor(2)
         assert ex.run(worker_pid, [(k,) for k in range(4)])
         ex.close()
         # close() is a release, not a poison pill
@@ -122,16 +64,45 @@ class TestPoolReuse:
             assert ex.alive
         assert not ex.alive
 
+    def test_concurrent_first_runs_build_one_pool(self, monkeypatch):
+        # the service's batcher may call run() from several threads at
+        # once on a cold executor: exactly one pool may come of it
+        built = []
+        real = executors.ThreadPoolExecutor
+
+        def counting_pool(*args, **kwargs):
+            built.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executors, "ThreadPoolExecutor", counting_pool)
+        ex = ThreadExecutor(2)
+        callers = 8
+        barrier = threading.Barrier(callers)
+        results = [None] * callers
+
+        def call(slot):
+            barrier.wait()
+            results[slot] = ex.run(worker_pid, [(k,) for k in range(4)])
+
+        threads = [threading.Thread(target=call, args=(slot,))
+                   for slot in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        ex.close()
+        assert len(built) == 1
+        assert all(r == [os.getpid()] * 4 for r in results)
+
     def test_single_task_never_builds_a_pool(self):
-        ex = ProcessExecutor(2)
+        ex = ThreadExecutor(2)
         assert ex.run(worker_pid, [(0,)]) == [os.getpid()]
         assert not ex.alive
         ex.close()
 
 
 class TestFailFast:
-    @pytest.mark.parametrize("executor_cls",
-                             [ThreadExecutor, ProcessExecutor])
+    @pytest.mark.parametrize("executor_cls", [ThreadExecutor])
     def test_original_exception_propagates(self, executor_cls):
         # the worker's own ValueError must surface (never a
         # CancelledError from the fail-fast sweep); which of the two
@@ -140,140 +111,39 @@ class TestFailFast:
             with pytest.raises(ValueError, match=r"shard \d failed"):
                 ex.run(boom, [("shard 0 failed",), ("shard 1 failed",)])
 
+    def test_serial_failure_stops_the_loop(self):
+        # the baseline's fail-fast: tasks after the failing one never run
+        ran = []
+
+        def task(k):
+            ran.append(k)
+            if k == 1:
+                raise ValueError("task 1 failed")
+
+        with pytest.raises(ValueError, match="task 1 failed"):
+            SerialExecutor().run(task, [(0,), (1,), (2,)])
+        assert ran == [0, 1]
+
     def test_failure_cancels_queued_tasks(self):
-        # 1 worker + an immediate failure: the queued slow tasks must be
-        # cancelled, so the call returns far sooner than running them all.
-        with ProcessExecutor(2) as ex:
+        # an immediate failure: the queued slow tasks must be cancelled,
+        # or the warm pool's next run queues behind all of them
+        with ThreadExecutor(2) as ex:
             ex.run(worker_pid, [(k,) for k in range(4)])  # warm the pool
             started = time.perf_counter()
             with pytest.raises(ValueError):
-                ex.run(boom, [("fail",)] + [("later",)] * 30)
+                ex.run(boom_or_sleep, [("fail",)] + [(0.4,)] * 60)
+            assert len(ex.run(worker_pid, [(k,) for k in range(4)])) == 4
             elapsed = time.perf_counter() - started
-        # 31 tasks x anything measurable would dwarf this bound if they
-        # all ran; generous enough for a loaded CI box
+        # 60 sleeps of 0.4 s on 2 threads take 12 s if they all run;
+        # cancelled, only the one already running does
         assert elapsed < 10.0
 
     def test_pool_survives_task_failure(self):
-        with ProcessExecutor(2) as ex:
-            before = set(ex.run(worker_pid, [(k,) for k in range(8)]))
+        with ThreadExecutor(2) as ex:
+            before = set(ex.run(slow_ident, [(0.02,) for _ in range(8)]))
+            pool = ex._pool
             with pytest.raises(ValueError):
                 ex.run(boom, [("fail",), ("fail2",)])
-            after = set(ex.run(worker_pid, [(k,) for k in range(8)]))
-            assert before & after  # same pool, not rebuilt
-
-    def test_unpicklable_fn_rejected_before_the_pool(self):
-        # a work item that fails to pickle on the queue-feeder thread
-        # leaves ProcessPoolExecutor.shutdown hanging forever on CPython
-        # 3.11, so the executor must refuse lambdas/local functions up
-        # front — and the refusal must not poison the pool
-        with ProcessExecutor(2) as ex:
-            with pytest.raises(TypeError, match="picklable module-level"):
-                ex.run(lambda k: k, [(0,), (1,)])
-            assert not ex.alive  # rejected before any pool was built
-            assert len(ex.run(worker_pid, [(k,) for k in range(4)])) == 4
-        # close() after the rejection returns promptly (no deadlock) —
-        # reaching this line is the assertion
-
-
-@needs_shm
-class TestSharedMemorySegments:
-    def test_publish_roundtrip_matches_payload(self):
-        inst = make_instance()
-        snap = snapshot(inst)
-        shared = SharedSnapshot.publish(snap)
-        try:
-            direct = snap.payload(5, 25)
-            via_shm = payload_from_shm(shared.name, 5, 25)
-            assert via_shm.lam == direct.lam
-            assert via_shm.labels == direct.labels
-            assert np.array_equal(via_shm.values, direct.values)
-            assert np.array_equal(via_shm.uids, direct.uids)
-            assert via_shm.label_sets == direct.label_sets
-            for idx, label in enumerate(snap.labels):
-                values, lam = posting_values_from_shm(shared.name, idx)
-                assert lam == snap.lam
-                assert np.array_equal(values, snap.posting_values[label])
-        finally:
-            shared.close()
-
-    def test_close_unlinks_segment(self):
-        shared = SharedSnapshot.publish(snapshot(make_instance()))
-        path = f"/dev/shm/{shared.name}"
-        if not os.path.exists(path):
-            pytest.skip("platform does not expose /dev/shm paths")
-        shared.close()
-        assert not os.path.exists(path)
-        shared.close()  # idempotent
-
-    def test_publish_failure_unlinks_segment(self, monkeypatch):
-        created = []
-        original = columnar._write_segment
-
-        def failing(shm, header_bytes, arrays, offsets):
-            created.append(shm.name)
-            original(shm, header_bytes, arrays, offsets)
-            raise RuntimeError("injected publish failure")
-
-        monkeypatch.setattr(columnar, "_write_segment", failing)
-        with pytest.raises(RuntimeError, match="injected"):
-            SharedSnapshot.publish(snapshot(make_instance()))
-        assert len(created) == 1
-        assert not os.path.exists(f"/dev/shm/{created[0]}")
-
-    def test_shared_snapshot_cached_and_finalized(self):
-        inst = make_instance()
-        shared = shared_snapshot(inst)
-        assert shared is not None
-        assert shared_snapshot(inst) is shared
-        name = shared.name
-        path = f"/dev/shm/{name}"
-        if not os.path.exists(path):
-            pytest.skip("platform does not expose /dev/shm paths")
-        del shared, inst
-        gc.collect()
-        assert not os.path.exists(path)  # finalizer unlinked it
-
-    def test_publish_failure_reports_unavailable(self, monkeypatch):
-        inst = make_instance()
-
-        def failing(snap):
-            raise OSError("no shm")
-
-        monkeypatch.setattr(
-            columnar.SharedSnapshot, "publish", staticmethod(failing)
-        )
-        assert shared_snapshot(inst) is None
-
-
-class TestFallbackParity:
-    """With shared memory forced off, the pickle path must produce the
-    same covers the serial baseline does."""
-
-    @pytest.fixture
-    def no_shm(self, monkeypatch):
-        monkeypatch.setattr(columnar, "_SHM_PROBE", False)
-        assert not shm_available()
-
-    def test_fallback_covers_match_serial(self, no_shm):
-        inst = make_instance(n=80, seed=11)
-        with ProcessExecutor(2) as ex:
-            assert shared_snapshot(inst) is None
-            got = parallel_greedy_sc(inst, executor=ex)
-            assert [p.uid for p in got.posts] == \
-                [p.uid for p in greedy_sc(inst).posts]
-            got = parallel_scan_plus(inst, executor=ex)
-            assert [p.uid for p in got.posts] == \
-                [p.uid for p in scan_plus(inst).posts]
-            got = parallel_scan(inst, executor=ex)
-            assert [p.uid for p in got.posts] == \
-                [p.uid for p in scan(inst).posts]
-
-    @needs_shm
-    def test_shm_and_fallback_agree(self, monkeypatch):
-        inst = make_instance(n=80, seed=13)
-        with ProcessExecutor(2) as ex:
-            via_shm = parallel_greedy_sc(inst, executor=ex)
-            monkeypatch.setattr(columnar, "_SHM_PROBE", False)
-            via_pickle = parallel_greedy_sc(inst, executor=ex)
-        assert [p.uid for p in via_shm.posts] == \
-            [p.uid for p in via_pickle.posts]
+            after = set(ex.run(slow_ident, [(0.02,) for _ in range(8)]))
+            assert ex._pool is pool
+            assert before & after  # same worker threads, not rebuilt

@@ -1,23 +1,37 @@
-"""Shard planning and stitch repair."""
+"""Block independence and stitch repair.
+
+The :mod:`repro.engine.sharding` docstring argues that an instance
+decomposes exactly at every value gap wider than lambda, and at label
+blocks no post spans — the argument the cluster router's merge rests
+on.  These tests check it against the serial solvers: solving the
+blocks independently and taking the union gives the whole instance's
+cover.  Where blocks are coupled, :func:`stitch_repair` must turn any
+union of picks into a valid cover.
+"""
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
 import pytest
 from hypothesis import given
 
 from repro.core.coverage import is_cover, uncovered_pairs
+from repro.core.greedy_sc import build_setcover_family, greedy_sc
 from repro.core.instance import Instance
-from repro.core.scan import scan
-from repro.engine.columnar import snapshot
-from repro.engine.sharding import (
-    _gap_cut_positions,
-    plan_halo_shards,
-    plan_shards,
-    stitch_repair,
+from repro.core.scan import (
+    _scan_plus_posts,
+    _scan_posts,
+    order_labels,
+    scan,
+    scan_plus,
 )
+from repro.engine import sharding
+from repro.engine.sharding import stitch_repair
+from repro.errors import InvalidCoverError
+from repro.setcover import greedy_set_cover
 
-from .conftest import engine_instances
+from .conftest import engine_instances, label_block_instances
 
 
 def gapped_instance() -> Instance:
@@ -26,132 +40,6 @@ def gapped_instance() -> Instance:
     specs += [(v, "a") for v in (5.0, 5.5)]
     specs += [(v, "b") for v in (10.0, 10.2, 10.9)]
     return Instance.from_specs(specs, lam=1.0)
-
-
-class TestGapCuts:
-    def test_positions(self):
-        values = np.asarray([0.0, 0.5, 1.0, 5.0, 5.5, 10.0])
-        cuts = _gap_cut_positions(values, 1.0)
-        assert cuts.tolist() == [3, 5]
-
-    def test_exact_lambda_gap_is_not_a_cut(self):
-        # a gap of exactly lambda still couples the sides
-        values = np.asarray([0.0, 1.0, 2.0])
-        assert _gap_cut_positions(values, 1.0).tolist() == []
-
-    def test_short_arrays(self):
-        assert _gap_cut_positions(np.empty(0), 1.0).tolist() == []
-        assert _gap_cut_positions(np.asarray([3.0]), 1.0).tolist() == []
-
-
-class TestPlanShards:
-    def test_single_when_no_gaps(self):
-        inst = Instance.from_specs([(0.0, "a"), (0.5, "a")], lam=1.0)
-        plan = plan_shards(snapshot(inst), max_shards=4)
-        assert plan.kind == "single"
-        assert len(plan) == 1
-        assert plan.gap_cuts_available == 0
-
-    def test_gap_plan_partitions_instance(self):
-        inst = gapped_instance()
-        plan = plan_shards(snapshot(inst), max_shards=8)
-        assert plan.kind == "gap"
-        assert plan.shards[0].start == 0
-        assert plan.shards[-1].end == len(inst)
-        for left, right in zip(plan.shards, plan.shards[1:]):
-            assert left.end == right.start
-        for shard in plan.shards:
-            assert not shard.has_halo
-
-    def test_cut_points_really_are_gaps(self):
-        inst = gapped_instance()
-        snap = snapshot(inst)
-        plan = plan_shards(snap, max_shards=8)
-        for shard in plan.shards[1:]:
-            k = shard.start
-            assert snap.values[k] - snap.values[k - 1] > inst.lam
-
-    def test_max_shards_respected(self):
-        inst = gapped_instance()
-        plan = plan_shards(snapshot(inst), max_shards=2)
-        assert len(plan) == 2
-        assert plan.gap_cuts_available == 2
-
-    def test_max_shards_one_means_single(self):
-        plan = plan_shards(snapshot(gapped_instance()), max_shards=1)
-        assert plan.kind == "single"
-
-    def test_cuts_balance_pair_cost_not_post_count(self):
-        # label-heavy posts clustered left: 3 posts x 4 labels, then 6
-        # posts x 1 label, gaps everywhere (every cut is safe).  Cost
-        # prefix is [0, 4, 8, 12, 13, ..., 18]; the equal-cost halving
-        # cut is at post 2 (|8 - 9| < |12 - 9|) — equal-count balancing
-        # would have put it near post 4 and made the left shard carry
-        # two thirds of the coverage pairs.
-        specs = [(3.0 * k, "abcd") for k in range(3)]
-        specs += [(3.0 * k, "a") for k in range(3, 9)]
-        inst = Instance.from_specs(specs, lam=1.0)
-        plan = plan_shards(snapshot(inst), max_shards=2)
-        assert plan.kind == "gap"
-        assert [s.start for s in plan.shards] == [0, 2]
-
-    @given(engine_instances(force_gaps=True))
-    def test_property_partition_and_gap_invariants(self, inst):
-        snap = snapshot(inst)
-        plan = plan_shards(snap, max_shards=6)
-        assert plan.shards[0].start == 0
-        assert plan.shards[-1].end == len(inst)
-        for left, right in zip(plan.shards, plan.shards[1:]):
-            assert left.end == right.start
-            k = right.start
-            assert snap.values[k] - snap.values[k - 1] > inst.lam
-
-
-class TestPlanHaloShards:
-    def test_cores_partition_posts(self):
-        inst = gapped_instance()
-        plan = plan_halo_shards(snapshot(inst), 3)
-        assert plan.kind == "halo"
-        assert plan.shards[0].start == 0
-        assert plan.shards[-1].end == len(inst)
-        for left, right in zip(plan.shards, plan.shards[1:]):
-            assert left.end == right.start
-
-    def test_halo_contains_lambda_neighbourhood(self):
-        inst = gapped_instance()
-        snap = snapshot(inst)
-        plan = plan_halo_shards(snap, 3)
-        lam = inst.lam
-        for shard in plan.shards:
-            lo_val = snap.values[shard.start] - lam
-            hi_val = snap.values[shard.end - 1] + lam
-            # every post within lambda of the core is inside the halo
-            for k, v in enumerate(snap.values):
-                if lo_val <= v <= hi_val:
-                    assert shard.halo_start <= k < shard.halo_end
-
-    def test_halo_bounds_balance_pair_cost(self):
-        # same skew, gap-free: the halving boundary lands where the
-        # cumulative pair cost crosses half, not at the post midpoint
-        specs = [(0.4 * k, "abcd") for k in range(3)]
-        specs += [(0.4 * k, "a") for k in range(3, 9)]
-        inst = Instance.from_specs(specs, lam=1.0)
-        plan = plan_halo_shards(snapshot(inst), 2)
-        assert plan.kind == "halo"
-        assert [s.start for s in plan.shards] == [0, 3]
-
-    @given(engine_instances(gap_free=True, max_posts=40))
-    def test_property_halo_invariants(self, inst):
-        snap = snapshot(inst)
-        plan = plan_halo_shards(snap, 4)
-        lam = inst.lam
-        for shard in plan.shards:
-            assert shard.halo_start <= shard.start
-            assert shard.halo_end >= shard.end
-            if shard.halo_start > 0:
-                # first excluded-left post is beyond lambda of the core
-                assert (snap.values[shard.start]
-                        - snap.values[shard.halo_start - 1]) > 0
 
 
 class TestStitchRepair:
@@ -186,3 +74,213 @@ class TestStitchRepair:
         picks = list(scan(inst).posts)[::2]
         repaired, _added = stitch_repair(inst, picks)
         assert is_cover(inst, repaired)
+
+    @given(engine_instances(max_posts=30))
+    def test_property_repair_keeps_picks_and_counts_additions(self, inst):
+        picks = list(scan_plus(inst).posts)[1::2]
+        repaired, added = stitch_repair(inst, picks)
+        kept = {p.uid for p in picks}
+        assert kept <= {p.uid for p in repaired}
+        assert added == len(repaired) - len(kept)
+        if added:
+            assert repaired == sorted(repaired,
+                                      key=lambda p: (p.value, p.uid))
+
+    @given(engine_instances())
+    def test_property_repair_from_nothing_is_scan(self, inst):
+        # the repair is the optimal 1-D greedy per label: from an empty
+        # union it rebuilds exactly Scan's cover
+        repaired, added = stitch_repair(inst, [])
+        assert {p.uid for p in repaired} == set(scan(inst).uids)
+        assert added == scan(inst).size
+
+    @given(engine_instances(max_posts=30))
+    def test_property_repair_is_idempotent(self, inst):
+        once, _added = stitch_repair(inst, list(scan(inst).posts)[::3])
+        twice, added = stitch_repair(inst, once)
+        assert added == 0
+        assert [p.uid for p in twice] == [p.uid for p in once]
+
+    def test_repair_only_touches_damaged_labels(self):
+        inst = gapped_instance()
+        picks = list(scan(inst).posts)
+        # drop label b's last cluster pick: only b may be repaired
+        dropped = next(p for p in reversed(picks) if p.labels == {"b"})
+        broken = [p for p in picks if p.uid != dropped.uid]
+        assert {label for _uid, label in uncovered_pairs(inst, broken)} \
+            == {"b"}
+        repaired, added = stitch_repair(inst, broken)
+        assert added == 1
+        (new,) = [p for p in repaired if p not in broken]
+        assert "b" in new.labels and new.value >= 10.0
+
+    def test_invalid_result_never_escapes(self, monkeypatch):
+        # a repair that fails to cover must raise, not return
+        monkeypatch.setattr(sharding, "_repair_label",
+                            lambda instance, label, uids: [])
+        with pytest.raises(InvalidCoverError):
+            stitch_repair(gapped_instance(), [])
+
+
+# -- block independence -----------------------------------------------------
+
+# (algorithm, knob): the label order for Scan/Scan+, the set-cover
+# strategy for GreedySC.
+CASES = [
+    ("scan", "sorted"),
+    ("scan", "longest_first"),
+    ("scan", "shortest_first"),
+    ("scan+", "sorted"),
+    ("scan+", "longest_first"),
+    ("scan+", "shortest_first"),
+    ("greedy_sc", "rescan"),
+    ("greedy_sc", "lazy_heap"),
+]
+CASE_IDS = [f"{algorithm}-{knob}" for algorithm, knob in CASES]
+# one case per solver and set-cover strategy, for the fixed instances
+SOLVER_CASES = [c for c in CASES if c[1] != "longest_first"
+                and c[1] != "shortest_first"]
+SOLVER_IDS = [f"{algorithm}-{knob}" for algorithm, knob in SOLVER_CASES]
+
+
+def solve_uids(instance, algorithm, knob):
+    """The public solver's picks, as a uid set."""
+    if algorithm == "scan":
+        return set(scan(instance, knob).uids)
+    if algorithm == "scan+":
+        return set(scan_plus(instance, knob).uids)
+    return set(greedy_sc(instance, strategy=knob).uids)
+
+
+def block_uids(block, whole, algorithm, knob):
+    """Solve one value block as a block-local worker would: Scan and
+    Scan+ keep the label order resolved on the *whole* instance (a
+    block's own posting-list lengths may order its labels differently)."""
+    if algorithm == "greedy_sc":
+        return set(greedy_sc(block, strategy=knob).uids)
+    order = [a for a in order_labels(whole, knob) if a in block.labels]
+    run = _scan_posts if algorithm == "scan" else _scan_plus_posts
+    return {p.uid for p in run(block, order)}
+
+
+def gap_blocks(instance):
+    """Split ``instance`` at every value gap strictly wider than lambda."""
+    blocks, current = [], []
+    for post in instance.posts:
+        if current and post.value - current[-1].value > instance.lam:
+            blocks.append(Instance(current, instance.lam))
+            current = []
+        current.append(post)
+    if current:
+        blocks.append(Instance(current, instance.lam))
+    return blocks
+
+
+def label_blocks(instance, blocks=("abc", "def")):
+    """The sub-instances of posts whose labels fall inside each block."""
+    out = []
+    for block in blocks:
+        posts = [p for p in instance.posts if p.labels <= set(block)]
+        if posts:
+            out.append(Instance(posts, instance.lam))
+    return out
+
+
+def greedy_pick_sequence(instance, strategy):
+    """GreedySC's picks in pick order (a :class:`Solution` sorts them)."""
+    family, universe = build_setcover_family(instance)
+    chosen = greedy_set_cover(family, universe=universe, strategy=strategy)
+    return [instance.posts[k].uid for k in chosen]
+
+
+class TestGapBlocks:
+    @pytest.mark.parametrize("algorithm, knob", CASES, ids=CASE_IDS)
+    @given(engine_instances(force_gaps=True))
+    def test_union_of_gap_blocks_is_the_whole_solve(
+        self, algorithm, knob, inst
+    ):
+        union = set()
+        for block in gap_blocks(inst):
+            union |= block_uids(block, inst, algorithm, knob)
+        assert union == solve_uids(inst, algorithm, knob)
+
+    @pytest.mark.parametrize("strategy", ["rescan", "lazy_heap"])
+    @given(engine_instances(force_gaps=True, max_posts=40))
+    def test_greedy_sequence_restricted_to_a_block_is_its_own(
+        self, strategy, inst
+    ):
+        # the stronger claim: the global pick order, restricted to one
+        # block, is that block's own greedy pick order
+        whole = greedy_pick_sequence(inst, strategy)
+        for block in gap_blocks(inst):
+            members = {p.uid for p in block.posts}
+            assert [u for u in whole if u in members] == \
+                greedy_pick_sequence(block, strategy)
+
+    @pytest.mark.parametrize("algorithm, knob", SOLVER_CASES,
+                             ids=SOLVER_IDS)
+    def test_exact_lambda_gap_couples_the_sides(self, algorithm, knob):
+        # coverage is `<=`: one post covers both sides of a gap of
+        # exactly lambda, so splitting there would cost a second pick
+        inst = Instance.from_specs([(0.0, "a"), (1.0, "a")], lam=1.0)
+        assert len(gap_blocks(inst)) == 1
+        halves = [inst.restricted_to(0.0, 0.0),
+                  inst.restricted_to(1.0, 1.0)]
+        union = set()
+        for half in halves:
+            union |= block_uids(half, inst, algorithm, knob)
+        assert len(solve_uids(inst, algorithm, knob)) == 1
+        assert len(union) == 2
+
+    @pytest.mark.parametrize("algorithm, knob", SOLVER_CASES,
+                             ids=SOLVER_IDS)
+    def test_gap_one_ulp_over_lambda_decouples(self, algorithm, knob):
+        far = math.nextafter(1.0, 2.0)
+        inst = Instance.from_specs([(0.0, "ab"), (far, "ab")], lam=1.0)
+        blocks = gap_blocks(inst)
+        assert len(blocks) == 2
+        union = set()
+        for block in blocks:
+            union |= block_uids(block, inst, algorithm, knob)
+        assert union == solve_uids(inst, algorithm, knob) == {0, 1}
+
+
+    def test_scan_plus_blocks_keep_the_whole_label_order(self):
+        # the first block alone has one "a" post and two "b" posts, so
+        # its own longest-first order runs "b" first, picks post 1 and
+        # still owes "a" a pick; the whole instance runs "a" first and
+        # its pick of post 0 strikes both "b" posts
+        inst = Instance.from_specs(
+            [(0.5, "ab"), (1.5, "b"), (4.0, "a")], lam=1.0
+        )
+        blocks = gap_blocks(inst)
+        assert len(blocks) == 2
+        kept = set().union(*(block_uids(b, inst, "scan+", "longest_first")
+                             for b in blocks))
+        own = set().union(*(solve_uids(b, "scan+", "longest_first")
+                            for b in blocks))
+        assert solve_uids(inst, "scan+", "longest_first") == kept == {0, 2}
+        assert own == {0, 1, 2}
+
+
+class TestLabelBlocks:
+    @pytest.mark.parametrize("algorithm, knob", CASES, ids=CASE_IDS)
+    @given(label_block_instances())
+    def test_union_of_label_blocks_is_the_whole_solve(
+        self, algorithm, knob, inst
+    ):
+        # each block runs the public solver on its own labels, as a
+        # cluster shard does; no value gap helps here
+        union = set()
+        for block in label_blocks(inst):
+            union |= solve_uids(block, algorithm, knob)
+        assert union == solve_uids(inst, algorithm, knob)
+
+    @given(label_block_instances())
+    def test_merged_label_blocks_need_no_repair(self, inst):
+        picks = [p for block in label_blocks(inst)
+                 for p in scan_plus(block).posts]
+        repaired, added = stitch_repair(inst, picks)
+        assert added == 0
+        assert sorted(p.uid for p in repaired) == \
+            sorted(p.uid for p in picks)

@@ -6,16 +6,14 @@ runs record nothing and return bit-identical results.
 """
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.greedy_sc import build_setcover_family, greedy_sc
 from repro.core.fastpath import build_family_encoded
 from repro.core.instance import Instance
-from repro.core.scan import (
-    _scan_label_counted,
-    scan,
-    scan_label,
-    scan_plus,
-)
+from repro.core.post import Post
+from repro.core.scan import order_labels, scan, scan_label, scan_plus
 from repro.core.solution import timed_solution
 from repro.core.streaming import stream_solve
 from repro.index.inverted_index import Document
@@ -36,13 +34,17 @@ def instance() -> Instance:
 
 
 class TestScanCounters:
-    def test_counted_twin_matches_scan_label(self, instance):
-        for label in instance.labels:
-            plist = instance.posting(label)
-            plain = scan_label(plist, instance.lam)
-            counted, advances = _scan_label_counted(plist, instance.lam)
-            assert counted == plain
-            assert advances >= len(plist)  # every index is advanced past
+    def test_window_advances_are_summed_posting_lengths(self, instance):
+        # each label's loop advances its index past every position
+        # exactly once, with or without Scan+'s covered predicate
+        advances = sum(len(instance.posting(a)) for a in instance.labels)
+        with facade.session() as bundle:
+            scan(instance)
+            scan_plus(instance)
+        counters = bundle.registry.counters()
+        assert advances == 8
+        assert counters["scan.window_advances"] == advances
+        assert counters["scan_plus.window_advances"] == advances
 
     def test_scan_records_window_advances(self, instance):
         with facade.session() as bundle:
@@ -73,6 +75,95 @@ class TestScanCounters:
         assert bundle is None
         scan(instance)
         assert facade.active() is None
+
+
+def counted_scan_label(plist, lam, is_covered=None):
+    """:func:`scan_label` with every index advance counted — the
+    instrumented copy of the loop that ``window_advances`` replaced with
+    the posting-list length."""
+    picks, advances = [], 0
+    posts = plist.posts
+    n = len(posts)
+    i = 0
+    while i < n:
+        if is_covered is not None and is_covered(i):
+            i += 1
+            advances += 1
+            continue
+        left = posts[i]
+        j = i
+        while j + 1 < n and posts[j + 1].value - left.value <= lam:
+            j += 1
+            advances += 1
+        picks.append(posts[j])
+        i = j + 1
+        advances += 1
+        while i < n and posts[i].value - posts[j].value <= lam:
+            i += 1
+            advances += 1
+    return picks, advances
+
+
+class TestWindowAdvanceCount:
+    """``window_advances`` is published as a length, not counted: the
+    loop-level count it stands for must equal the list length."""
+
+    @pytest.mark.parametrize("with_predicate", [False, True],
+                             ids=["plain", "covered"])
+    @given(
+        values=st.lists(
+            st.floats(min_value=0.0, max_value=50.0,
+                      allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=60,
+        ),
+        lam=st.sampled_from([0.0, 0.5, 1.0, 4.0, 100.0]),
+        mask=st.lists(st.booleans(), min_size=60, max_size=60),
+    )
+    def test_counted_loop_advances_once_per_position(
+        self, with_predicate, values, lam, mask
+    ):
+        plist = Instance.from_specs(
+            [(v, "a") for v in values], lam
+        ).posting("a")
+        covered = (lambda idx: mask[idx]) if with_predicate else None
+        picks, advances = counted_scan_label(plist, lam, covered)
+        assert picks == scan_label(plist, lam, is_covered=covered)
+        assert advances == len(plist)
+
+    @pytest.mark.parametrize("order",
+                             ["sorted", "longest_first", "shortest_first"])
+    @pytest.mark.parametrize("solver, prefix",
+                             [(scan, "scan"), (scan_plus, "scan_plus")])
+    def test_counters_per_label_order(self, instance, solver, prefix,
+                                      order):
+        with facade.session() as bundle:
+            solution = solver(instance, order)
+        counters = bundle.registry.counters()
+        assert counters[f"{prefix}.window_advances"] == 8
+        assert counters[f"{prefix}.labels_processed"] == 2
+        # picks count per label: a post picked for two labels counts twice
+        assert counters[f"{prefix}.picks"] >= solution.size
+        if solver is scan:
+            per_label = sum(
+                len(scan_label(instance.posting(a), instance.lam))
+                for a in order_labels(instance, order)
+            )
+            assert counters["scan.picks"] == per_label
+
+    def test_declared_empty_label_adds_no_advances(self):
+        inst = Instance(
+            [Post(uid=0, value=0.0, labels=frozenset("a")),
+             Post(uid=1, value=3.0, labels=frozenset("ab"))],
+            lam=1.0, labels="abz",
+        )
+        with facade.session() as bundle:
+            scan(inst)
+            scan_plus(inst)
+        counters = bundle.registry.counters()
+        assert counters["scan.window_advances"] == 3
+        assert counters["scan_plus.window_advances"] == 3
+        assert counters["scan.labels_processed"] == 3
+        assert counters["scan_plus.labels_processed"] == 3
 
 
 class TestFamilyBuilderCounters:

@@ -229,6 +229,61 @@ class TestAdopt:
         assert shard.attributes == {"shard": 0}
         assert shard.duration is not None
 
+    def test_adopt_without_overrides_keeps_roots_and_trace(self, fake_clock):
+        parent = Tracer(clock=fake_clock(step=1.0))
+        exported = self._worker_spans(fake_clock)
+        adopted = parent.adopt(exported)
+        shard = next(s for s in adopted if s.name == "shard")
+        kernel = next(s for s in adopted if s.name == "kernel")
+        assert shard.parent_id is None
+        assert kernel.parent_id == shard.span_id
+        assert [s.trace_id for s in adopted] == \
+            [d["trace_id"] for d in sorted(exported,
+                                           key=lambda d: d["span_id"])]
+
+    def test_adopt_order_of_input_does_not_matter(self, fake_clock):
+        # children listed before their parents still re-link in-set
+        parent = Tracer(clock=fake_clock(step=1.0))
+        exported = list(reversed(self._worker_spans(fake_clock)))
+        adopted = parent.adopt(exported, parent_id=99)
+        shard = next(s for s in adopted if s.name == "shard")
+        kernel = next(s for s in adopted if s.name == "kernel")
+        assert shard.parent_id == 99
+        assert kernel.parent_id == shard.span_id
+
+    def test_adopted_ids_never_collide_with_later_local_spans(
+        self, fake_clock
+    ):
+        parent = Tracer(clock=fake_clock(step=1.0))
+        with parent.span("before"):
+            pass
+        parent.adopt(self._worker_spans(fake_clock))
+        parent.adopt(self._worker_spans(fake_clock))
+        with parent.span("after"):
+            pass
+        ids = [d["span_id"] for d in parent.as_dicts()]
+        assert len(ids) == len(set(ids)) == 6
+
+    def test_adopt_keeps_a_failed_worker_span(self, fake_clock):
+        worker = Tracer(clock=fake_clock(step=1.0))
+        with pytest.raises(RuntimeError):
+            with worker.span("shard"):
+                raise RuntimeError("boom 7")
+        parent = Tracer(clock=fake_clock(step=1.0))
+        (span,) = parent.adopt(worker.as_dicts())
+        assert "boom 7" in span.attributes["error"]
+        assert span.duration is not None
+
+    def test_adopt_respects_the_finished_ring(self, fake_clock):
+        parent = Tracer(clock=fake_clock(step=1.0), max_finished=3)
+        with parent.span("local"):
+            pass
+        parent.adopt(self._worker_spans(fake_clock))
+        parent.adopt(self._worker_spans(fake_clock))
+        assert len(parent.finished) == 3
+        assert parent.dropped_spans == 2
+        assert "local" not in [s.name for s in parent.finished]
+
 
 class TestAssemble:
     def test_assemble_builds_the_span_tree(self, fake_clock):

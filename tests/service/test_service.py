@@ -19,6 +19,7 @@ from repro.errors import ReproError, ServiceOverloadError
 from repro.core.post import Post
 from repro.index.inverted_index import Document
 from repro.observability import facade
+from repro.pipeline import DiversificationPipeline
 from repro.resilience.faults import FaultInjector
 from repro.resilience.policies import SanitizationPolicy
 from repro.resilience.supervisor import ResilienceConfig
@@ -29,6 +30,31 @@ from .conftest import make_docs, make_queries, make_service, run
 
 def canonical(response) -> str:
     return json.dumps(response.result.to_dict(), sort_keys=True)
+
+
+# -- served digests run the batch solvers -------------------------------------
+
+
+@pytest.mark.parametrize("labels", [None, ("golf", "nba")],
+                         ids=["all", "subset"])
+@pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+def test_served_digest_matches_batch_pipeline(executor, algorithm, labels):
+    # a cold solve on either executor is the batch pipeline's digest of
+    # the same documents, pick for pick
+    service = make_service(executor=executor)
+    service.ingest(make_docs())
+    response = run(service.digest(DigestRequest(
+        lam=25.0, labels=labels, algorithm=algorithm)))
+    service.close()
+    queries = [q for q in make_queries()
+               if labels is None or q.label in labels]
+    expected = DiversificationPipeline(
+        queries, lam=25.0, algorithm=algorithm, dedup_distance=None,
+    ).digest(make_docs())
+    assert response.status == "ok" and not response.cached
+    assert expected.solution.size > 0
+    assert response.result.solution.uids == expected.solution.uids
 
 
 # -- coalescing (acceptance criterion) ---------------------------------------

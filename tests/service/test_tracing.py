@@ -4,8 +4,8 @@ The property under test: *every* served response — cold, cache hit,
 coalesced follower, degraded, shed — carries a trace_id whose assembled
 span tree is a real tree (every parent resolves in-trace, no cycles),
 rooted at ``service.request``, and whose link-spans resolve to the trace
-that actually computed the digest.  Checked under thread and process
-executors and under admission-triggered degradation.
+that actually computed the digest.  Checked on the service's thread
+executor and under admission-triggered degradation.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ import logging
 
 import pytest
 
-from repro import make_parallel_solver, observability
-from repro.core.registry import register, unregister
+from repro import observability
 from repro.observability import structlog
 from repro.service import DigestRequest
 
@@ -216,48 +215,57 @@ class TestLinkSpans:
             assert "service.solve" in names_of(link["linked"])
 
 
-# -- executor boundaries ----------------------------------------------------
+# -- solves on the service's executors ----------------------------------------
+
+def descendants(node):
+    for child in node.get("children", []):
+        yield child
+        yield from descendants(child)
+
 
 class TestExecutors:
-    def test_thread_executor_engine_spans_join_the_trace(self):
-        register("greedy.threads", make_parallel_solver(
-            "greedy_sc", executor="thread", workers=2, max_shards=4))
-        try:
-            with observability.session() as bundle:
-                service = make_service()
-                service.ingest(make_docs())
-                response = run(service.digest(DigestRequest(
-                    lam=25.0, algorithm="greedy.threads")))
-                assert response.status == "ok"
+    @pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_solver_spans_join_the_trace(self, executor, algorithm):
+        # the solve runs on an executor thread with no inherited trace
+        # state; its solver span must still land under this request
+        with observability.session() as bundle:
+            service = make_service(executor=executor)
+            service.ingest(make_docs())
+            response = run(service.digest(DigestRequest(
+                lam=25.0, algorithm=algorithm)))
+            assert response.status == "ok"
+            tree = assert_traced_request(
+                bundle, response,
+                expect=("service.solve", f"solver.{algorithm}"))
+            (solve,) = find_spans(tree, "service.solve")
+            assert [n["name"] for n in descendants(solve)
+                    if n["name"].startswith("solver.")] == \
+                [f"solver.{algorithm}"]
+            service.close()
+
+    def test_concurrent_thread_solves_keep_their_own_traces(self):
+        with observability.session() as bundle:
+            service = make_service(executor="thread", workers=2)
+            service.ingest(make_docs())
+
+            async def scenario():
+                return await asyncio.gather(*[
+                    service.digest(DigestRequest(
+                        lam=20.0 + i, algorithm="scan+"))
+                    for i in range(4)
+                ])
+
+            responses = run(scenario())
+            assert [r.status for r in responses] == ["ok"] * 4
+            assert len({r.trace_id for r in responses}) == 4
+            for response in responses:
                 tree = assert_traced_request(
                     bundle, response, expect=("service.solve",))
-                names = names_of(tree)
-                assert any(n.startswith("engine.greedy_sc.")
-                           for n in names), names
-        finally:
-            unregister("greedy.threads")
-
-    def test_process_pool_worker_spans_join_the_trace(self):
-        register("scan.procs", make_parallel_solver(
-            "scan", executor="process", workers=2, max_shards=4))
-        try:
-            with observability.session() as bundle:
-                service = make_service()
-                service.ingest(make_docs())
-                response = run(service.digest(DigestRequest(
-                    lam=25.0, algorithm="scan.procs")))
-                assert response.status == "ok"
-                tree = assert_traced_request(
-                    bundle, response,
-                    expect=("service.solve", "engine.scan.shard"))
-                # the adopted worker spans hang under this trace, and
-                # adoption was actually exercised
-                shards = find_spans(tree, "engine.scan.shard")
-                assert len(shards) >= 1
-                counters = bundle.registry.counters()
-                assert counters.get("trace.spans_adopted", 0) >= 1
-        finally:
-            unregister("scan.procs")
+                assert len(find_spans(tree, "service.solve")) == 1
+                assert "solver.scan+" in names_of(tree)
+                assert response.result.trace_id == response.trace_id
+            service.close()
 
 
 # -- admission-triggered degradation under load -----------------------------
