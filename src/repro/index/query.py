@@ -101,12 +101,18 @@ class LabelMatcher:
         self, documents: Iterable[Document], value_of
     ) -> List[Post]:
         """Like :meth:`to_posts` with a custom diversity-value extractor
-        (e.g. a sentiment scorer for the sentiment dimension)."""
+        (e.g. a sentiment scorer for the sentiment dimension).
+
+        Posts with equal label sets share one frozenset, so a result that
+        keeps its posts holds one label set per distinct combination, not
+        one per post."""
         posts: List[Post] = []
+        interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
         for document in documents:
             labels = self.match(document.text)
             if not labels:
                 continue
+            labels = interned.setdefault(labels, labels)
             posts.append(
                 Post(
                     uid=document.doc_id,

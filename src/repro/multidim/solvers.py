@@ -59,7 +59,7 @@ def _family(instance: MultiInstance):
 
 
 def greedy_box(instance: MultiInstance,
-               strategy: str = "rescan",
+               strategy: str = "lazy_heap",
                clock: Optional[Clock] = None) -> MultiSolution:
     """GreedySC lifted to box coverage: still ``ln(|P||L|)``-approximate,
     since the transform to set cover is unchanged."""

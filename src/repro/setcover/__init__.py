@@ -6,9 +6,9 @@ of ``(post, label)`` pairs it lambda-covers — and both the GreedySC algorithm
 the solvers in this package:
 
 * :func:`repro.setcover.greedy.greedy_set_cover` — the classical
-  ``ln(k)``-approximate greedy rule, with the paper's linear-rescan candidate
-  maintenance and an alternative lazy-heap implementation for the ablation
-  study.
+  ``ln(k)``-approximate greedy rule.  Candidates are kept in a lazy max-heap
+  by default; the paper's linear rescan makes the same picks and stays for
+  the figure drivers, the ablation study and the tests.
 * :func:`repro.setcover.exact.exact_set_cover` — a branch-and-bound exact
   solver for small universes, used to validate approximation bounds.
 """

@@ -8,14 +8,17 @@ general.
 Two candidate-maintenance strategies are provided because the paper's
 Section 7.3 explicitly discusses the choice:
 
+* ``strategy="lazy_heap"`` (the default) — a max-heap with lazily
+  re-validated stale entries (the standard "lazy deletion" trick).
 * ``strategy="rescan"`` — each round linearly scans all sets for the largest
   residual one.  This is what the authors report using, after finding the
-  heap's delete/re-insert churn slower on bursty data.
-* ``strategy="lazy_heap"`` — a max-heap with lazily re-validated stale
-  entries (the standard "lazy deletion" trick).
+  heap's delete/re-insert churn slower on bursty data; the figure drivers
+  pin it to reproduce that implementation, and the tests use it as the
+  oracle for the heap.
 
-Both return identical covers when ties are broken the same way; the ablation
-benchmark :mod:`benchmarks.test_ablation_greedy_heap` compares their speed.
+Both pick the same sets in the same order (ties go to the lowest index);
+the ablation benchmark :mod:`benchmarks.test_ablation_greedy_heap` compares
+their speed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _normalise(
 def greedy_set_cover(
     sets: Sequence[Iterable[Hashable]],
     universe: Optional[Iterable[Hashable]] = None,
-    strategy: str = "rescan",
+    strategy: str = "lazy_heap",
 ) -> List[int]:
     """Greedily cover ``universe`` with the given family of sets.
 
@@ -54,7 +57,8 @@ def greedy_set_cover(
         Must be coverable (a subset of the union) or ``ValueError`` is
         raised.
     strategy:
-        ``"rescan"`` (paper's implementation) or ``"lazy_heap"``.
+        ``"lazy_heap"`` (the default) or ``"rescan"`` (the paper's
+        implementation); both return the same picks in the same order.
 
     Returns
     -------
@@ -138,10 +142,11 @@ def _greedy_lazy_heap(
             revalidations += 1
             heapq.heappush(heap, (-actual, idx))
             continue
-        # To match the rescan tie-break (lowest index wins among equal
-        # gains), drain equal-gain entries with smaller indices first: the
-        # heap orders by (gain, idx) already since tuples compare
-        # lexicographically and gains are negated.
+        # The rescan's pick: gains only shrink, so every stored gain is at
+        # least its set's current gain, and the heap pops in (-stored
+        # gain, idx) order.  A popped entry whose stored gain is current
+        # therefore has the largest current gain, and any other set with
+        # that gain has a larger index: the lowest-index argmax.
         chosen.append(idx)
         remaining -= residual[idx]
     if _obs.enabled():

@@ -13,6 +13,7 @@ from repro.experiments.common import (
     optimum_size,
     stream_sizes,
 )
+from repro.observability import facade
 
 
 class TestInstanceFactories:
@@ -70,6 +71,19 @@ class TestSolverBundles:
         optimum = optimum_size(instance)
         for solution in batch_sizes(instance).values():
             assert solution.size >= optimum
+
+    def test_batch_greedy_sc_runs_the_paper_rescan(self):
+        # the figure drivers time the authors' implementation (Sec 7.3),
+        # not the served lazy heap
+        instance = make_effectiveness_instance(
+            seed=0, num_labels=2, lam=30.0
+        )
+        with facade.session() as bundle:
+            solution = BATCH_ALGORITHMS["greedy_sc"](instance)
+        counters = bundle.registry.counters()
+        assert counters["setcover.rescan.rounds"] == solution.size
+        assert [name for name in counters
+                if name.startswith("setcover.lazy_heap.")] == []
 
     def test_rate_constant_sane(self):
         assert EFFECTIVENESS_RATE_PER_MIN > 0

@@ -81,6 +81,22 @@ class TestLabelMatcher:
         )
         assert posts[0].value == 0.75
 
+    def test_equal_label_sets_share_one_frozenset(self):
+        matcher = LabelMatcher(self.TOPICS)
+        texts = ["tiger at the masters", "lebron dunks", "obama and tiger",
+                 "nothing relevant", "finals tonight", "masters obama"]
+        posts = matcher.to_posts_with_value(
+            [Document(i, float(i), text) for i, text in enumerate(texts)],
+            value_of=lambda d: d.timestamp,
+        )
+        assert [p.uid for p in posts] == [0, 1, 2, 4, 5]
+        for post in posts:
+            assert post.labels == matcher.match(post.text)
+        tiger, nba = posts[0].labels, posts[1].labels
+        assert [p.labels is tiger for p in posts] == \
+            [True, False, True, False, True]
+        assert posts[3].labels is nba
+
     def test_search_posts_via_index(self):
         index = InvertedIndex()
         index.add(0, 1.0, "tiger at the masters")

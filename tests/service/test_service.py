@@ -16,8 +16,12 @@ import math
 import pytest
 
 from repro.errors import ReproError, ServiceOverloadError
+from repro.core.greedy_sc import greedy_sc
+from repro.core.instance import Instance
 from repro.core.post import Post
+from repro.experiments.common import make_day_instance
 from repro.index.inverted_index import Document
+from repro.index.query import TopicQuery
 from repro.observability import facade
 from repro.pipeline import DiversificationPipeline
 from repro.resilience.faults import FaultInjector
@@ -55,6 +59,68 @@ def test_served_digest_matches_batch_pipeline(executor, algorithm, labels):
     assert response.status == "ok" and not response.cached
     assert expected.solution.size > 0
     assert response.result.solution.uids == expected.solution.uids
+
+
+DAY_LABELS = tuple(f"q{i}" for i in range(5))
+
+
+@pytest.fixture(scope="module")
+def day_slice():
+    """The fig13 day (seed 20140328, |L| = 5) at scale 0.002, 1,443
+    posts, and the same posts rendered as keyword documents."""
+    posts = make_day_instance(
+        seed=20140328, num_labels=len(DAY_LABELS), lam=300.0, scale=0.002,
+    ).posts
+    documents = [
+        Document(post.uid, post.value, " ".join(
+            sorted(f"kw{label}" for label in post.labels)
+        ) + f" body{post.uid}")
+        for post in posts
+    ]
+    return posts, documents
+
+
+@pytest.mark.parametrize("labels", [None, ("q0", "q2", "q3")],
+                         ids=["all", "subset"])
+def test_served_greedy_sc_matches_the_paper_rescan(day_slice, labels):
+    # the service's lazy-heap greedy stage picks what the paper's rescan
+    # picks, on the workload the benchmark serves
+    posts, documents = day_slice
+    wanted = frozenset(labels or DAY_LABELS)
+    service = make_service(
+        [TopicQuery(label, [f"kw{label}"]) for label in DAY_LABELS]
+    )
+    service.ingest(documents)
+    try:
+        for lam in (60.0, 300.0, 1800.0):
+            response = run(service.digest(DigestRequest(
+                lam=lam, labels=labels, algorithm="greedy_sc")))
+            assert response.status == "ok"
+            assert not response.cached and not response.view
+            instance = Instance(
+                [Post(p.uid, p.value, p.labels & wanted)
+                 for p in posts if p.labels & wanted],
+                lam, labels=wanted,
+            )
+            expected = greedy_sc(instance, strategy="rescan")
+            assert response.result.solution.uids == expected.uids
+    finally:
+        service.close()
+
+
+def test_served_cold_digest_runs_the_lazy_heap():
+    service = make_service()
+    service.ingest(make_docs())
+    with facade.session() as bundle:
+        response = run(service.digest(DigestRequest(
+            lam=25.0, algorithm="greedy_sc")))
+    service.close()
+    counters = bundle.registry.counters()
+    assert response.status == "ok" and not response.cached
+    assert counters["setcover.lazy_heap.picks"] == \
+        response.result.solution.size
+    assert [name for name in counters
+            if name.startswith("setcover.rescan.")] == []
 
 
 # -- coalescing (acceptance criterion) ---------------------------------------
