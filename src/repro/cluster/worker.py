@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from ..index.inverted_index import Document
-from ..index.query import TopicQuery
+from ..index.query import LabelMatcher, TopicQuery
 from ..observability import facade as _obs
 from ..observability import structlog
 from ..observability.profiling import MAX_CAPTURE_SECONDS, Profiler
@@ -398,7 +398,7 @@ class WorkerNode:
         """The rebalance source: this node's documents matching any of
         the requested labels, each exported once."""
         labels = set(payload.get("labels", ()))
-        matcher = self.service._matcher
+        matcher = LabelMatcher(self.service.queries)
         out = []
         for doc_id in sorted(self._documents):
             document = self._documents[doc_id]

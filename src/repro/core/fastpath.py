@@ -16,8 +16,7 @@ allocation and hashing; this module replaces it with numpy:
   guards the float boundaries.
 
 The per-label posting arrays come from the columnar snapshot
-(:func:`repro.engine.columnar.snapshot`), built once per instance and
-shared with the ``engine="auto"`` density probe.
+(:func:`repro.engine.columnar.snapshot`), built once per instance.
 
 The output is semantically identical to
 :func:`repro.core.greedy_sc.build_setcover_family` (property-tested pick

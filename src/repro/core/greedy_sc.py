@@ -112,7 +112,7 @@ def greedy_sc(
         Family construction: ``"python"`` (the paper's Algorithm 2 shape)
         or ``"numpy"`` (vectorised, integer-encoded pairs — identical
         picks, see :mod:`repro.core.fastpath`).  The default ``"auto"``
-        probes the instance's within-lambda pair density and picks the
+        estimates the instance's within-lambda pair count and picks the
         cheaper builder per instance (:mod:`repro.engine.auto`) — the
         builders are pick-identical, so only speed is at stake.
     """

@@ -48,6 +48,16 @@ class Solution:
     def __len__(self) -> int:
         return len(self.posts)
 
+    def __repr__(self) -> str:
+        # a summary, like Instance's: a cover can hold hundreds of posts,
+        # and asyncio.run reprs a finished main task's result (twice, as
+        # it restores the SIGINT handler), so a repr listing every post
+        # made most of the cost of reading a served digest that way
+        return (
+            f"Solution({self.algorithm!r}, |Z|={len(self.posts)}, "
+            f"elapsed={self.elapsed:.3g})"
+        )
+
     def relative_error(self, optimum: int) -> float:
         """``(|Z| - |OPT|) / |OPT|`` — the paper's relative solution size error."""
         if optimum <= 0:

@@ -5,9 +5,8 @@ Scan, Scan+ and GreedySC each have one implementation, in
 them:
 
 * :mod:`~repro.engine.columnar` — the per-instance posting arrays the
-  numpy GreedySC family builder and the density probe read (built once,
-  cached weakly);
-* :mod:`~repro.engine.auto` — the density probe behind GreedySC's
+  numpy GreedySC family builder reads (built once, cached weakly);
+* :mod:`~repro.engine.auto` — the pair-count estimate behind GreedySC's
   ``engine="auto"`` family-builder selection;
 * :mod:`~repro.engine.sharding` — the gap-cut independence argument and
   the verifier-backed :func:`stitch_repair` the cluster router uses;
@@ -18,7 +17,7 @@ them:
 solver serially.
 """
 
-from .auto import AUTO_PAIR_THRESHOLD, choose_engine, probe_pair_count
+from .auto import AUTO_PAIR_THRESHOLD, choose_engine, estimate_pair_count
 from .columnar import ColumnarInstance, snapshot
 from .executors import (
     SerialExecutor,
@@ -43,6 +42,6 @@ __all__ = [
     "default_workers",
     # auto engine selection
     "AUTO_PAIR_THRESHOLD",
-    "probe_pair_count",
+    "estimate_pair_count",
     "choose_engine",
 ]

@@ -1,16 +1,15 @@
 """Columnar (struct-of-arrays) instance snapshots.
 
-GreedySC's numpy family builder (:mod:`repro.core.fastpath`) and the
-``engine="auto"`` density probe (:mod:`repro.engine.auto`) want the same
-things from an :class:`~repro.core.instance.Instance`: the global value
-array and the per-label posting lists as *index arrays* into it.
-Building those from the object model costs one pass over the posts.
+GreedySC's numpy family builder (:mod:`repro.core.fastpath`) wants the
+global value array of an :class:`~repro.core.instance.Instance` and its
+per-label posting lists as *index arrays* into it.  Building those from
+the object model costs one pass over the posts.
 
 A :class:`ColumnarInstance` materialises them **once per instance** and is
 cached in a :class:`weakref.WeakKeyDictionary` (behind a lock — the
-service's thread executor hits ``snapshot`` concurrently), so the probe
-and the builder of one cold solve share the same arrays; the cache dies
-with the instance.
+service's thread executor hits ``snapshot`` concurrently), so repeated
+solves of one instance share the same arrays; the cache dies with the
+instance.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
-"""The write side of the incremental read path: projection + post store.
+"""The service's one document → post projection: projector + post store.
 
 The batch pipeline recomputes the whole document → post projection on
 every solve: SimHash dedup over the corpus in arrival order, keyword
 matching, value extraction, then an :class:`~repro.core.instance.Instance`
 sort.  At serving scale that projection *is* repeated work — the corpus
 only ever changes by appends (and, with a sliding window, expiries at the
-old end), so the projected post set can be maintained once and shared by
-every materialized cover view.
+old end), so the serving tier maintains the projected post set once, on
+every ingest, and every cold solve and every materialized cover view
+reads its instance from it — the index path of the paper's Figure 1.
 
 Two pieces:
 
@@ -15,10 +16,11 @@ Two pieces:
   at most one post out, with the same SimHash kept-set semantics (a
   dropped near-twin never registers its fingerprint, so later arrivals
   dedup against exactly the posts the batch path would keep) and the
-  same matcher/value extraction.  Because SimHash kept-sets depend on
-  arrival order, the projector is only equivalent to the batch path when
-  it sees documents in the batch corpus order — the service falls back
-  to a full reprojection when that order diverges (ingest after stream).
+  same matcher/value extraction; posts with equal label sets share one
+  frozenset.  Because SimHash kept-sets depend on arrival order, the
+  projector is only equivalent to the batch path when it sees documents
+  in the batch corpus order — the service falls back to a full
+  reprojection when that order diverges (ingest after stream).
 * :class:`PostStore` — the projected posts in ``(value, uid)`` order
   with per-label key indexes, supporting append, window expiry at the
   old end, ±λ neighborhood queries (for bounded view repair) and O(n)
@@ -78,6 +80,13 @@ class DocumentProjector:
         self.documents = 0
         self.duplicates_dropped = 0
         self.unmatched = 0
+        # one frozenset per distinct label set, shared by every post
+        # (and every relabeled post) carrying it
+        self._label_sets: Dict[FrozenSet[str], FrozenSet[str]] = {}
+
+    def intern(self, labels: FrozenSet[str]) -> FrozenSet[str]:
+        """The one shared frozenset equal to ``labels``."""
+        return self._label_sets.setdefault(labels, labels)
 
     def project(self, document: Document) -> Optional[Post]:
         """Project one document; ``None`` when deduped or unmatched."""
@@ -95,7 +104,7 @@ class DocumentProjector:
         return Post(
             uid=document.doc_id,
             value=float(self._value_of(document)),
-            labels=labels,
+            labels=self.intern(labels),
             text=document.text,
         )
 
@@ -269,24 +278,42 @@ class PostStore:
         Posts are relabeled to the requested subset (per-query matching
         is independent, so subset matching equals full matching
         intersected with the subset) and handed to the trusted
-        constructor — already sorted, already validated.  ``min_value``
+        constructor — already sorted, already validated.  Posts whose
+        labels all lie in the subset are handed out as they are; each
+        distinct label set is intersected once per call, and relabeled
+        posts share the projector's interned frozensets, so an instance
+        holds one label set per distinct combination.  ``min_value``
         additionally clips the old end — how a view with a narrower
         per-label-set window reads a store whose physical retention is
         the widest window of any view.
         """
         universe: FrozenSet[str] = frozenset(labels)
         with self._lock:
-            selected: List[Post] = []
             start = 0 if min_value is None else bisect.bisect_left(
                 self._keys, (min_value,)
             )
+            if universe.issuperset(self._by_label):
+                return Instance.from_sorted(
+                    self._posts[start:], lam, universe
+                )
+            intern = None if self.projector is None \
+                else self.projector.intern
+            # a post's label set -> its labels inside the subset: all of
+            # them (keep the post), fewer (relabel it to the interned
+            # subset) or none (skip it)
+            relabel: Dict[FrozenSet[str], FrozenSet[str]] = {}
+            selected: List[Post] = []
             for post in self._posts[start:]:
-                inter = post.labels & universe
-                if not inter:
-                    continue
-                if inter == post.labels:
+                own = post.labels
+                inter = relabel.get(own)
+                if inter is None:
+                    inter = own & universe
+                    if intern is not None and 0 < len(inter) < len(own):
+                        inter = intern(inter)
+                    relabel[own] = inter
+                if len(inter) == len(own):
                     selected.append(post)
-                else:
+                elif inter:
                     selected.append(Post(
                         uid=post.uid, value=post.value,
                         labels=inter, text=post.text,

@@ -41,7 +41,7 @@ from .resilience.supervisor import ResilienceConfig, StreamSupervisor
 from .stream.events import Emission
 from .text.sentiment import sentiment_score
 
-__all__ = ["DiversificationPipeline", "DigestResult"]
+__all__ = ["DiversificationPipeline", "DigestResult", "solve_instance"]
 
 Dimension = Union[str, Callable[[Document], float]]
 
@@ -56,6 +56,24 @@ def _resolve_dimension(dimension: Dimension) -> Callable[[Document], float]:
     raise ReproError(
         f"unknown dimension {dimension!r}; use 'time', 'sentiment' or a "
         "callable"
+    )
+
+
+def solve_instance(
+    instance: Instance,
+    algorithm: str,
+    resilience: Optional[ResilienceConfig] = None,
+    start_rung: int = 0,
+) -> Tuple[Solution, int, Tuple[DowngradeEvent, ...]]:
+    """A digest's solve step: ``solve(algorithm, instance)``, or with a
+    resilience config its batch ladder from ``start_rung``.  Returns
+    ``(solution, rung, downgrades)`` like ``solve_with_ladder``."""
+    if resilience is None:
+        return solve(algorithm, instance), start_rung, ()
+    return solve_with_ladder(
+        instance, resilience.batch_ladder or (algorithm,),
+        budget=resilience.digest_budget, clock=resilience.clock,
+        start_rung=start_rung,
     )
 
 
@@ -250,18 +268,9 @@ class DiversificationPipeline:
             )
             unmatched = len(documents) - len(posts)
             instance = Instance(posts, self.lam, labels=self.matcher.labels)
-            downgrades: Tuple[DowngradeEvent, ...] = ()
-            if self.resilience is not None:
-                ladder = self.resilience.batch_ladder or (self.algorithm,)
-                solution, self._batch_rung, downgrades = solve_with_ladder(
-                    instance,
-                    ladder,
-                    budget=self.resilience.digest_budget,
-                    clock=self.resilience.clock,
-                    start_rung=self._batch_rung,
-                )
-            else:
-                solution = solve(self.algorithm, instance)
+            solution, self._batch_rung, downgrades = solve_instance(
+                instance, self.algorithm, self.resilience, self._batch_rung
+            )
             span.set_attribute("digest_size", solution.size)
         if _obs.enabled():
             _obs.count("pipeline.digests")

@@ -8,9 +8,9 @@ summaries — implemented over the existing stack end to end:
 * **digest requests** flow through admission control
   (:mod:`~repro.service.admission`), the epoch-keyed result cache
   (:mod:`~repro.service.cache`), single-flight coalescing and solver
-  micro-batching (:mod:`~repro.service.coalescer`) onto
-  :class:`~repro.pipeline.DiversificationPipeline` running on a
-  :mod:`repro.engine` shard executor;
+  micro-batching (:mod:`~repro.service.coalescer`) onto the solvers on
+  a :mod:`repro.engine` executor, over instances materialized from the
+  post store (:class:`~repro.incremental.PostStore`) ingest maintains;
 * **stream traffic** feeds one supervised pipeline
   (:class:`~repro.resilience.supervisor.StreamSupervisor` underneath),
   so hostile arrivals are quarantined or repaired rather than crashing
@@ -38,16 +38,16 @@ import logging
 import time as _time
 from collections import deque
 from dataclasses import dataclass
-from dataclasses import replace as _dc_replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple
 
+from ..core.instance import Instance
 from ..core.registry import available_algorithms
 from ..core.streaming import _STREAM_FACTORIES
 from ..errors import ReproError, ServiceOverloadError
 from ..incremental import DocumentProjector, PostStore, ViewRegistry
 from ..index.inverted_index import Document
-from ..index.query import LabelMatcher, TopicQuery
+from ..index.query import TopicQuery
 from ..engine.executors import get_executor
 from ..observability import facade as _obs
 from ..observability import structlog
@@ -57,7 +57,7 @@ from ..observability.slo import SLOMonitor
 from ..observability.traces import head_sample
 from ..observability.tracing import TraceContext
 from ..pipeline import DigestResult, DiversificationPipeline, \
-    _resolve_dimension
+    _resolve_dimension, solve_instance
 from ..resilience.checkpoint import Checkpoint
 from ..resilience.policies import SanitizationPolicy
 from ..resilience.supervisor import ResilienceConfig, StreamSupervisor
@@ -128,12 +128,13 @@ class ServiceConfig:
     # incremental materialized cover views (the CQRS read path):
     # ingest applies deltas, digest() reads a maintained cover.  A view
     # past view_rebuild_ratio x its seeding batch solve (+ slack) is
-    # routed back through the batch engine and re-seeded.  view_window
-    # slides the corpus: posts older than (newest - view_window) expire
-    # from views AND from batch solves, keeping both paths on one
-    # window; it requires dedup off (SimHash kept-sets cannot be
-    # unwound when their anchor documents expire) and the time
-    # dimension (the window is an age).
+    # routed back through the batch engine and re-seeded.  views=False
+    # drops only the views, not the post store cold solves read.
+    # view_window slides the corpus: posts older than (newest -
+    # view_window) expire from views AND from batch solves, keeping both
+    # paths on one window; it requires dedup off (SimHash kept-sets
+    # cannot be unwound when their anchor documents expire) and the
+    # time dimension (the window is an age).
     views: bool = True
     view_rebuild_ratio: float = 3.0
     view_rebuild_slack: int = 8
@@ -464,27 +465,24 @@ class DiversificationService:
             if self.config.resilience is not None
             else ResilienceConfig(policy=SanitizationPolicy())
         )
-        # Incremental read path: a shared projected-post store plus the
-        # registry of maintained cover views.  The bare matcher backs
-        # label-targeted cache invalidation when views are off.
-        self._value_of = _resolve_dimension(self.config.dimension)
-        self._matcher = LabelMatcher(self.queries)
-        self._view_store: Optional[PostStore] = None
+        # The projected-post store every cold solve materializes its
+        # instance from, plus (with views on) the registry of maintained
+        # cover views over the same store.
+        self._store = self._build_store()
         self._views: Optional[ViewRegistry] = None
         if self.config.views:
-            self._view_store = self._build_view_store()
             self._views = ViewRegistry(
-                self._view_store,
+                self._store,
                 rebuild_ratio=self.config.view_rebuild_ratio,
                 rebuild_slack=self.config.view_rebuild_slack,
                 max_views=self.config.max_views,
                 default_window=self.config.view_window,
             )
-        # Poisoned: the corpus reached a state the projection cannot
-        # represent (e.g. duplicate uids across ingest and stream — a
-        # state batch solves fail on too).  Views stay dark until a
-        # rebuild (restore) reprojects a clean corpus.
-        self._views_poisoned = False
+        # The reason, once the corpus reached a state the store cannot
+        # represent (e.g. duplicate uids across ingest and stream — batch
+        # solves fail on it too): views stay dark and cold digests answer
+        # errors until a rebuild (restore) reprojects a clean corpus.
+        self._views_poisoned: Optional[str] = None
         self._stream_pipeline = self._build_stream_pipeline()
         # Corpus: batch-ingested and stream-admitted documents, separate
         # so checkpoint restore can roll back exactly the streamed part.
@@ -526,11 +524,11 @@ class DiversificationService:
 
     # -- construction ------------------------------------------------------
 
-    def _build_view_store(self) -> PostStore:
+    def _build_store(self) -> PostStore:
         return PostStore(DocumentProjector(
             self.queries,
             dedup_distance=self.config.dedup_distance,
-            value_of=self._value_of,
+            value_of=_resolve_dimension(self.config.dimension),
         ))
 
     def _build_stream_pipeline(self) -> DiversificationPipeline:
@@ -558,33 +556,6 @@ class DiversificationService:
     def corpus_size(self) -> int:
         return len(self._ingested) + len(self._streamed)
 
-    def _served_documents(
-        self, labels: Optional[Tuple[str, ...]] = None
-    ) -> Tuple[Document, ...]:
-        """The corpus a batch solve sees: with a sliding view window,
-        documents older than the store horizon are excluded, keeping
-        the batch path on exactly the window the views maintain.  A
-        per-label-set window override may clip further than the store's
-        physical horizon (which sits at the *widest* window)."""
-        documents = self.corpus()
-        store = self._view_store
-        if store is None:
-            return documents
-        horizon = store.horizon
-        if labels is not None and self._views is not None:
-            window = self._views.window_for(labels)
-            if window is not None and store.max_value is not None:
-                own = store.max_value - window
-                horizon = own if horizon is None else max(horizon, own)
-        if horizon is None:
-            return documents
-        value_of = self._value_of
-        cutoff = horizon
-        return tuple(
-            document for document in documents
-            if value_of(document) >= cutoff
-        )
-
     def ingest(self, documents: Iterable[Document]) -> int:
         """Add a document batch to the corpus; invalidates the cache.
 
@@ -607,18 +578,16 @@ class DiversificationService:
         documents: Sequence[Document],
         source: str,
     ) -> Optional[Iterable[str]]:
-        """Project new documents into the view store and fan deltas out.
+        """Project new documents into the post store and fan deltas out
+        to the views.
 
-        Returns the affected label set for fine-grained cache
-        invalidation, or ``None`` when everything must be purged (the
-        incremental projection had to be rebuilt wholesale).
+        Returns the labels of the projected posts (plus those of views
+        whose window moved) for fine-grained cache invalidation, or
+        ``None`` when everything must be purged (the projection had to
+        be rebuilt wholesale, or is poisoned).
         """
-        affected: set = set()
-        if self._views is None or self._view_store is None \
-                or self._views_poisoned:
-            for document in documents:
-                affected |= self._matcher.match(document.text)
-            return affected
+        if self._views_poisoned:
+            return None
         if (
             self.config.dedup_distance is not None
             and source == "ingest"
@@ -631,26 +600,30 @@ class DiversificationService:
             # corpus in batch order and purge conservatively.
             self._rebuild_views("ingest-after-stream")
             return None
-        store = self._view_store
+        store, views = self._store, self._views
+        affected: set = set()
         try:
             for document in documents:
                 post = store.ingest_document(document)
                 if post is None:
                     continue
                 affected |= post.labels
-                self._views.apply_insert(post)
-            retention = self._views.retention()
+                if views is not None:
+                    views.apply_insert(post)
+            if views is None:
+                return affected
+            retention = views.retention()
             if retention is not None and store.max_value is not None:
                 # physical expiry at the *widest* window any view needs
                 removed = store.expire(store.max_value - retention)
                 for post in removed:
                     affected |= post.labels
-                self._views.apply_expire(removed)
+                views.apply_expire(removed)
             # narrower per-view windows slide their own horizons; a
             # moved horizon changes that view's answer even when the
             # batch touched none of its labels, so those labels join
             # the invalidation set
-            affected |= self._views.advance(store.max_value)
+            affected |= views.advance(store.max_value)
         except ReproError as error:
             # e.g. duplicate uids across ingest and stream — a corpus
             # state batch solves fail on too.  Views go dark rather
@@ -701,8 +674,8 @@ class DiversificationService:
                 f"view_window must be positive, got {window}"
             )
         self._views.set_window(labels, window)
-        store = self._view_store
-        if store is not None and store.max_value is not None:
+        store = self._store
+        if store.max_value is not None:
             # apply the new horizon right away: physical expiry at the
             # (possibly changed) widest window, then per-view horizons
             retention = self._views.retention()
@@ -721,7 +694,7 @@ class DiversificationService:
         return epoch
 
     def _poison_views(self, reason: str) -> None:
-        self._views_poisoned = True
+        self._views_poisoned = reason
         if self._views is not None:
             self._views.invalidate_all("poisoned")
         _obs.count("service.views.poisoned")
@@ -734,21 +707,19 @@ class DiversificationService:
     def _rebuild_views(self, reason: str) -> None:
         """Reproject the whole corpus into a fresh store and invalidate
         every view (they re-seed from the next batch solve)."""
-        store = self._build_view_store()
+        store = self._build_store()
         try:
             for document in self.corpus():
                 store.ingest_document(document)
-            retention = (
-                self._views.retention() if self._views is not None
-                else self.config.view_window
-            )
+            retention = None if self._views is None \
+                else self._views.retention()
             if retention is not None and store.max_value is not None:
                 store.expire(store.max_value - retention)
         except ReproError as error:
             self._poison_views(repr(error))
             return
-        self._view_store = store
-        self._views_poisoned = False
+        self._store = store
+        self._views_poisoned = None
         if self._views is not None:
             self._views.rebind(store)
         _obs.count("service.views.rebuilds")
@@ -760,9 +731,19 @@ class DiversificationService:
 
     # -- digest path -------------------------------------------------------
 
-    def _resolve_labels(
-        self, requested: Optional[Tuple[str, ...]]
-    ) -> Tuple[str, ...]:
+    def _resolve_labels(self, request: DigestRequest) -> Tuple[str, ...]:
+        """The request's labels; raises for what no solve can answer."""
+        # `not >=` refuses NaN too, whose cache key nothing can hit
+        if not request.lam >= 0:
+            raise ReproError(
+                f"lambda must be a non-negative number, got {request.lam}"
+            )
+        if request.dimension not in (None, self.config.dimension):
+            raise ReproError(
+                f"dimension {request.dimension!r}: this service projects "
+                f"values on the {self.config.dimension!r} dimension only"
+            )
+        requested = request.labels
         if requested is None:
             return self.labels
         unknown = [lbl for lbl in requested if lbl not in self._by_label]
@@ -785,52 +766,75 @@ class DiversificationService:
             start = -1
         return ladder[min(start + steps, len(ladder) - 1)]
 
+    def _counters(
+        self, instance: Instance, horizon: Optional[float]
+    ) -> Dict[str, int]:
+        """The batch pipeline's counters for an instance the store
+        materialized at ``horizon``: a kept document in the window either
+        matched or was dropped unmatched."""
+        store, matched = self._store, len(instance.posts)
+        return {
+            "matched": matched,
+            "unmatched_dropped":
+                store.live_documents_since(horizon) - matched,
+            "duplicates_dropped": store.projector.duplicates_dropped,
+        }
+
+    def _materialize(
+        self, labels: Tuple[str, ...], lam: float
+    ) -> Tuple[Instance, Dict[str, int]]:
+        """The instance a batch solve over ``labels`` sees now, and its
+        counters.  The store keeps posts for the *widest* view window;
+        a narrower per-label-set window clips this read further."""
+        if self._views_poisoned:
+            raise ReproError(f"post store poisoned: {self._views_poisoned}")
+        store = self._store
+        horizon = store.horizon
+        if self._views is not None:
+            window = self._views.window_for(labels)
+            if window is not None and store.max_value is not None:
+                own = store.max_value - window
+                horizon = own if horizon is None else max(horizon, own)
+        instance = store.materialize(labels, lam, min_value=horizon)
+        return instance, self._counters(instance, horizon)
+
     def _solve_job(
         self,
-        labels: Tuple[str, ...],
-        lam: float,
         algorithm: str,
-        dimension: str,
-        documents: Tuple[Document, ...],
+        instance: Instance,
+        counters: Dict[str, int],
         ctx: TraceContext,
     ) -> DigestResult:
-        """The synchronous work unit shipped to the shard executor.
+        """The synchronous work unit shipped to the executor.
 
         Runs on an executor thread with no inherited trace state, so the
         leader's context is re-activated explicitly; the produced digest
         is stamped with the trace that computed it, which is what lets
         followers and cache hits link back to the actual solve.
         """
-        queries = [self._by_label[label] for label in labels]
-        pipeline = DiversificationPipeline(
-            queries,
-            lam=lam,
-            algorithm=algorithm,
-            dimension=dimension,
-            dedup_distance=self.config.dedup_distance,
-            resilience=self.config.resilience,
-        )
         with _obs.activate(ctx):
             with _obs.span(
                 "service.solve", algorithm=algorithm,
-                labels=len(labels), documents=len(documents),
+                labels=len(instance.labels), posts=len(instance.posts),
             ) as span:
-                result = pipeline.digest(documents)
-        return _dc_replace(
-            result,
+                solution, _, downgrades = solve_instance(
+                    instance, algorithm, self.config.resilience
+                )
+        return DigestResult(
+            solution=solution,
+            instance=instance,
+            downgrades=downgrades,
             trace_id=ctx.trace_id,
             solve_span_id=getattr(span, "span_id", None),
+            **counters,
         )
 
     def _read_view(self, key: CacheKey) -> Optional[DigestResult]:
         """The maintained-view digest for this cache key, or ``None``.
 
-        Only views on the service's configured dimension are consulted
-        (the store projects values on that dimension); the registry
-        enforces the epoch discipline — a view is served only at the
-        exact corpus version it was committed at."""
-        if self._views is None or self._views_poisoned \
-                or key.dimension != self.config.dimension:
+        The registry enforces the epoch discipline — a view is served
+        only at the exact corpus version it was committed at."""
+        if self._views is None or self._views_poisoned:
             return None
         view = self._views.read(
             ViewRegistry.key_for(
@@ -841,19 +845,10 @@ class DiversificationService:
         if view is None:
             return None
         instance, solution = view.materialize()
-        store = self._view_store
-        projector = store.projector if store is not None else None
-        live = store.live_documents_since(view.horizon) \
-            if store is not None else 0
         return DigestResult(
             solution=solution,
             instance=instance,
-            matched=len(instance.posts),
-            duplicates_dropped=(
-                0 if projector is None
-                else projector.duplicates_dropped
-            ),
-            unmatched_dropped=max(0, live - len(instance.posts)),
+            **self._counters(instance, view.horizon),
         )
 
     def _account(
@@ -1009,7 +1004,7 @@ class DiversificationService:
                 raise ServiceOverloadError(decision.reason)
             return response
         try:
-            labels = self._resolve_labels(request.labels)
+            labels = self._resolve_labels(request)
         except ReproError as error:
             self.errors += 1
             _obs.count("service.errors")
@@ -1036,8 +1031,8 @@ class DiversificationService:
                 steps=decision.degrade_steps,
                 reason=decision.reason,
             )
-        dimension = request.dimension or self.config.dimension
-        key = self.cache.key_for(labels, request.lam, algorithm, dimension)
+        key = self.cache.key_for(labels, request.lam, algorithm,
+                                 self.config.dimension)
         cached = self.cache.get(key)
         if cached is not None:
             latency = self._clock() - started
@@ -1078,16 +1073,15 @@ class DiversificationService:
                 latency_s=latency, epoch=key.epoch,
                 reason=decision.reason, trace_id=ctx.trace_id or "",
             ))
-        documents = self._served_documents(labels)
 
         async def compute() -> DigestResult:
+            # before the first await, so at the corpus state key.epoch
+            # names, and paid by the coalescing leader only
+            instance, counters = self._materialize(labels, request.lam)
             self.solves += 1
             _obs.count("service.solves")
             return await self.batcher.run(
-                lambda: self._solve_job(
-                    labels, request.lam, algorithm, dimension,
-                    documents, ctx,
-                )
+                lambda: self._solve_job(algorithm, instance, counters, ctx)
             )
 
         self._pending += 1
@@ -1122,7 +1116,6 @@ class DiversificationService:
             if (
                 self._views is not None
                 and not self._views_poisoned
-                and key.dimension == self.config.dimension
                 and not result.downgrades
             ):
                 # a clean solve at the current epoch doubles as a view
@@ -1294,11 +1287,10 @@ class DiversificationService:
         # (or queued jobs) may hold pre-restore state.  The executor
         # stays usable — the next solve lazily builds a fresh pool.
         self.executor.close()
-        # Views were maintained against the pre-restore corpus; rebuild
-        # the projection from the rolled-back corpus and invalidate them
-        # (they re-seed from the first post-restore batch solve).
-        if self._views is not None:
-            self._rebuild_views("checkpoint-restore")
+        # The store and views were maintained against the pre-restore
+        # corpus; reproject the rolled-back corpus and invalidate the
+        # views (they re-seed from the first post-restore batch solve).
+        self._rebuild_views("checkpoint-restore")
         _obs.count("service.restores")
         epoch = self.cache.bump_epoch("checkpoint-restore")
         if self._views is not None:
@@ -1419,10 +1411,7 @@ class DiversificationService:
             "pending": self._pending,
             "soft_watermark": self.admission.soft_watermark,
             "hard_watermark": self.admission.hard_watermark,
-            "views_poisoned": (
-                1 if (self._views is not None and self._views_poisoned)
-                else 0
-            ),
+            "views_poisoned": 1 if self._views_poisoned else 0,
             "view_stale_reads": (
                 None if self._views is None
                 else self._views.stale_reads
@@ -1446,7 +1435,7 @@ class DiversificationService:
             "cache": self.cache.stats.as_dict(),
             "cache_entries": len(self.cache),
             "views": None if self._views is None else {
-                "poisoned": self._views_poisoned,
+                "poisoned": self._views_poisoned is not None,
                 "count": len(self._views),
                 "hits": self._views.hits,
                 "misses": self._views.misses,

@@ -44,3 +44,7 @@ class TestSolution:
         fast = Solution(algorithm="x", posts=posts, elapsed=0.1)
         slow = Solution(algorithm="x", posts=posts, elapsed=9.9)
         assert fast == slow
+
+    def test_repr_is_a_summary(self):
+        solution = _solution([float(v) for v in range(500)], "scan")
+        assert repr(solution) == "Solution('scan', |Z|=500, elapsed=0)"

@@ -83,6 +83,76 @@ class TestProjectionEquivalence:
         assert store.live_documents == 2
 
 
+def relabeled_per_post(posts, labels):
+    """What ``materialize`` computed before it memoized relabels: each
+    post intersected with the subset on its own, kept when unchanged."""
+    universe = frozenset(labels)
+    out = []
+    for post in posts:
+        inter = post.labels & universe
+        if inter == post.labels:
+            out.append(post)
+        elif inter:
+            out.append(Post(uid=post.uid, value=post.value, labels=inter,
+                            text=post.text))
+    return out
+
+
+ALL_LABELS = [q.label for q in QUERIES]
+SUBSETS = [["golf"], ["golf", "nba"], ["nba", "tech"], ["golf", "tech"]]
+
+
+class TestLabelSetInterning:
+    @pytest.mark.parametrize("dedup", [None, 3])
+    def test_equal_label_sets_share_one_frozenset(self, dedup):
+        store = build_store(make_docs(60), dedup_distance=dedup)
+        posts = store.materialize(ALL_LABELS, 10.0).posts
+        shared = {}
+        for post in posts:
+            assert shared.setdefault(post.labels, post.labels) \
+                is post.labels
+        assert len(shared) < len(posts)
+
+    def test_full_label_set_hands_out_the_stored_posts(self):
+        store = build_store(make_docs(30))
+        first = store.materialize(ALL_LABELS, 10.0).posts
+        again = store.materialize(ALL_LABELS + ["absent"], 5.0).posts
+        assert all(a is b for a, b in zip(first, again))
+        assert [p.uid for p in first] == [p.uid for p in again]
+
+    @pytest.mark.parametrize("labels", SUBSETS)
+    def test_subset_holds_one_label_set_per_combination(self, labels):
+        store = build_store(make_docs(60))
+        for _ in range(2):
+            posts = store.materialize(labels, 10.0).posts
+            assert len({id(p.labels) for p in posts}) == \
+                len({p.labels for p in posts})
+
+    @pytest.mark.parametrize("min_value", [None, 95.0])
+    @pytest.mark.parametrize("labels", SUBSETS + [ALL_LABELS])
+    def test_materialize_equals_per_post_relabel(self, labels, min_value):
+        docs = make_docs(50)
+        store = build_store(docs)
+        stored = [p for p in store.materialize(ALL_LABELS, 1.0).posts
+                  if min_value is None or p.value >= min_value]
+        instance = store.materialize(labels, 10.0, min_value=min_value)
+        expected = relabeled_per_post(stored, labels)
+        assert instance.posts == tuple(expected)
+        assert [p.text for p in instance.posts] == \
+            [p.text for p in expected]
+        assert instance.labels == frozenset(labels)
+
+    def test_store_without_projector_relabels_too(self):
+        store = PostStore()
+        for uid, labels in enumerate(["ab", "ab", "a", "bc", "c"]):
+            store.add(Post(uid=uid, value=float(uid),
+                           labels=frozenset(labels), text=""))
+        instance = store.materialize(["a", "b"], 1.0)
+        assert [(p.uid, "".join(sorted(p.labels)))
+                for p in instance.posts] == \
+            [(0, "ab"), (1, "ab"), (2, "a"), (3, "b")]
+
+
 class TestStoreInvariants:
     def test_posts_stay_sorted_under_shuffled_insert(self):
         store = PostStore()

@@ -21,7 +21,7 @@ from repro.core.instance import Instance
 from repro.core.post import Post
 from repro.experiments.common import make_day_instance
 from repro.index.inverted_index import Document
-from repro.index.query import TopicQuery
+from repro.index.query import LabelMatcher, TopicQuery
 from repro.observability import facade
 from repro.pipeline import DiversificationPipeline
 from repro.resilience.faults import FaultInjector
@@ -121,6 +121,150 @@ def test_served_cold_digest_runs_the_lazy_heap():
         response.result.solution.size
     assert [name for name in counters
             if name.startswith("setcover.rescan.")] == []
+
+
+# -- cold digests read the post store ----------------------------------------
+
+
+def twin_corpus():
+    """``make_docs`` as head, middle and tail, plus twins (the same text
+    under another uid) that SimHash dedup drops, and two unmatched
+    documents that are twins of each other."""
+    docs = make_docs()
+    twins = [Document(100 + i, docs[i].timestamp + 5.0, docs[i].text)
+             for i in (0, 4, 8)]
+    unmatched = [Document(400, 55.0, "nothing relevant here at all"),
+                 Document(401, 155.0, "nothing relevant here at all")]
+    # a twin in the middle part: streamed, it arrives before the head
+    # document it duplicates, which the batch order still keeps
+    streamed_twin = Document(300, 185.0, docs[2].text)
+    return docs[:12] + twins + unmatched, docs[12:18] + [streamed_twin], \
+        docs[18:]
+
+
+@pytest.mark.parametrize("arrival", ["ingest", "stream_then_ingest"])
+@pytest.mark.parametrize("views", [True, False], ids=["views", "no_views"])
+@pytest.mark.parametrize("dedup", [None, 3], ids=["no_dedup", "dedup"])
+def test_store_path_matches_the_batch_oracle(dedup, views, arrival):
+    # picks and all three counters equal the batch pipeline's digest of
+    # the service's corpus; stream-then-ingest under dedup makes the
+    # store reproject the corpus in batch order
+    head, stream, tail = twin_corpus()
+    service = make_service(
+        dedup_distance=dedup, views=views,
+        stream_algorithm="instant", stream_lam=0.1,
+    )
+    if arrival == "ingest":
+        service.ingest(head + stream)
+    else:
+        async def feed_all():
+            for document in stream:
+                await service.feed(document)
+        run(feed_all())
+        service.ingest(head)
+    service.ingest(tail)
+    assert service.corpus_size() == len(head + stream + tail)
+    for labels in (None, ("golf", "nba")):
+        for algorithm in ("greedy_sc", "scan+"):
+            response = run(service.digest(DigestRequest(
+                lam=25.0, labels=labels, algorithm=algorithm)))
+            queries = [q for q in make_queries()
+                       if labels is None or q.label in labels]
+            expected = DiversificationPipeline(
+                queries, lam=25.0, algorithm=algorithm,
+                dedup_distance=dedup,
+            ).digest(service.corpus())
+            assert response.status == "ok"
+            assert not response.cached and not response.view
+            got = response.result
+            assert got.solution.uids == expected.solution.uids
+            assert got.instance.posts == expected.instance.posts
+            assert (got.matched, got.unmatched_dropped,
+                    got.duplicates_dropped) == \
+                (expected.matched, expected.unmatched_dropped,
+                 expected.duplicates_dropped)
+            assert expected.unmatched_dropped > 0
+            assert (expected.duplicates_dropped > 0) == \
+                (dedup is not None)
+    service.close()
+
+
+@pytest.mark.parametrize("labels", [None, ("golf", "nba")],
+                         ids=["all", "subset"])
+@pytest.mark.parametrize("views", [True, False], ids=["views", "no_views"])
+def test_cold_digest_does_not_rematch_the_corpus(monkeypatch, views,
+                                                 labels):
+    service = make_service(views=views)
+    service.ingest(make_docs())
+    calls = []
+    match, digest = LabelMatcher.match, DiversificationPipeline.digest
+
+    def counted_match(self, text):
+        calls.append("match")
+        return match(self, text)
+
+    def counted_digest(self, documents):
+        calls.append("digest")
+        return digest(self, documents)
+
+    monkeypatch.setattr(LabelMatcher, "match", counted_match)
+    monkeypatch.setattr(DiversificationPipeline, "digest", counted_digest)
+    response = run(service.digest(DigestRequest(lam=25.0, labels=labels)))
+    service.close()
+    assert response.status == "ok" and not response.cached
+    assert response.result.matched > 0
+    assert calls == []
+
+
+def test_poisoned_store_answers_errors_with_views_off():
+    service = make_service(
+        views=False, stream_algorithm="instant", stream_lam=0.1,
+    )
+    service.ingest(make_docs(n=4))
+    # a streamed document whose uid collides with an ingested one
+    run(service.feed(Document(0, 5000.0, "golf putt clash")))
+    response = run(service.digest(DigestRequest(lam=30.0)))
+    assert response.status == "error" and response.result is None
+    assert "duplicate" in response.reason
+    assert service.solves == 0
+
+
+# -- requests no solve can answer ---------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [float("nan"), -1.0],
+                         ids=["nan", "negative"])
+def test_invalid_lambda_is_refused_before_any_work(lam):
+    service = make_service()
+    service.ingest(make_docs())
+    run(service.digest(DigestRequest(lam=25.0)))
+    solves, entries = service.solves, len(service.cache)
+    stats = service.cache.stats.as_dict()
+    for _ in range(3):
+        response = run(service.digest(DigestRequest(lam=lam)))
+        assert response.status == "error" and response.result is None
+        assert "lambda" in response.reason
+    assert service.solves == solves
+    assert len(service.cache) == entries
+    assert service.cache.stats.as_dict() == stats
+    # the wire accepts NaN as a float; the service still refuses it
+    wired = DigestRequest.from_dict({"lam": "nan"})
+    assert run(service.digest(wired)).status == "error"
+
+
+def test_other_dimension_is_refused_before_any_work():
+    service = make_service()
+    service.ingest(make_docs())
+    response = run(service.digest(DigestRequest(
+        lam=25.0, dimension="sentiment")))
+    assert response.status == "error" and response.result is None
+    assert "'time'" in response.reason
+    assert service.solves == 0
+    assert len(service.cache) == 0
+    # naming the configured dimension is the same as naming none
+    named = run(service.digest(DigestRequest(lam=25.0, dimension="time")))
+    assert named.status == "ok" and service.solves == 1
+    assert run(service.digest(DigestRequest(lam=25.0))).cached
 
 
 # -- coalescing (acceptance criterion) ---------------------------------------
