@@ -2,9 +2,12 @@
 
 Every message between the router and a worker is one *frame*: a 4-byte
 big-endian length header followed by a UTF-8 JSON object.  The format is
-deliberately boring — the interesting wire work was already done by the
+deliberately boring — the interesting wire work is done by the
 ``to_dict``/``from_dict`` methods on every domain object, and frames
-just carry those dicts across an asyncio stream.
+just carry those dicts across an asyncio stream.  The bulk of the bytes
+is a digest answer's instance, which ``Instance.to_dict`` encodes as
+columns (uids, values, one label bitmask and one text per post) rather
+than one JSON object per post; ``Instance.from_dict`` checks them.
 
 Two failure modes matter and both are rejected *before* any unbounded
 read, so a hostile or corrupt peer can never hang a reader mid-frame:
@@ -42,7 +45,8 @@ __all__ = [
     "read_frame",
 ]
 
-# Generous enough for a scatter leg carrying a full day-scale instance,
+# Generous enough for a scatter leg carrying a full day-scale instance
+# (the 13,278-post fig13 day, texts included, is 0.63 MB as columns),
 # small enough that a corrupt header can't trigger a multi-GiB read.
 MAX_FRAME = 32 * 1024 * 1024
 

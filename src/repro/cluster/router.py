@@ -39,12 +39,13 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
+import operator
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, \
-    Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
+    Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.instance import Instance
 from ..core.post import Post
@@ -101,6 +102,27 @@ class _NoSpan:
 
 
 _NO_SPAN = _NoSpan()
+
+# an instance's row order
+_ROW_KEY = operator.attrgetter("value", "uid")
+
+
+def _check_leg(
+    result: Optional[DigestResult], sub: DigestRequest, node: str
+) -> None:
+    """Raise :class:`ClusterError` when a leg's instance is not over
+    the labels and lambda its request asked for — the merge hands the
+    legs' rows to ``Instance.from_sorted`` on that promise."""
+    if result is None:
+        return
+    instance = result.instance
+    if instance.labels != frozenset(sub.labels) \
+            or instance.lam != float(sub.lam):
+        raise ClusterError(
+            f"{node} answered over labels {sorted(instance.labels)} at "
+            f"lambda {instance.lam}; the leg asked for "
+            f"{list(sub.labels)} at lambda {float(sub.lam)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -1053,33 +1075,38 @@ class ClusterRouter:
                 dimension=request.dimension,
                 session=request.session,
             )
+            node: Optional[str] = None
+            hedges = 0
             try:
                 node, frame, hedges = await self._call_with_failover(
                     owners, OP_DIGEST, {"request": sub.to_dict()}, ctx,
                     traced=traced,
                 )
-            except ClusterError as error:
+                spans = frame.get("spans")
+                if spans:
+                    bundle = _obs.active()
+                    if bundle is not None:
+                        # graft the worker's spans into this request's
+                        # trace — the existing Tracer.adopt path.  No
+                        # trace_id override: the worker span already
+                        # carries this trace, and the service-side
+                        # spans riding along keep their own trace so
+                        # the link_trace_id hop stays resolvable
+                        bundle.tracer.adopt(spans, parent_id=ctx.span_id)
+                response = ServiceResponse.from_dict(
+                    frame["payload"]["response"]
+                )
+                _check_leg(response.result, sub, node)
+            except (ReproError, KeyError, TypeError, ValueError) as error:
+                # a leg that timed out and a leg whose payload does not
+                # decode fail alike: their labels go missing
                 structlog.emit(
                     "cluster.leg_failed", level=logging.WARNING,
-                    trace_id=ctx.trace_id, labels=leg_labels,
+                    trace_id=ctx.trace_id, labels=leg_labels, node=node,
                     reason=repr(error),
                 )
                 return {"labels": leg_labels, "node": None,
-                        "hedges": 0, "response": None}
-            spans = frame.get("spans")
-            if spans:
-                bundle = _obs.active()
-                if bundle is not None:
-                    # graft the worker's spans into this request's
-                    # trace — the existing Tracer.adopt path.  No
-                    # trace_id override: the worker span already
-                    # carries this trace, and the service-side spans
-                    # riding along keep their own trace so the
-                    # link_trace_id hop stays resolvable
-                    bundle.tracer.adopt(spans, parent_id=ctx.span_id)
-            response = ServiceResponse.from_dict(
-                frame["payload"]["response"]
-            )
+                        "hedges": hedges, "response": None}
             if response.result is None:
                 structlog.emit(
                     "cluster.leg_empty", level=logging.WARNING,
@@ -1229,9 +1256,7 @@ class ClusterRouter:
                     result,
                     duplicates_dropped=0,
                     unmatched_dropped=max(
-                        0,
-                        self.documents_ingested
-                        - len(result.instance.posts),
+                        0, self.documents_ingested - result.matched
                     ),
                     trace_id=ctx.trace_id,
                 )
@@ -1245,30 +1270,47 @@ class ClusterRouter:
                     hedges=hedges,
                     reason=legs[0]["response"].reason,
                 )
-            # merge the sub-instances by uid; a seam post appears in
+            # merge the legs' instances by uid; a seam post appears in
             # more than one leg (its labels span owners) with partial
             # label sets whose union is its true requested label set
             merged: Dict[int, Post] = {}
-            appearances: Dict[int, int] = {}
+            unions: Dict[int, FrozenSet[str]] = {}
             for leg in legs:
                 for post in leg["response"].result.instance.posts:
-                    appearances[post.uid] = \
-                        appearances.get(post.uid, 0) + 1
-                    known = merged.get(post.uid)
-                    if known is None:
-                        merged[post.uid] = post
-                    else:
-                        merged[post.uid] = Post(
-                            uid=post.uid, value=post.value,
-                            labels=known.labels | post.labels,
-                            text=post.text,
+                    known = merged.setdefault(post.uid, post)
+                    if known is post:
+                        continue
+                    if known.value != post.value:
+                        return ClusterResponse(
+                            status=ERROR, result=None,
+                            algorithm=algorithm,
+                            latency_s=self._clock() - started,
+                            trace_id=ctx.trace_id or "",
+                            shards=shards, missing_labels=missing,
+                            hedges=hedges,
+                            reason=f"scatter legs disagree on the value "
+                            f"of post {post.uid}: {known.value!r} and "
+                            f"{post.value!r}",
                         )
-            seam_uids = {
-                uid for uid, count in appearances.items() if count > 1
-            }
-            instance = Instance(
-                list(merged.values()), float(request.lam),
-                labels=served_labels,
+                    unions[post.uid] = \
+                        unions.get(post.uid, known.labels) | post.labels
+            # one Post per seam post, sharing one label set per
+            # distinct union; every other post is reused as decoded
+            interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
+            for uid, union in unions.items():
+                known = merged[uid]
+                merged[uid] = Post(
+                    uid=uid, value=known.value,
+                    labels=interned.setdefault(union, union),
+                    text=known.text,
+                )
+            seam_uids = unions.keys()
+            # each leg's labels were checked to be the ones it was
+            # asked for, and its rows are decoded sorted and unique, so
+            # the merged rows meet from_sorted's contract once sorted
+            instance = Instance.from_sorted(
+                sorted(merged.values(), key=_ROW_KEY),
+                float(request.lam), served_labels,
             )
             resolves = 0
             repairs = 0
@@ -1293,8 +1335,7 @@ class ClusterRouter:
                     for leg in legs
                     for post in leg["response"].result.solution.posts
                 })
-                picks = [merged[uid] for uid in pick_uids
-                         if uid in merged]
+                picks = [merged[uid] for uid in pick_uids]
                 picks, repairs = stitch_repair(instance, picks)
                 stitched = True
                 if repairs:

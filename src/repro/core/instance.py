@@ -22,6 +22,10 @@ from .post import Post, make_posts
 
 __all__ = ["Instance", "PostingList"]
 
+# The list-valued keys of the wire format, in the order from_dict unpacks
+# them; every one but "labels" holds one row per post.
+_WIRE_LISTS = ("labels", "uids", "values", "masks", "texts")
+
 # Below this length the numpy searchsorted call overhead exceeds what
 # bisect pays walking the list; above it the vectorised path wins.
 _SEARCHSORTED_MIN = 64
@@ -258,25 +262,121 @@ class Instance:
     # -- wire format -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation: posts, lambda and the label universe.
+        """JSON-safe columnar representation.
 
-        Posting lists are derived state and are rebuilt on
-        :meth:`from_dict` rather than shipped.
+        ``labels`` is the sorted universe.  Row ``i`` of the ``uids``,
+        ``values``, ``masks`` and ``texts`` columns is the ``i``-th post
+        in ``(value, uid)`` order, and bit ``j`` of its mask means
+        ``labels[j]``.  Posting lists are derived state and are rebuilt
+        on :meth:`from_dict` rather than shipped.
         """
+        labels = sorted(self._labels)
+        bits = {label: 1 << index for index, label in enumerate(labels)}
+        mask_of: Dict[frozenset, int] = {}
+        masks = []
+        for post in self._posts:
+            mask = mask_of.get(post.labels)
+            if mask is None:
+                mask = sum(bits[label] for label in post.labels)
+                mask_of[post.labels] = mask
+            masks.append(mask)
         return {
-            "posts": [post.to_dict() for post in self._posts],
             "lam": self._lam,
-            "labels": sorted(self._labels),
+            "labels": labels,
+            "uids": [post.uid for post in self._posts],
+            "values": [post.value for post in self._posts],
+            "masks": masks,
+            "texts": [post.text for post in self._posts],
         }
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Instance":
-        """Inverse of :meth:`to_dict` (revalidates all invariants)."""
-        return cls(
-            (Post.from_dict(p) for p in payload["posts"]),
-            float(payload["lam"]),
-            labels=payload.get("labels"),
-        )
+        """Inverse of :meth:`to_dict`.
+
+        Checks the columns in one pass and hands the rows to
+        :meth:`from_sorted`, with one label set per distinct mask.
+        Raises :class:`InvalidInstanceError` on a missing or mistyped
+        column, columns of different lengths, a repeated label name, a
+        repeated uid, rows not strictly increasing in ``(value, uid)``
+        (NaN values included) and masks outside ``[1, 2**len(labels))``.
+        """
+        try:
+            return cls._from_columns(payload)
+        except (KeyError, TypeError, ValueError, OverflowError) as error:
+            raise InvalidInstanceError(
+                f"malformed instance payload: {error!r}"
+            ) from None
+
+    @classmethod
+    def _from_columns(cls, payload: Mapping[str, Any]) -> "Instance":
+        lam = float(payload["lam"])
+        if not lam >= 0:
+            raise InvalidInstanceError(f"lambda must be >= 0, got {lam}")
+        columns = [payload[name] for name in _WIRE_LISTS]
+        if not all(isinstance(column, list) for column in columns):
+            raise InvalidInstanceError(
+                f"instance columns {_WIRE_LISTS} must be lists"
+            )
+        labels, uids, values, masks, texts = columns
+        rows = len(uids)
+        if not len(values) == len(masks) == len(texts) == rows:
+            raise InvalidInstanceError(
+                f"instance columns differ in length: {rows} uids, "
+                f"{len(values)} values, {len(masks)} masks, "
+                f"{len(texts)} texts"
+            )
+        if not all(type(label) is str for label in labels):
+            raise InvalidInstanceError("instance labels must be strings")
+        if len(set(labels)) != len(labels):
+            raise InvalidInstanceError(
+                f"repeated label name in {sorted(labels)}"
+            )
+        limit = 1 << len(labels)
+        label_sets: Dict[int, frozenset] = {}
+        posts: List[Post] = []
+        previous = None
+        for uid, value, mask, text in zip(uids, values, masks, texts):
+            if not isinstance(value, float):
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InvalidInstanceError(
+                        f"post {uid!r} has a non-numeric value {value!r}"
+                    )
+                value = float(value)
+            if type(uid) is not int or type(text) is not str:
+                raise InvalidInstanceError(
+                    f"post {uid!r} needs an int uid and a str text"
+                )
+            key = (value, uid)
+            if previous is None:
+                if value != value:
+                    raise InvalidInstanceError(f"post {uid} has a NaN value")
+            elif not previous < key:
+                raise InvalidInstanceError(
+                    f"rows are not strictly increasing in (value, uid): "
+                    f"{previous!r} then {key!r}"
+                )
+            previous = key
+            label_set = label_sets.get(mask)
+            if label_set is None:
+                if type(mask) is not int or not 0 < mask < limit:
+                    raise InvalidInstanceError(
+                        f"post {uid} has mask {mask!r} outside "
+                        f"[1, {limit})"
+                    )
+                label_set = frozenset(
+                    label for index, label in enumerate(labels)
+                    if mask >> index & 1
+                )
+                label_sets[mask] = label_set
+            posts.append(Post(uid, value, label_set, text))
+        instance = cls.from_sorted(posts, lam, labels)
+        if len(instance._by_uid) != rows:
+            seen = set()
+            for uid in uids:
+                if uid in seen:
+                    raise InvalidInstanceError(f"repeated post uid {uid}")
+                seen.add(uid)
+        return instance
 
     def restricted_to(self, lo: float, hi: float) -> "Instance":
         """A sub-instance containing only posts with value in ``[lo, hi]``."""

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, \
-    Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..observability import facade as _obs
 from .instance import Instance
@@ -63,25 +62,6 @@ class Solution:
         if optimum <= 0:
             raise ValueError("optimum size must be positive")
         return (self.size - optimum) / optimum
-
-    # -- wire format -------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (posts in value order)."""
-        return {
-            "algorithm": self.algorithm,
-            "posts": [post.to_dict() for post in self.posts],
-            "elapsed": self.elapsed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "Solution":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            algorithm=str(payload["algorithm"]),
-            posts=tuple(Post.from_dict(p) for p in payload["posts"]),
-            elapsed=float(payload.get("elapsed", 0.0)),
-        )
 
     @staticmethod
     def from_posts(algorithm: str, posts: List[Post],

@@ -111,10 +111,32 @@ class DigestResult:
     # -- wire format -------------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation — the serving layer's wire format."""
+        """JSON-safe representation — the serving layer's wire format.
+
+        The instance travels as columns (:meth:`Instance.to_dict`) and
+        the cover as the uids of its instance posts.  Raises
+        :class:`ReproError` when a cover post does not equal the
+        instance's post with its uid: the uids must decode to exactly
+        the posts that were computed.
+        """
+        instance = self.instance
+        for post in self.solution.posts:
+            try:
+                own = instance.post(post.uid)
+            except KeyError:
+                own = None
+            if own is not post and own != post:
+                raise ReproError(
+                    f"cover post {post!r} is not the instance's post "
+                    f"{own!r}"
+                )
         return {
-            "solution": self.solution.to_dict(),
-            "instance": self.instance.to_dict(),
+            "solution": {
+                "algorithm": self.solution.algorithm,
+                "uids": [post.uid for post in self.solution.posts],
+                "elapsed": self.solution.elapsed,
+            },
+            "instance": instance.to_dict(),
             "matched": self.matched,
             "duplicates_dropped": self.duplicates_dropped,
             "unmatched_dropped": self.unmatched_dropped,
@@ -125,10 +147,33 @@ class DigestResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DigestResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`: the cover posts are the decoded
+        instance's own posts.  Raises :class:`InvalidInstanceError` on
+        a malformed instance and :class:`ReproError` on a cover uid the
+        instance does not hold, or a cover out of ``(value, uid)``
+        order."""
+        instance = Instance.from_dict(payload["instance"])
+        encoded = payload["solution"]
+        cover = []
+        for uid in encoded["uids"]:
+            try:
+                cover.append(instance.post(uid))
+            except (KeyError, TypeError):
+                raise ReproError(
+                    f"cover uid {uid!r} is not in the instance"
+                ) from None
+        keys = [(post.value, post.uid) for post in cover]
+        if not all(a < b for a, b in zip(keys, keys[1:])):
+            raise ReproError(
+                "cover is not strictly increasing in (value, uid)"
+            )
         return cls(
-            solution=Solution.from_dict(payload["solution"]),
-            instance=Instance.from_dict(payload["instance"]),
+            solution=Solution(
+                algorithm=str(encoded["algorithm"]),
+                posts=tuple(cover),
+                elapsed=float(encoded.get("elapsed", 0.0)),
+            ),
+            instance=instance,
             matched=int(payload["matched"]),
             duplicates_dropped=int(payload["duplicates_dropped"]),
             unmatched_dropped=int(payload["unmatched_dropped"]),

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import worker as worker_module
 from repro.cluster.frames import (
+    MAX_FRAME,
     FrameDecoder,
     FrameError,
     FrameTooLargeError,
@@ -18,6 +20,7 @@ from repro.cluster.frames import (
     encode_frame,
     read_frame,
 )
+from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import (
     document_from_dict,
     document_to_dict,
@@ -26,16 +29,24 @@ from repro.cluster.protocol import (
     request_frame,
 )
 from repro.cluster.router import ClusterResponse
+from repro.cluster.worker import default_worker_config
 from repro.core.instance import Instance
 from repro.core.post import Post
 from repro.core.registry import solve
-from repro.core.solution import Solution
 from repro.index.inverted_index import Document
 from repro.observability.tracing import Span, TraceContext
 from repro.pipeline import DigestResult, DiversificationPipeline
 from repro.service import DigestRequest, ServiceResponse
 
-from .conftest import make_docs, make_queries, run
+from .conftest import (
+    LAM_S,
+    NUM_LABELS,
+    day_documents,
+    day_queries,
+    make_docs,
+    make_queries,
+    run,
+)
 
 
 def codec_round_trip(payload: dict) -> dict:
@@ -197,10 +208,6 @@ def test_instance_and_solution_round_trip():
     assert back.posts == instance.posts
     assert back.lam == instance.lam
     assert back.labels == instance.labels
-    solution = result.solution
-    sol_back = Solution.from_dict(codec_round_trip(solution.to_dict()))
-    assert sol_back.posts == solution.posts
-    assert sol_back.algorithm == solution.algorithm
 
 
 def test_digest_result_round_trip():
@@ -355,3 +362,76 @@ def test_fuzz_truncation_never_yields_a_frame(payload, cut):
 )
 def test_fuzz_posts_survive_the_codec_exactly(post):
     assert Post.from_dict(codec_round_trip(post.to_dict())) == post
+
+
+# -- a real scatter leg through the codec ----------------------------------
+
+
+@pytest.fixture(scope="module")
+def scatter_leg_frame() -> bytes:
+    """The largest frame a worker sends back for one leg of a
+    full-label-set digest on the fig13 day slice."""
+    frames = []
+    encode = worker_module.encode_frame
+
+    def recording(payload, max_frame=MAX_FRAME):
+        blob = encode(payload, max_frame)
+        if "response" in (payload.get("payload") or {}):
+            frames.append(blob)
+        return blob
+
+    async def go():
+        async with LocalCluster(
+            day_queries(), nodes=3,
+            worker_config=default_worker_config(views=False),
+        ) as cluster:
+            await cluster.router.ingest(day_documents())
+            response = await cluster.router.digest(DigestRequest(lam=LAM_S))
+            assert response.status == "ok"
+            assert len(response.shards) > 1  # it did scatter
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(worker_module, "encode_frame", recording)
+        run(go())
+    return max(frames, key=len)
+
+
+def test_scatter_leg_frame_round_trips_byte_by_byte(scatter_leg_frame):
+    decoder = FrameDecoder()
+    frames = []
+    for index in range(len(scatter_leg_frame)):
+        frames.extend(decoder.feed(scatter_leg_frame[index:index + 1]))
+    decoder.close()
+    (frame,) = frames
+    assert encode_frame(frame) == scatter_leg_frame
+    payload = frame["payload"]["response"]
+    response = ServiceResponse.from_dict(payload)
+    assert response.to_dict() == payload
+    # a leg: some of the day's labels, not all of them
+    assert 0 < len(response.result.instance.labels) < NUM_LABELS
+    assert len(response.result.instance) > 0
+
+
+def test_every_truncated_scatter_leg_frame_is_rejected(scatter_leg_frame):
+    view = memoryview(scatter_leg_frame)
+    for cut in range(1, len(view)):
+        decoder = FrameDecoder()
+        assert decoder.feed(view[:cut]) == []
+        with pytest.raises(TruncatedFrameError):
+            decoder.close()
+
+
+def test_scatter_leg_frame_over_max_frame_is_rejected(scatter_leg_frame):
+    body = len(scatter_leg_frame) - 4
+    (frame,) = FrameDecoder(max_frame=body).feed(scatter_leg_frame)
+    with pytest.raises(FrameTooLargeError):
+        FrameDecoder(max_frame=body - 1).feed(scatter_leg_frame)
+    with pytest.raises(FrameTooLargeError):
+        encode_frame(frame, max_frame=body - 1)
+
+    async def go():
+        reader = _reader_with(scatter_leg_frame)
+        with pytest.raises(FrameTooLargeError):
+            await read_frame(reader, max_frame=body - 1)
+
+    run(go())

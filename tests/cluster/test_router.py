@@ -9,17 +9,29 @@ these tests pin the *batch* parity guarantee.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import ClusterError, canonical_fingerprint
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
+from repro.core.coverage import verify_cover
 from repro.index.inverted_index import Document
 from repro.index.query import TopicQuery
+from repro.observability import structlog
 from repro.service import DigestRequest, DiversificationService
 
-from .conftest import make_docs, make_queries, run
+from .conftest import (
+    LAM_S,
+    day_documents,
+    day_queries,
+    make_docs,
+    make_queries,
+    run,
+)
+from .test_parity import REQUESTS as PARITY_REQUESTS
 
 LAM = 30.0
 
@@ -465,3 +477,205 @@ def test_router_health_and_introspect_describe_the_cluster():
             assert node_info["cluster"]["heartbeats_seen"] == 1
 
     run(go())
+
+
+# -- corrupt scatter legs --------------------------------------------------
+
+
+def corrupt_leg_payloads(worker, corrupt) -> None:
+    """Make ``worker`` pass every digest result payload it sends through
+    ``corrupt`` (the payload is encoded afresh for each answer, so the
+    worker's cache keeps the true result)."""
+    serve = worker._op_digest
+
+    async def op_digest(payload):
+        out = await serve(payload)
+        result = out["response"]["result"]
+        if result is not None:
+            corrupt(result)
+        return out
+
+    worker._op_digest = op_digest
+
+
+def drop_a_column(result):
+    del result["instance"]["masks"]
+
+
+def mask_out_of_range(result):
+    instance = result["instance"]
+    instance["masks"][0] = 1 << len(instance["labels"])
+
+
+def cover_uid_outside_the_instance(result):
+    result["solution"]["uids"].append(max(result["instance"]["uids"]) + 1)
+
+
+def extra_label(result):
+    result["instance"]["labels"].append("zz")  # sorts last: masks hold
+
+
+def other_lambda(result):
+    result["instance"]["lam"] *= 2
+
+
+def day_cluster():
+    return LocalCluster(
+        day_queries(), nodes=3, config=fast_cluster(),
+        worker_config=batch_config(),
+    )
+
+
+def partial_owner(router):
+    """A node owning some but not all labels, and the labels it owns."""
+    return next(
+        (node, owned)
+        for node, owned in sorted(router.ring.ownership(
+            router.labels).items())
+        if owned and len(owned) < len(router.labels)
+    )
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (drop_a_column, "InvalidInstanceError"),
+    (mask_out_of_range, "InvalidInstanceError"),
+    (cover_uid_outside_the_instance, "ReproError"),
+    (extra_label, "ClusterError"),
+    (other_lambda, "ClusterError"),
+], ids=lambda param: getattr(param, "__name__", ""))
+def test_a_corrupt_leg_fails_alone(corrupt, error):
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            victim, dark = partial_owner(router)
+            corrupt_leg_payloads(cluster.worker(victim), corrupt)
+            with structlog.capture() as events:
+                response = await router.digest(DigestRequest(lam=LAM_S))
+            return response, dark, events, router.errors
+
+    response, dark, events, errors = run(go())
+    assert response.status == "degraded"
+    assert response.missing_labels == tuple(dark)
+    assert errors == 0
+    failed = [e for e in events if e["event"] == "cluster.leg_failed"]
+    assert [sorted(e["labels"]) for e in failed] == [dark]
+    # the router's own decode or leg check failed the leg, not the worker
+    assert failed[0]["reason"].startswith(error + "(")
+    # the legs that decoded still make a valid cover of their labels
+    verify_cover(response.result.instance, response.result.solution.posts)
+    assert not response.result.instance.labels & set(dark)
+
+
+def test_every_leg_corrupt_is_an_error_response():
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            for name in cluster.names:
+                corrupt_leg_payloads(cluster.worker(name), drop_a_column)
+            with structlog.capture() as events:
+                response = await router.digest(DigestRequest(lam=LAM_S))
+            return response, router.labels, events, router.errors
+
+    response, labels, events, errors = run(go())
+    assert response.status == "error"
+    assert response.result is None
+    assert response.missing_labels == labels
+    assert errors == 1
+    failed = [e for e in events if e["event"] == "cluster.leg_failed"]
+    assert len(failed) > 1
+    assert all(
+        e["reason"].startswith("InvalidInstanceError(") for e in failed
+    )
+
+
+def record_merges(router):
+    """Wrap ``router._merge``; the list collects ``(legs, response)``."""
+    merges = []
+    merge = router._merge
+
+    def recording(request, ctx, started, legs, **kwargs):
+        response = merge(request, ctx, started, legs, **kwargs)
+        merges.append((legs, response))
+        return response
+
+    router._merge = recording
+    return merges
+
+
+def leg_label_sets(legs):
+    """uid -> the label sets its legs carried."""
+    seen = {}
+    for leg in legs:
+        for post in leg["response"].result.instance.posts:
+            seen.setdefault(post.uid, []).append(post.labels)
+    return seen
+
+
+def test_seam_posts_carry_the_union_of_their_legs_labels():
+    async def go():
+        async with day_cluster() as cluster:
+            await cluster.router.ingest(day_documents())
+            merges = record_merges(cluster.router)
+            for request in PARITY_REQUESTS:
+                await cluster.router.digest(request)
+            return merges
+
+    seams = 0
+    for legs, response in run(go()):
+        assert response.status == "ok"
+        instance = response.result.instance
+        for uid, label_sets in leg_label_sets(legs).items():
+            if len(label_sets) > 1:
+                seams += 1
+                assert instance.post(uid).labels == \
+                    frozenset().union(*label_sets)
+        # one label-set object per distinct combination
+        label_sets = [post.labels for post in instance.posts]
+        assert len({id(labels) for labels in label_sets}) == \
+            len(set(label_sets))
+    assert seams > 0
+
+
+def test_legs_disagreeing_on_a_seam_value_is_an_error():
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            merges = record_merges(router)
+            request = DigestRequest(lam=LAM_S)
+            await router.digest(request)
+            (legs, _), = merges
+            seam_uids = {
+                uid for uid, label_sets in leg_label_sets(legs).items()
+                if len(label_sets) > 1
+            }
+            nudged = []
+
+            def nudge_a_seam_value(result):
+                # move one seam post's value up by one ulp, keeping the
+                # leg's rows sorted so that the leg still decodes
+                uids = result["instance"]["uids"]
+                values = result["instance"]["values"]
+                for row, uid in enumerate(uids):
+                    moved = math.nextafter(values[row], math.inf)
+                    if uid in seam_uids and (
+                        row + 1 == len(uids) or values[row + 1] > moved
+                    ):
+                        values[row] = moved
+                        nudged.append(uid)
+                        return
+
+            corrupt_leg_payloads(
+                cluster.worker(legs[0]["node"]), nudge_a_seam_value
+            )
+            response = await router.digest(request)
+            return response, nudged, router.errors
+
+    response, nudged, errors = run(go())
+    assert len(nudged) == 1
+    assert response.status == "error"
+    assert response.result is None
+    assert f"post {nudged[0]}" in response.reason
+    assert errors == 1

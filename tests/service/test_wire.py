@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import json
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.post import Post
 from repro.core.solution import Solution
+from repro.errors import InvalidInstanceError, ReproError
 from repro.pipeline import DigestResult
 from repro.resilience.ladder import DowngradeEvent
 from repro.service import DigestRequest, ServiceResponse
@@ -91,12 +93,133 @@ def test_instance_round_trips_fieldwise(instance):
     assert back.labels == instance.labels
 
 
+def test_instance_encodes_as_columns_over_the_sorted_universe():
+    instance = Instance([
+        Post(7, 2.0, frozenset("ca"), text="two"),
+        Post(3, 1.0, frozenset("b"), text="one"),
+        Post(5, 2.0, frozenset("abc")),
+    ], lam=4.0)
+    assert instance.to_dict() == {
+        "lam": 4.0,
+        "labels": ["a", "b", "c"],
+        "uids": [3, 5, 7],
+        "values": [1.0, 2.0, 2.0],
+        "masks": [0b010, 0b111, 0b101],
+        "texts": ["one", "", "two"],
+    }
+
+
+# -- hostile columnar payloads ---------------------------------------------
+
+ROW_COLUMNS = ("uids", "values", "masks", "texts")
+CORRUPTIONS = (
+    "missing_column", "unequal_lengths", "duplicate_uid", "swapped_rows",
+    "nan_value", "zero_mask", "mask_too_wide", "repeated_label",
+)
+
+
+def corrupt_instance(payload, how, data):
+    """Apply one named corruption to an encoded instance, in place."""
+    rows = len(payload["uids"])
+    row = data.draw(st.integers(min_value=0, max_value=rows - 1))
+    if how == "missing_column":
+        del payload[data.draw(st.sampled_from(sorted(payload)))]
+    elif how == "unequal_lengths":
+        payload[data.draw(st.sampled_from(ROW_COLUMNS))].pop()
+    elif how == "duplicate_uid":
+        other = data.draw(st.integers(min_value=0, max_value=rows - 1)
+                          .filter(lambda index: index != row))
+        payload["uids"][other] = payload["uids"][row]
+    elif how == "swapped_rows":
+        row = min(row, rows - 2)
+        for name in ROW_COLUMNS:
+            column = payload[name]
+            column[row], column[row + 1] = column[row + 1], column[row]
+    elif how == "nan_value":
+        payload["values"][row] = float("nan")
+    elif how == "zero_mask":
+        payload["masks"][row] = 0
+    elif how == "mask_too_wide":
+        payload["masks"][row] = 1 << len(payload["labels"])
+    elif how == "repeated_label":
+        payload["labels"].append(
+            data.draw(st.sampled_from(payload["labels"]))
+        )
+
+
+@settings(max_examples=200)
+@given(instances(), st.sampled_from(CORRUPTIONS), st.data())
+def test_every_single_corruption_is_rejected(instance, how, data):
+    if how in ("duplicate_uid", "swapped_rows"):
+        assume(len(instance.posts) >= 2)
+    payload = hop(instance.to_dict())
+    corrupt_instance(payload, how, data)
+    with pytest.raises(InvalidInstanceError):
+        Instance.from_dict(hop(payload))
+
+
+def test_a_lone_nan_row_is_rejected():
+    # one row has no neighbour whose order check would catch the NaN
+    payload = Instance([Post(1, 1.0, frozenset("a"))], lam=1.0).to_dict()
+    payload["values"][0] = float("nan")
+    with pytest.raises(InvalidInstanceError):
+        Instance.from_dict(hop(payload))
+
+
 @settings(max_examples=50)
-@given(solutions())
-def test_solution_round_trips(solution):
-    back = Solution.from_dict(hop(solution.to_dict()))
-    assert back == solution
-    assert back.elapsed == solution.elapsed  # compare=False, check anyway
+@given(instances(), st.data())
+def test_decoded_cover_posts_are_the_instance_posts(instance, data):
+    picked = data.draw(st.sets(
+        st.integers(min_value=0, max_value=len(instance.posts) - 1)
+    ))
+    cover = tuple(instance.posts[index] for index in sorted(picked))
+    result = DigestResult(
+        solution=Solution("scan+", cover), instance=instance,
+        matched=len(instance.posts), duplicates_dropped=0,
+        unmatched_dropped=0,
+    )
+    payload = hop(result.to_dict())
+    back = DigestResult.from_dict(payload)
+    assert back.solution.posts == cover
+    for post in back.solution.posts:
+        assert post is back.instance.post(post.uid)
+    # one label-set object per distinct mask
+    label_sets = {id(post.labels) for post in back.instance.posts}
+    assert len(label_sets) == len(set(payload["instance"]["masks"]))
+
+
+def _two_post_digest(cover):
+    instance = Instance([
+        Post(1, 1.0, frozenset("a")), Post(2, 2.0, frozenset("ab")),
+    ], lam=1.0)
+    return DigestResult(
+        solution=Solution("scan+", tuple(cover)), instance=instance,
+        matched=2, duplicates_dropped=0, unmatched_dropped=0,
+    )
+
+
+def test_decoder_rejects_a_cover_uid_outside_the_instance():
+    payload = hop(_two_post_digest([]).to_dict())
+    payload["solution"]["uids"] = [2, 99]
+    with pytest.raises(ReproError, match="99"):
+        DigestResult.from_dict(payload)
+
+
+def test_decoder_rejects_a_cover_out_of_order():
+    payload = hop(_two_post_digest([]).to_dict())
+    payload["solution"]["uids"] = [2, 1]
+    with pytest.raises(ReproError):
+        DigestResult.from_dict(payload)
+
+
+@pytest.mark.parametrize("stale", [
+    Post(2, 2.0, frozenset("a")),  # the instance post's labels are ab
+    Post(2, 2.5, frozenset("ab")),
+    Post(9, 2.0, frozenset("ab")),  # no such uid in the instance
+], ids=["labels", "value", "uid"])
+def test_encoder_rejects_a_cover_post_unlike_its_instance_post(stale):
+    with pytest.raises(ReproError):
+        _two_post_digest([stale]).to_dict()
 
 
 @given(posts_st, st.floats(min_value=0.0, max_value=1e6, width=32))
