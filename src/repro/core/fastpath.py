@@ -1,9 +1,9 @@
-"""Vectorised set-cover family construction for GreedySC.
+"""Vectorised set-cover family construction for GreedySC's rescan.
 
-Profiling the day-long workloads (Figure 13) shows GreedySC's cost split
-between two phases: materialising the within-lambda pair family and the
-greedy rounds themselves.  The pure-Python builder pays per-pair tuple
-allocation and hashing; this module replaces it with numpy:
+``greedy_sc(..., strategy="rescan")`` materialises the within-lambda pair
+family before its greedy rounds; the default lazy heap builds no family
+(:mod:`repro.core.greedy_sc`).  The pure-Python builder pays per-pair
+tuple allocation and hashing; this module replaces it with numpy:
 
 * pairs are encoded as flat integers ``post_index * |L| + label_index``
   (int hashing is several times cheaper than tuple hashing, and the
@@ -12,18 +12,19 @@ allocation and hashing; this module replaces it with numpy:
   ``numpy.searchsorted`` calls over the posting values, and the
   (coverer, covered) index pairs from ``repeat``/``arange`` arithmetic —
   no Python-level inner loop;
-* the same ulp-widened-then-exact-filter discipline as everywhere else
-  guards the float boundaries.
+* the searches start from thresholds widened by a rounding margin, and
+  the same exact subtraction the Python builder makes decides each
+  pair at the float boundaries.
 
 The per-label posting arrays come from the columnar snapshot
 (:func:`repro.engine.columnar.snapshot`), built once per instance.
 
 The output is semantically identical to
-:func:`repro.core.greedy_sc.build_setcover_family` (property-tested pick
-for pick through the greedy), so ``greedy_sc(instance, engine="numpy")``
+:func:`repro.core.greedy_sc.build_setcover_family` (property-tested pair
+for pair), so ``greedy_sc(instance, strategy="rescan", engine="numpy")``
 is a drop-in.  The ``ablation_greedy_heap`` benchmark's sibling,
-``benchmarks/test_ablation_engine.py``, times the engines against each
-other.
+``benchmarks/test_ablation_engine.py``, times the builders against each
+other and against the lazy heap.
 """
 
 from __future__ import annotations
@@ -51,15 +52,24 @@ def _label_window_pairs(
     corresponding global post indices (the columnar snapshot's arrays).
     Returns ``(coverer_global, encoded, enumerated)``: for every
     within-lambda ordered pair, the covering post's global index and the
-    covered pair's flat encoding; ``enumerated`` counts the ulp-widened
+    covered pair's flat encoding; ``enumerated`` counts the widened
     candidates inspected before the exact filter.
     """
-    lo = np.searchsorted(values, values - lam, side="left")
-    hi = np.searchsorted(values, values + lam, side="right")
-    # ulp-widened bisect windows; the exact subtraction filter below
-    # is the arbiter (same discipline as the scalar code paths)
-    lo = np.maximum(lo - 1, 0)
-    hi = np.minimum(hi + 1, len(values))
+    # v - lam and v + lam round, and any number of values (one value
+    # repeated, or distinct floats a few ulps apart) can sit between a
+    # rounded threshold and the true boundary, so the search widens by
+    # value, not by index.  A pair the filter keeps lies at most half an
+    # ulp of lam beyond v -+ lam, and the two roundings in
+    # v -+ lam -+ margin move a threshold by at most
+    # 3 * (ulp(|v|) + ulp(lam)), so a margin of 4 * (ulp(|v|) + ulp(lam))
+    # keeps every such pair inside the window.  The exact subtraction
+    # filter below is the arbiter.
+    spacing = np.spacing(np.abs(values))
+    if lam < np.inf:
+        spacing = spacing + np.spacing(lam)
+    margin = 4.0 * spacing
+    lo = np.searchsorted(values, values - lam - margin, side="left")
+    hi = np.searchsorted(values, values + lam + margin, side="right")
 
     counts = hi - lo
     coverer_local = np.repeat(
@@ -140,8 +150,8 @@ def build_family_encoded(
             (offsets * n_labels + label_index).tolist()
         )
     if _obs.enabled():
-        # enumerated counts the ulp-widened windows before the exact
-        # filter — comparable with the scalar builder's enumeration count
+        # enumerated counts the widened windows before the exact filter —
+        # comparable with the scalar builder's enumeration count
         _obs.count("fastpath.family_pairs_enumerated", enumerated)
         _obs.count("fastpath.family_pairs_kept", kept)
         _obs.count("fastpath.universe_size", len(universe))

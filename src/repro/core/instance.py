@@ -51,6 +51,12 @@ class PostingList:
         self._np_values: Optional[np.ndarray] = None
 
     @property
+    def values(self) -> List[float]:
+        """The posting values in list order.  This is the list the range
+        queries search, not a copy: callers must not mutate it."""
+        return self._values
+
+    @property
     def values_array(self) -> np.ndarray:
         """The posting values as a float64 array (built once, cached)."""
         arr = self._np_values

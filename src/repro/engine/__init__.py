@@ -1,13 +1,14 @@
 """Shared machinery beneath :mod:`repro.core`'s serial solvers.
 
 Scan, Scan+ and GreedySC each have one implementation, in
-:mod:`repro.core`; this package holds what the serving paths need around
-them:
+:mod:`repro.core`; this package holds what the solvers and the serving
+paths need around them:
 
 * :mod:`~repro.engine.columnar` — the per-instance posting arrays the
   numpy GreedySC family builder reads (built once, cached weakly);
-* :mod:`~repro.engine.auto` — the pair-count estimate behind GreedySC's
-  ``engine="auto"`` family-builder selection;
+* :mod:`~repro.engine.auto` — the pair-count estimate behind the
+  ``engine="auto"`` family-builder selection of GreedySC's rescan (the
+  default lazy heap builds no family);
 * :mod:`~repro.engine.sharding` — the gap-cut independence argument and
   the verifier-backed :func:`stitch_repair` the cluster router uses;
 * :mod:`~repro.engine.executors` — the ``serial`` / ``thread``

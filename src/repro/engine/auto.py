@@ -1,4 +1,9 @@
-"""The ``engine="auto"`` family-builder selector for GreedySC.
+"""The ``engine="auto"`` family-builder selector for GreedySC's rescan.
+
+Only ``greedy_sc(..., strategy="rescan")`` builds a set-cover family; the
+default lazy heap runs over per-label lambda-windows and never calls
+:func:`choose_engine`.  So this selector serves the figure drivers, the
+ablations and the oracle tests, not the serve paths.
 
 ``BENCH_throughput.json``'s builder ablation shows neither GreedySC
 family builder dominates: on the day-long workload the numpy builder

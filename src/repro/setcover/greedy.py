@@ -16,9 +16,11 @@ Section 7.3 explicitly discusses the choice:
   pin it to reproduce that implementation, and the tests use it as the
   oracle for the heap.
 
-Both pick the same sets in the same order (ties go to the lowest index);
-the ablation benchmark :mod:`benchmarks.test_ablation_greedy_heap` compares
-their speed.
+Both pick the same sets in the same order (ties go to the lowest index).
+GreedySC's rescan materialises its family and calls this function; its
+default lazy heap runs the same heap over per-label lambda-windows instead
+(:mod:`repro.core.greedy_sc`), and the ablation benchmark
+:mod:`benchmarks.test_ablation_greedy_heap` compares the two.
 """
 
 from __future__ import annotations

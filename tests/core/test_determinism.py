@@ -53,7 +53,8 @@ class TestBatchDeterminism:
         baseline = greedy_sc(instance, strategy="rescan").uids
         assert greedy_sc(_build(seed), strategy="lazy_heap").uids \
             == baseline
-        assert greedy_sc(_build(seed), engine="numpy").uids == baseline
+        assert greedy_sc(_build(seed), strategy="rescan",
+                         engine="numpy").uids == baseline
 
 
 class TestStreamingDeterminism:

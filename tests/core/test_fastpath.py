@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from repro.core.fastpath import build_family_encoded, decode_pair
 from repro.core.greedy_sc import build_setcover_family, greedy_sc
 from repro.core.instance import Instance
+from repro.core.post import Post
 
 from ..conftest import small_instances
 
@@ -69,8 +70,8 @@ class TestEngineEquivalence:
     @given(small_instances())
     @settings(deadline=None, max_examples=60)
     def test_engines_pick_identically(self, instance):
-        python = greedy_sc(instance, engine="python")
-        vectorised = greedy_sc(instance, engine="numpy")
+        python = greedy_sc(instance, strategy="rescan", engine="python")
+        vectorised = greedy_sc(instance, strategy="rescan", engine="numpy")
         assert python.uids == vectorised.uids
 
     @pytest.mark.parametrize("seed", range(5))
@@ -84,8 +85,8 @@ class TestEngineEquivalence:
         ]
         instance = Instance.from_specs(specs, lam=0.3)
         assert (
-            greedy_sc(instance, engine="python").uids
-            == greedy_sc(instance, engine="numpy").uids
+            greedy_sc(instance, strategy="rescan", engine="python").uids
+            == greedy_sc(instance, strategy="rescan", engine="numpy").uids
         )
 
 
@@ -111,11 +112,11 @@ def _assert_family_parity(instance):
 
 class TestExactLambdaBoundary:
     """Pairs at distance exactly ``lambda`` — the float-equality edge of
-    the ulp-widened ``searchsorted`` windows.
+    the widened ``searchsorted`` windows.
 
-    ``values ± lam`` computed in float can land one ulp off the true
-    boundary, which is why both builders widen the bisect window and then
-    re-filter with the exact ``abs`` subtraction.  Each case here places
+    ``values ± lam`` computed in float can land off the true boundary,
+    which is why the numpy builder widens its search thresholds and then
+    re-filters with the exact ``abs`` subtraction.  Each case here places
     posts *exactly* lambda apart (including sums that round, like
     ``0.1 + 0.2``) and asserts the two builders produce identical pair
     sets, not merely identical greedy picks.
@@ -178,6 +179,45 @@ class TestExactLambdaBoundary:
         )
         _assert_family_parity(instance)
 
+    @staticmethod
+    def _repeated_value_at_the_boundary():
+        # 376.65160000000003 - 300 rounds to 76.65160000000003, above the
+        # value 76.6516 two posts share, yet post 3 is exactly lambda from
+        # both: a window widened by one index reaches only one of them
+        a = frozenset("a")
+        return Instance([
+            Post(1, 76.6516, a), Post(2, 76.6516, a),
+            Post(3, 376.65160000000003, a), Post(4, 576.6516, a),
+        ], lam=300.0)
+
+    def test_repeated_value_at_the_rounded_boundary(self):
+        instance = self._repeated_value_at_the_boundary()
+        py_family, _ = build_setcover_family(instance)
+        assert {(1, "a"), (2, "a")} <= py_family[2]
+        _assert_family_parity(instance)
+
+    def test_distinct_floats_between_rounded_and_true_boundary(self):
+        # three distinct values one ulp apart, all within lambda of post
+        # 9, sit between 4.166884097822246 - lam and the true boundary
+        a = frozenset("a")
+        instance = Instance([
+            Post(9, 4.166884097822246, a),
+            Post(1, 0.36234328573882985, a),
+            Post(2, 0.3623432857388299, a),
+            Post(3, 0.36234328573882996, a),
+        ], lam=3.804540812083416)
+        py_family, _ = build_setcover_family(instance)
+        assert py_family[3] == {(1, "a"), (2, "a"), (3, "a"), (9, "a")}
+        _assert_family_parity(instance)
+
+    def test_boundary_covers_agree_across_builders(self):
+        instance = self._repeated_value_at_the_boundary()
+        python = greedy_sc(instance, strategy="rescan", engine="python")
+        assert python.uids == (3,)
+        assert greedy_sc(
+            instance, strategy="rescan", engine="numpy"
+        ).uids == python.uids
+
     @pytest.mark.parametrize("lam", [0.3, 0.1 + 0.2, 0.5, 1e-9])
     def test_grid_of_exact_multiples(self, lam):
         # every adjacent pair exactly lam apart, accumulated by addition
@@ -193,6 +233,6 @@ class TestExactLambdaBoundary:
         instance = Instance.from_specs(specs, lam=lam)
         _assert_family_parity(instance)
         assert (
-            greedy_sc(instance, engine="python").uids
-            == greedy_sc(instance, engine="numpy").uids
+            greedy_sc(instance, strategy="rescan", engine="python").uids
+            == greedy_sc(instance, strategy="rescan", engine="numpy").uids
         )

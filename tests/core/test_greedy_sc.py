@@ -3,14 +3,44 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.brute_force import exact_via_setcover
 from repro.core.coverage import is_cover
-from repro.core.greedy_sc import build_setcover_family, greedy_sc
+from repro.core.greedy_sc import _greedy_posts, _label_windows, \
+    build_setcover_family, greedy_sc
 from repro.core.instance import Instance
+from repro.core.post import Post
+from repro.setcover import greedy_set_cover
 
-from ..conftest import small_instances
+from ..conftest import LABELS, small_instances
+
+
+@st.composite
+def boundary_instances(draw):
+    """Instances whose values sit on window edges: anchors ``x``, ``x +
+    lam`` and ``x - lam`` and the floats next to each, with repeats;
+    lambda may be 0, a label may be declared that no post carries, and
+    there may be no posts at all."""
+    lam = draw(st.sampled_from([0.0, 0.3, 0.1 + 0.2, 1.5, 300.0]))
+    anchors = draw(st.lists(
+        st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=3,
+    ))
+    values = []
+    for x in anchors:
+        for edge in (x, x + lam, x - lam):
+            values += [edge, math.nextafter(edge, -math.inf),
+                       math.nextafter(edge, math.inf)]
+    labels = LABELS[:draw(st.integers(min_value=1, max_value=3))]
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(values),
+        st.sets(st.sampled_from(labels), min_size=1),
+    ), max_size=16))
+    posts = [Post(uid, value, frozenset(chosen))
+             for uid, (value, chosen) in enumerate(specs)]
+    declared = labels + draw(st.sampled_from(["", LABELS[-1]]))
+    return Instance(posts, lam, labels=declared)
 
 
 class TestSetCoverFamily:
@@ -45,6 +75,22 @@ class TestSetCoverFamily:
         # the middle post reaches both neighbours; the ends reach only it
         assert family[1] == {(0, "a"), (1, "a"), (2, "a")}
         assert family[0] == {(0, "a"), (1, "a")}
+
+    @given(st.one_of(small_instances(), boundary_instances()))
+    def test_label_windows_are_the_family_sets(self, instance):
+        # the lazy heap's window of a post on a label holds exactly the
+        # posts of that label in the post's family set
+        family, _ = build_setcover_family(instance)
+        index_of = {post.uid: k for k, post in enumerate(instance.posts)}
+        for label in instance.labels:
+            plist = instance.posting(label)
+            windows = _label_windows(plist.values, instance.lam)
+            assert len(windows) == len(plist)
+            for post, (lo, hi) in zip(plist.posts, windows):
+                assert {p.uid for p in plist.posts[lo:hi + 1]} == {
+                    uid for uid, pair_label in family[index_of[post.uid]]
+                    if pair_label == label
+                }
 
     def test_multilabel_post_set(self):
         instance = Instance.from_specs(
@@ -100,8 +146,19 @@ class TestGreedySCProperties:
         optimum = exact_via_setcover(instance).size
         assert greedy_sc(instance).size <= math.ceil(harmonic * optimum)
 
-    @given(small_instances())
+    @given(st.one_of(small_instances(), boundary_instances()))
+    @example(Instance([], lam=1.0))
+    @settings(max_examples=300)
     def test_strategies_agree(self, instance):
+        # pick order, not just the cover: the windowed heap picks what the
+        # heap over the materialised family picks, and so does the rescan
+        family, universe = build_setcover_family(instance)
+        expected = [
+            instance.posts[k] for k in greedy_set_cover(
+                family, universe=universe, strategy="lazy_heap")
+        ]
+        assert _greedy_posts(instance, "lazy_heap", "auto") == expected
+        assert _greedy_posts(instance, "rescan", "auto") == expected
         rescan = greedy_sc(instance, strategy="rescan")
         heap = greedy_sc(instance, strategy="lazy_heap")
         assert rescan.uids == heap.uids

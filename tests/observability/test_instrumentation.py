@@ -16,6 +16,7 @@ from repro.core.post import Post
 from repro.core.scan import order_labels, scan, scan_label, scan_plus
 from repro.core.solution import timed_solution
 from repro.core.streaming import stream_solve
+from repro.experiments.common import make_day_instance
 from repro.index.inverted_index import Document
 from repro.index.query import TopicQuery
 from repro.observability import facade
@@ -190,9 +191,9 @@ class TestFamilyBuilderCounters:
         assert counters["fastpath.universe_size"] == len(universe)
 
     def test_greedy_sc_engines_unaffected_by_observation(self, instance):
-        plain = greedy_sc(instance, engine="numpy")
+        plain = greedy_sc(instance, strategy="rescan", engine="numpy")
         with facade.session():
-            observed = greedy_sc(instance, engine="numpy")
+            observed = greedy_sc(instance, strategy="rescan", engine="numpy")
         assert plain.uids == observed.uids
 
 
@@ -214,6 +215,26 @@ class TestSetCoverCounters:
         counters = bundle.registry.counters()
         assert counters["setcover.lazy_heap.picks"] == len(chosen)
         assert counters["setcover.lazy_heap.pops"] >= len(chosen)
+
+    def test_greedy_sc_heap_counts_what_the_family_heap_counts(self):
+        # the windowed heap pops and revalidates as the heap over the
+        # materialised family does, with one window per (post, label)
+        inst = make_day_instance(
+            seed=20140328, num_labels=5, lam=300.0, scale=0.002,
+        )
+        family, universe = build_setcover_family(inst)
+        with facade.session() as bundle:
+            chosen = greedy_set_cover(
+                family, universe=universe, strategy="lazy_heap")
+            solution = greedy_sc(inst)
+        counters = bundle.registry.counters()
+        assert counters["greedy_sc.heap.picks"] == len(chosen) \
+            == solution.size
+        assert counters["greedy_sc.heap.pops"] == \
+            counters["setcover.lazy_heap.pops"]
+        assert counters["greedy_sc.heap.revalidations"] == \
+            counters["setcover.lazy_heap.revalidations"] > 0
+        assert counters["greedy_sc.windows"] == len(universe)
 
 
 class TestTimedSolutionClock:

@@ -10,6 +10,7 @@ injected stream faults surface as health counters, never as crashes.
 from __future__ import annotations
 
 import asyncio
+import importlib
 import json
 import math
 
@@ -117,10 +118,40 @@ def test_served_cold_digest_runs_the_lazy_heap():
     service.close()
     counters = bundle.registry.counters()
     assert response.status == "ok" and not response.cached
-    assert counters["setcover.lazy_heap.picks"] == \
+    assert counters["greedy_sc.heap.picks"] == \
         response.result.solution.size
-    assert [name for name in counters
-            if name.startswith("setcover.rescan.")] == []
+    # the windowed heap builds no family: no set cover, builder choice,
+    # family builder or numpy builder ran
+    assert [name for name in counters if name.startswith((
+        "setcover.", "engine.auto.", "greedy_sc.family_", "fastpath.",
+    ))] == []
+
+
+def test_served_cold_digest_builds_no_family(monkeypatch):
+    calls = []
+    for module, name in (
+        ("repro.core.greedy_sc", "build_setcover_family"),
+        ("repro.core.fastpath", "build_family_encoded"),
+        ("repro.engine.auto", "choose_engine"),
+    ):
+        owner = importlib.import_module(module)
+
+        def spy(*args, _real=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+    service = make_service()
+    service.ingest(make_docs())
+    response = run(service.digest(DigestRequest(
+        lam=25.0, algorithm="greedy_sc")))
+    service.close()
+    assert response.status == "ok" and not response.cached
+    assert response.result.solution.size > 0
+    assert calls == []
+    # the spies see the rescan, which still builds a family
+    greedy_sc(response.result.instance, strategy="rescan")
+    assert calls[0] == "choose_engine" and len(calls) == 2
 
 
 # -- cold digests read the post store ----------------------------------------
