@@ -13,15 +13,19 @@ Section 6 generalises the threshold to a post/label-specific radius, which
 makes coverage *directional*; both semantics are expressed through the
 :class:`CoverageModel` strategy so that every solver and the verifier share
 one implementation.
+
+Every candidate search here takes its posting-list window from
+:func:`repro.core.instance.window`, which applies the same
+``abs(a - b) <= radius`` test exactly; the rounded ``v +- radius`` only
+starts its search.
 """
 
 from __future__ import annotations
 
-import bisect
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..errors import InvalidCoverError
-from .instance import Instance
+from .instance import Instance, window
 from .post import Post
 
 __all__ = [
@@ -110,21 +114,9 @@ def covered_pairs_by(
     model = _model_for(instance, model)
     pairs: Set[Tuple[int, str]] = set()
     for label in post.labels:
-        radius = model.radius(post, label)
         plist = instance.posting(label)
-        lo, hi = plist.range_indices(
-            post.value - radius, post.value + radius
-        )
-        # Widen by one step per side, then re-check with the verifier's
-        # exact arithmetic: the bisect bounds can both overreach (admit a
-        # boundary float the subtraction rejects) and undershoot (skip a
-        # candidate the subtraction accepts).
-        lo = max(0, lo - 1)
-        hi = min(len(plist), hi + 1)
-        for idx in range(lo, hi):
-            other = plist[idx]
-            if abs(other.value - post.value) <= radius:
-                pairs.add((other.uid, label))
+        lo, hi = window(plist.values, post.value, model.radius(post, label))
+        pairs.update((other.uid, label) for other in plist.posts[lo:hi])
     return pairs
 
 
@@ -154,24 +146,13 @@ def uncovered_pairs(
         entries = by_label.get(label, [])
         values = [value for value, _ in entries]
         for post in plist:
-            left = bisect.bisect_left(values, post.value - max_radius)
-            right = bisect.bisect_right(values, post.value + max_radius)
-            # Widen by one step per side: `post.value - max_radius` can
-            # round up past a candidate whose exact distance is within the
-            # radius (float non-associativity); the abs() check below is
-            # the arbiter, the bisect is only a pre-filter.
-            if left > 0:
-                left -= 1
-            if right < len(values):
-                right += 1
-            hit = False
-            for _, candidate in entries[left:right]:
-                if abs(candidate.value - post.value) <= model.radius(
-                    candidate, label
-                ):
-                    hit = True
-                    break
-            if not hit:
+            # every candidate within its own radius is within max_radius
+            lo, hi = window(values, post.value, max_radius)
+            if not any(
+                abs(candidate.value - post.value)
+                <= model.radius(candidate, label)
+                for _, candidate in entries[lo:hi]
+            ):
                 missing.append((post.uid, label))
     return missing
 

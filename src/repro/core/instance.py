@@ -11,59 +11,67 @@ described in the paper's system architecture (Figure 1).
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterable, List, Mapping, Optional, \
     Sequence, Tuple
-
-import numpy as np
 
 from ..errors import InvalidInstanceError
 from .post import Post, make_posts
 
-__all__ = ["Instance", "PostingList"]
+__all__ = ["Instance", "PostingList", "window"]
 
 # The list-valued keys of the wire format, in the order from_dict unpacks
 # them; every one but "labels" holds one row per post.
 _WIRE_LISTS = ("labels", "uids", "values", "masks", "texts")
 
-# Below this length the numpy searchsorted call overhead exceeds what
-# bisect pays walking the list; above it the vectorised path wins.
-_SEARCHSORTED_MIN = 64
+
+def window(
+    values: Sequence[float], center: float, radius: float
+) -> Tuple[int, int]:
+    """The half-open range ``[lo, hi)`` of ``values`` whose members
+    satisfy ``abs(v - center) <= radius`` — the coverage verifier's test.
+
+    ``values`` is sorted ascending and holds no NaN; ``radius >= 0`` and
+    may be infinite.  The bisects on ``center -+ radius`` only start the
+    search, since those sums round: each edge then steps outward while
+    the subtraction test holds and inward while it fails.  Float
+    subtraction is monotone, so the members form one run and the steps
+    stop at its exact ends.  An empty window has ``lo == hi``.
+    """
+    n = len(values)
+    lo = bisect_left(values, center - radius)
+    while lo > 0 and center - values[lo - 1] <= radius:
+        lo -= 1
+    while lo < n and not center - values[lo] <= radius:
+        lo += 1
+    hi = bisect_right(values, center + radius, lo)
+    while hi < n and values[hi] - center <= radius:
+        hi += 1
+    while hi > lo and not values[hi - 1] - center <= radius:
+        hi -= 1
+    return lo, hi
 
 
 class PostingList:
     """The time-sorted list ``LP(a)`` of posts relevant to one label.
 
-    Provides the two primitives every algorithm needs:
-
-    * ordered iteration (``Scan`` and friends), and
-    * O(log n) range queries for the window ``[value - lam, value + lam]``
-      (the exact DP and the greedy set-cover transform).
+    Iterates its posts in order (``Scan`` and friends) and exposes their
+    sorted :attr:`values`, which :func:`window` and the two-pointer
+    sweeps read for the window ``[value - lam, value + lam]``.
     """
 
-    __slots__ = ("label", "posts", "_values", "_np_values")
+    __slots__ = ("label", "posts", "_values")
 
     def __init__(self, label: str, posts: Sequence[Post]):
         self.label = label
         self.posts: Tuple[Post, ...] = tuple(posts)
         self._values: List[float] = [p.value for p in self.posts]
-        # lazily materialised float64 view for searchsorted range queries
-        self._np_values: Optional[np.ndarray] = None
 
     @property
     def values(self) -> List[float]:
-        """The posting values in list order.  This is the list the range
+        """The posting values in list order.  This is the list the window
         queries search, not a copy: callers must not mutate it."""
         return self._values
-
-    @property
-    def values_array(self) -> np.ndarray:
-        """The posting values as a float64 array (built once, cached)."""
-        arr = self._np_values
-        if arr is None:
-            arr = np.asarray(self._values, dtype=np.float64)
-            self._np_values = arr
-        return arr
 
     def __len__(self) -> int:
         return len(self.posts)
@@ -72,35 +80,6 @@ class PostingList:
         return iter(self.posts)
 
     def __getitem__(self, idx):
-        return self.posts[idx]
-
-    def range(self, lo: float, hi: float) -> Tuple[Post, ...]:
-        """Posts with value in the closed interval ``[lo, hi]``."""
-        left = bisect.bisect_left(self._values, lo)
-        right = bisect.bisect_right(self._values, hi)
-        return self.posts[left:right]
-
-    def range_indices(self, lo: float, hi: float) -> Tuple[int, int]:
-        """Half-open index range of posts with value in ``[lo, hi]``."""
-        if len(self._values) >= _SEARCHSORTED_MIN:
-            arr = self.values_array
-            left = int(np.searchsorted(arr, lo, side="left"))
-            right = int(np.searchsorted(arr, hi, side="right"))
-            return left, right
-        left = bisect.bisect_left(self._values, lo)
-        right = bisect.bisect_right(self._values, hi)
-        return left, right
-
-    def count_in(self, lo: float, hi: float) -> int:
-        """Number of posts with value in ``[lo, hi]``."""
-        left, right = self.range_indices(lo, hi)
-        return right - left
-
-    def first_after(self, value: float) -> Optional[Post]:
-        """The earliest post with value strictly greater than ``value``."""
-        idx = bisect.bisect_right(self._values, value)
-        if idx >= len(self.posts):
-            return None
         return self.posts[idx]
 
 
@@ -128,8 +107,6 @@ class Instance:
         labels: Optional[Iterable[str]] = None,
     ):
         post_list = sorted(posts, key=lambda p: (p.value, p.uid))
-        if lam < 0:
-            raise InvalidInstanceError(f"lambda must be >= 0, got {lam}")
         seen_uids = set()
         for post in post_list:
             if post.uid in seen_uids:
@@ -154,17 +131,27 @@ class Instance:
                     + ", ".join(sorted(missing))
                 )
 
-        self._posts: Tuple[Post, ...] = tuple(post_list)
+        self._build(post_list, lam, universe)
+
+    def _build(
+        self, posts: Sequence[Post], lam: float, labels: frozenset
+    ) -> None:
+        """Set every field from sorted, validated posts; rejects a
+        negative or NaN ``lam`` (``+inf`` is legal)."""
+        if not lam >= 0:
+            raise InvalidInstanceError(f"lambda must be >= 0, got {lam}")
+        self._posts: Tuple[Post, ...] = tuple(posts)
         self._lam = float(lam)
-        self._labels = universe
+        self._labels = labels
         self._by_uid: Dict[int, Post] = {p.uid: p for p in self._posts}
-        self._posting: Dict[str, PostingList] = {}
-        buckets: Dict[str, List[Post]] = {a: [] for a in universe}
+        buckets: Dict[str, List[Post]] = {a: [] for a in labels}
         for post in self._posts:
             for label in post.labels:
                 buckets[label].append(post)
-        for label, bucket in buckets.items():
-            self._posting[label] = PostingList(label, bucket)
+        self._posting: Dict[str, PostingList] = {
+            label: PostingList(label, bucket)
+            for label, bucket in buckets.items()
+        }
 
     # -- basic accessors ---------------------------------------------------
 
@@ -236,20 +223,8 @@ class Instance:
         satisfies all of the above — re-validating on every materialize
         would put an O(n log n) sort on the near-O(1) read path.
         """
-        if lam < 0:
-            raise InvalidInstanceError(f"lambda must be >= 0, got {lam}")
         self = cls.__new__(cls)
-        self._posts = tuple(posts)
-        self._lam = float(lam)
-        self._labels = frozenset(labels)
-        self._by_uid = {p.uid: p for p in self._posts}
-        self._posting = {}
-        buckets: Dict[str, List[Post]] = {a: [] for a in self._labels}
-        for post in self._posts:
-            for label in post.labels:
-                buckets[label].append(post)
-        for label, bucket in buckets.items():
-            self._posting[label] = PostingList(label, bucket)
+        self._build(posts, lam, frozenset(labels))
         return self
 
     @classmethod
@@ -316,8 +291,6 @@ class Instance:
     @classmethod
     def _from_columns(cls, payload: Mapping[str, Any]) -> "Instance":
         lam = float(payload["lam"])
-        if not lam >= 0:
-            raise InvalidInstanceError(f"lambda must be >= 0, got {lam}")
         columns = [payload[name] for name in _WIRE_LISTS]
         if not all(isinstance(column, list) for column in columns):
             raise InvalidInstanceError(

@@ -30,12 +30,11 @@ budget aborts instances that would blow up instead of hanging the caller.
 
 from __future__ import annotations
 
-import bisect
 from itertools import product
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AlgorithmBudgetExceeded
-from .instance import Instance
+from .instance import Instance, window
 from .post import Post
 from .solution import Solution, timed_solution
 
@@ -59,16 +58,13 @@ class _EndPatternDP:
         self.values: List[float] = [float("-inf")]
         self.values.extend(p.value for p in instance.posts)
         self.n = len(instance.posts)
-        # Per label: sorted global indices (and their values) of posts
-        # carrying it, for windowed candidate generation.
+        # Per label: sorted global indices of posts carrying it, aligned
+        # with the label's posting values, for windowed candidate
+        # generation.
         self.label_indices: Dict[str, List[int]] = {a: [] for a in self.labels}
         for idx in range(1, self.n + 1):
             for label in self.posts[idx].labels:
                 self.label_indices[label].append(idx)
-        self.label_values: Dict[str, List[float]] = {
-            a: [self.values[i] for i in idxs]
-            for a, idxs in self.label_indices.items()
-        }
         # label sets as index tuples for the condition-(i) check
         self.label_pos = {a: k for k, a in enumerate(self.labels)}
 
@@ -90,37 +86,17 @@ class _EndPatternDP:
         """
         if j == 0:
             return 0
-        lam = self.instance.lam
-        tj = self.values[j]
-        limit = tj + lam
-        # bisect lands within one ulp of the right boundary; correct it
-        # against the exact subtraction test.
-        idx = bisect.bisect_right(self.values, limit, lo=1,
-                                  hi=self.n + 1) - 1
-        while idx + 1 <= self.n and self.values[idx + 1] - tj <= lam:
-            idx += 1
-        while idx > j and self.values[idx] - tj > lam:
-            idx -= 1
-        return max(idx, j)
+        # P_j is inside its own window, so the window ends at or past j
+        return window(self.values, self.values[j], self.instance.lam)[1] - 1
 
     def _window(self, label: str, j: int) -> List[int]:
-        """Indices of label-carrying posts within ``lambda`` of ``t_j``.
-
-        Filtered with the verifier's exact subtraction test so a boundary
-        float admitted by the bisect bounds cannot yield an invalid cover.
-        """
-        lam = self.instance.lam
-        tj = self.values[j]
-        values = self.label_values[label]
-        lo = bisect.bisect_left(values, tj - lam)
-        hi = bisect.bisect_right(values, tj + lam)
-        lo = max(0, lo - 1)
-        hi = min(len(values), hi + 1)
-        return [
-            idx
-            for idx in self.label_indices[label][lo:hi]
-            if abs(self.values[idx] - tj) <= lam
-        ]
+        """Indices of label-carrying posts within ``lambda`` of ``t_j``,
+        by the verifier's exact subtraction test."""
+        lo, hi = window(
+            self.instance.posting(label).values, self.values[j],
+            self.instance.lam,
+        )
+        return self.label_indices[label][lo:hi]
 
     def solve(self, reconstruct: bool = True):
         """Run the DP.

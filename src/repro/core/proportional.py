@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..setcover import exact_set_cover, greedy_set_cover
 from .coverage import CoverageModel, VariableLambda, covered_pairs_by
-from .instance import Instance
+from .instance import Instance, window
 from .post import Post
 from .solution import Solution, timed_solution
 
@@ -89,9 +89,10 @@ class ProportionalLambda(VariableLambda):
         )
 
     def _compute(self, post: Post, label: str) -> float:
-        plist = self.instance.posting(label)
-        count = plist.count_in(post.value - self.lam0, post.value + self.lam0)
-        local_density = count / (2.0 * self.lam0)
+        lo, hi = window(
+            self.instance.posting(label).values, post.value, self.lam0
+        )
+        local_density = (hi - lo) / (2.0 * self.lam0)
         return self.lam0 * math.exp(1.0 - local_density / self.density0)
 
     def radius_of(self, uid: int, label: str) -> float:
@@ -124,12 +125,10 @@ def _scan_variable_posts(
             target = plist[i]
             # Candidates able to cover the leftmost uncovered post: any
             # label-carrying post whose own radius spans the gap.
-            candidates = plist.range(
-                target.value - upper, target.value + upper
-            )
+            lo, hi = window(plist.values, target.value, upper)
             best: Optional[Post] = None
             best_reach = float("-inf")
-            for candidate in candidates:
+            for candidate in plist.posts[lo:hi]:
                 radius = model.radius(candidate, label)
                 if abs(candidate.value - target.value) > radius:
                     continue

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..observability import facade as _obs
-from .instance import Instance, PostingList
+from .instance import Instance, PostingList, window
 from .post import Post
 from .solution import Solution, timed_solution
 
@@ -137,8 +137,8 @@ def _scan_plus_posts(
     # to strictly-later labels is therefore pick-preserving (asserted by
     # the full-strike reference parity test) and skips the dead work.
     label_rank = {a: rank for rank, a in enumerate(label_order)}
-    # single-cell accumulator: positions examined while striking pairs
-    # (per pick per label — far off the inner loop, so always counted)
+    # single-cell accumulator: positions struck (per pick per label —
+    # far off the inner loop, so always counted)
     strike_window = [0]
 
     def mark(picked: Post, current_rank: int) -> None:
@@ -146,18 +146,11 @@ def _scan_plus_posts(
             rank = label_rank.get(other_label)
             if rank is None or rank <= current_rank:
                 continue
-            plist = instance.posting(other_label)
-            lo, hi = plist.range_indices(
-                picked.value - lam, picked.value + lam
+            lo, hi = window(
+                instance.posting(other_label).values, picked.value, lam
             )
-            lo = max(0, lo - 1)
-            hi = min(len(plist), hi + 1)
             strike_window[0] += hi - lo
-            flags = covered[other_label]
-            for idx in range(lo, hi):
-                # exact re-check: bisect bounds may overreach by one ulp
-                if abs(plist[idx].value - picked.value) <= lam:
-                    flags[idx] = True
+            covered[other_label][lo:hi] = [True] * (hi - lo)
 
     picks: List[Post] = []
     for rank, label in enumerate(label_order):

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..observability import facade as _obs
 from ..stream.events import Emission, StreamingAlgorithm
 from ..stream.runner import StreamResult, run_stream
-from .instance import Instance
+from .instance import Instance, window
 from .post import Post
 
 __all__ = [
@@ -55,17 +55,8 @@ class _SelectedIndex:
             bisect.insort(values, post.value)
 
     def covers(self, label: str, value: float, lam: float) -> bool:
-        values = self._values.get(label)
-        if not values:
-            return False
-        # The abs() re-check keeps this arithmetically identical to the
-        # cover verifier: `v <= value + lam` can hold at boundary floats
-        # where `v - value > lam` does not.
-        idx = max(0, bisect.bisect_left(values, value - lam) - 1)
-        return any(
-            abs(candidate - value) <= lam
-            for candidate in values[idx:idx + 3]
-        )
+        lo, hi = window(self._values.get(label, ()), value, lam)
+        return lo < hi
 
 
 class StreamScan(StreamingAlgorithm):

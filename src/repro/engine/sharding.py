@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from ..core.coverage import uncovered_pairs, verify_cover
-from ..core.instance import Instance
+from ..core.instance import Instance, window
 from ..core.post import Post
 
 __all__ = ["stitch_repair"]
@@ -61,17 +61,8 @@ def _repair_label(
     picks: List[Post] = []
     idx = 0
     while idx < len(targets):
-        value, _uid = targets[idx]
-        lo, hi = plist.range_indices(value, value + lam)
-        lo = max(0, lo - 1)
-        hi = min(len(plist), hi + 1)
-        best = None
-        for j in range(hi - 1, lo - 1, -1):
-            if abs(plist[j].value - value) <= lam:
-                best = plist[j]
-                break
-        if best is None:  # the post itself is in the list; never happens
-            best = instance.post(_uid)
+        # the target itself is in the window, so it is never empty
+        best = plist[window(plist.values, targets[idx][0], lam)[1] - 1]
         picks.append(best)
         while idx < len(targets) and abs(targets[idx][0] - best.value) <= lam:
             idx += 1

@@ -22,8 +22,8 @@ Two pieces:
   in the batch corpus order — the service falls back to a full
   reprojection when that order diverges (ingest after stream).
 * :class:`PostStore` — the projected posts in ``(value, uid)`` order
-  with per-label key indexes, supporting append, window expiry at the
-  old end, ±λ neighborhood queries (for bounded view repair) and O(n)
+  with per-label sorted value indexes, supporting append, window expiry
+  at the old end, ±λ neighborhood queries (for bounded view repair) and O(n)
   relabeled materialization into a trusted
   :meth:`~repro.core.instance.Instance.from_sorted` instance — no
   re-sort, no re-validation on the read path.
@@ -40,7 +40,7 @@ import threading
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, \
     Sequence, Set, Tuple
 
-from ..core.instance import Instance
+from ..core.instance import Instance, window
 from ..core.post import Post
 from ..errors import ReproError
 from ..index.inverted_index import Document
@@ -121,7 +121,8 @@ class PostStore:
         self._lock = threading.RLock()
         self._keys: List[Tuple[float, int]] = []
         self._posts: List[Post] = []
-        self._by_label: Dict[str, List[Tuple[float, int]]] = {}
+        # per label: its posts' sorted values and the posts, index-aligned
+        self._by_label: Dict[str, Tuple[List[float], List[Post]]] = {}
         self._by_uid: Dict[int, Post] = {}
         # values of kept-but-unmatched documents, sorted — expired with
         # the window so views report exact unmatched_dropped counters
@@ -149,7 +150,10 @@ class PostStore:
             self._keys.insert(idx, key)
             self._posts.insert(idx, post)
             for label in post.labels:
-                bisect.insort(self._by_label.setdefault(label, []), key)
+                values, posts = self._by_label.setdefault(label, ([], []))
+                at = bisect.bisect_right(values, post.value)
+                values.insert(at, post.value)
+                posts.insert(at, post)
             self._by_uid[post.uid] = post
             self._note_value(post.value)
             self.version += 1
@@ -202,8 +206,10 @@ class PostStore:
                     del self._by_uid[post.uid]
                     affected |= post.labels
                 for label in affected:
-                    entries = self._by_label[label]
-                    del entries[:bisect.bisect_left(entries, (cutoff, -1))]
+                    values, posts = self._by_label[label]
+                    dead = bisect.bisect_left(values, cutoff)
+                    del values[:dead]
+                    del posts[:dead]
                 self.expired += len(removed)
                 self.version += 1
             dead = bisect.bisect_left(self._unmatched_values, cutoff)
@@ -248,24 +254,15 @@ class PostStore:
         self, label: str, center: float, lam: float
     ) -> List[Post]:
         """Live posts carrying ``label`` with value within ``lam`` of
-        ``center``.  Boundary-widened bisect plus an exact ``abs()``
-        re-check, arithmetically identical to the coverage verifier."""
+        ``center``, by the coverage verifier's exact test, in value
+        order."""
         with self._lock:
-            entries = self._by_label.get(label)
-            if not entries:
+            entry = self._by_label.get(label)
+            if entry is None:
                 return []
-            lo = max(0, bisect.bisect_left(entries, (center - lam,)) - 1)
-            hi = min(
-                len(entries),
-                bisect.bisect_right(
-                    entries, (center + lam, float("inf"))
-                ) + 1,
-            )
-            return [
-                self._by_uid[uid]
-                for value, uid in entries[lo:hi]
-                if abs(value - center) <= lam
-            ]
+            values, posts = entry
+            lo, hi = window(values, center, lam)
+            return posts[lo:hi]
 
     def materialize(
         self,

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.coverage import uncovered_pairs
-from ..core.instance import Instance
+from ..core.instance import Instance, window
 from ..core.post import Post
 from ..core.solution import Solution
 from ..errors import ReproError
@@ -124,9 +124,9 @@ class CoverView:
         self.rebuild_ratio = float(rebuild_ratio)
         self.rebuild_slack = int(rebuild_slack)
         # the maintained cover: uid -> relabeled member, plus per-label
-        # sorted (value, uid) indexes for O(log) coverage probes
+        # sorted member values for O(log) coverage probes
         self._members: Dict[int, Post] = {}
-        self._index: Dict[str, List[Tuple[float, int]]] = {}
+        self._index: Dict[str, List[float]] = {}
         # read memoization: (store.version, mutation count) -> the last
         # materialized answer.  A read against an unchanged store and an
         # unchanged cover is a tuple compare — the near-O(1) hot path.
@@ -149,16 +149,8 @@ class CoverView:
     # -- coverage probes ---------------------------------------------------
 
     def _covered(self, label: str, value: float) -> bool:
-        entries = self._index.get(label)
-        if not entries:
-            return False
-        # boundary-widened bisect + exact abs() re-check, arithmetically
-        # identical to the coverage verifier (see _SelectedIndex)
-        idx = max(0, bisect.bisect_left(entries, (value - self.lam,)) - 1)
-        return any(
-            abs(member_value - value) <= self.lam
-            for member_value, _ in entries[idx:idx + 3]
-        )
+        lo, hi = window(self._index.get(label, ()), value, self.lam)
+        return lo < hi
 
     def _select(self, post: Post) -> Post:
         relevant = post.labels & self.labels
@@ -167,19 +159,18 @@ class CoverView:
             labels=relevant, text=post.text,
         )
         self._members[member.uid] = member
-        key = (member.value, member.uid)
         for label in member.labels:
-            bisect.insort(self._index.setdefault(label, []), key)
+            bisect.insort(self._index.setdefault(label, []), member.value)
         self._mutations += 1
         return member
 
     def _deselect(self, member: Post) -> None:
-        key = (member.value, member.uid)
+        # members may share a value: remove one copy of it
         for label in member.labels:
-            entries = self._index.get(label, [])
-            idx = bisect.bisect_left(entries, key)
-            if idx < len(entries) and entries[idx] == key:
-                del entries[idx]
+            values = self._index.get(label, [])
+            idx = bisect.bisect_left(values, member.value)
+            if idx < len(values) and values[idx] == member.value:
+                del values[idx]
         self._mutations += 1
 
     # -- seeding -----------------------------------------------------------

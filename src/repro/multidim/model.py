@@ -8,10 +8,10 @@ so the 1-D case behaves identically to the paper's formulation.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.instance import window
 from ..errors import InvalidInstanceError
 
 __all__ = ["MultiPost", "BoxCoverage", "MultiInstance"]
@@ -155,20 +155,13 @@ class MultiInstance:
 
     def candidates_near(self, label: str,
                         post: MultiPost) -> List[MultiPost]:
-        """Label-sharing posts within the primary radius of ``post``,
-        ulp-widened like the 1-D windows (the box test is the arbiter)."""
-        values = self._posting_primary[label]
-        plist = self._posting[label]
-        radius = self.coverage.radii[0]
-        lo = bisect.bisect_left(values, post.primary() - radius)
-        hi = bisect.bisect_right(values, post.primary() + radius)
-        lo = max(0, lo - 1)
-        hi = min(len(plist), hi + 1)
-        return [
-            candidate
-            for candidate in plist[lo:hi]
-            if abs(candidate.primary() - post.primary()) <= radius
-        ]
+        """Label-sharing posts within the primary radius of ``post``, by
+        the 1-D windows' exact test (the box test is the arbiter)."""
+        lo, hi = window(
+            self._posting_primary[label], post.primary(),
+            self.coverage.radii[0],
+        )
+        return self._posting[label][lo:hi]
 
     def covered_pairs_by(self, post: MultiPost) -> set:
         """All ``(uid, label)`` pairs selecting ``post`` would box-cover."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 import bisect
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.instance import window
 from ..stream.events import Emission, StreamingAlgorithm
 from .model import BoxCoverage, MultiPost
 
@@ -34,25 +35,22 @@ class _BoxSelectedIndex:
 
     def __init__(self, coverage: BoxCoverage):
         self.coverage = coverage
-        self._entries: Dict[str, List[Tuple[float, MultiPost]]] = {}
+        # per label: the selected posts' sorted primary values and the
+        # posts, index-aligned
+        self._entries: Dict[str, Tuple[List[float], List[MultiPost]]] = {}
 
     def add(self, post: MultiPost) -> None:
         for label in post.labels:
-            entries = self._entries.setdefault(label, [])
-            bisect.insort(entries, (post.primary(), post.uid, post))
+            keys, posts = self._entries.setdefault(label, ([], []))
+            at = bisect.bisect_right(keys, post.primary())
+            keys.insert(at, post.primary())
+            posts.insert(at, post)
 
     def covers(self, label: str, post: MultiPost) -> bool:
-        entries = self._entries.get(label)
-        if not entries:
-            return False
-        radius = self.coverage.radii[0]
-        keys = [entry[0] for entry in entries]
-        lo = max(0, bisect.bisect_left(keys, post.primary() - radius) - 1)
-        hi = min(len(entries),
-                 bisect.bisect_right(keys, post.primary() + radius) + 1)
+        keys, posts = self._entries.get(label, ((), ()))
+        lo, hi = window(keys, post.primary(), self.coverage.radii[0])
         return any(
-            self.coverage.within(entry[2], post)
-            for entry in entries[lo:hi]
+            self.coverage.within(selected, post) for selected in posts[lo:hi]
         )
 
 

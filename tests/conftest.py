@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -85,3 +86,83 @@ def streaming_instances(draw, max_posts: int = 40):
                                     max_value=100.0))
     tau = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 200.0]))
     return instance, tau
+
+
+# ---------------------------------------------------------------------------
+# Window-edge strategies
+# ---------------------------------------------------------------------------
+#
+# The coverage test is ``abs(v - c) <= r``; ``c - r`` and ``c + r`` round,
+# so a window computed from them can miss or admit the floats next to the
+# true edge.  These strategies crowd values onto such edges.
+
+
+def adjacent_floats(x: float, spread: int):
+    """``x`` and the ``spread`` floats on each side of it."""
+    below = above = x
+    out = [x]
+    for _ in range(spread):
+        below = math.nextafter(below, -math.inf)
+        above = math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+@st.composite
+def boundary_instances(
+    draw, min_posts: int = 0, max_posts: int = 16, max_labels: int = 3
+):
+    """Instances whose values sit on window edges: anchors ``x``,
+    ``x + lam``, ``x - lam`` and ``x + 2 lam``, each with 1 to 6 adjacent
+    floats on both sides, with repeats; lambda may be 0, a label may be
+    declared that no post carries, and there may be no posts at all.
+
+    A window goes wrong only where several posts of one label crowd an
+    edge, so ``min_posts`` raises the odds of drawing such an instance
+    (hypothesis keeps lists short otherwise)."""
+    lam = draw(st.sampled_from([0.0, 0.3, 0.1 + 0.2, 1.5, 300.0]))
+    spread = draw(st.integers(min_value=1, max_value=6))
+    anchors = draw(st.lists(
+        st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=3,
+    ))
+    values = []
+    for x in anchors:
+        for edge in (x, x + lam, x - lam, x + 2 * lam):
+            values += adjacent_floats(edge, spread)
+    labels = LABELS[:draw(st.integers(min_value=1, max_value=max_labels))]
+    # a label set is a nonzero bit mask over ``labels``
+    specs = draw(st.lists(st.tuples(
+        st.sampled_from(values),
+        st.integers(min_value=1, max_value=2 ** len(labels) - 1),
+    ), min_size=min_posts, max_size=max_posts))
+    posts = [
+        Post(uid, value, frozenset(
+            label for bit, label in enumerate(labels) if mask >> bit & 1
+        ))
+        for uid, (value, mask) in enumerate(specs)
+    ]
+    declared = labels + draw(st.sampled_from(["", LABELS[-1]]))
+    return Instance(posts, lam, labels=declared)
+
+
+@st.composite
+def sorted_boundary_lists(draw, max_size: int = 30):
+    """``(values, center, radius)``: a sorted float list, with repeats,
+    crowded onto ``center``, ``center - radius`` and ``center + radius``
+    (1 to 6 adjacent floats each).  Magnitudes run from 1e-3 to 1e9 and
+    the radius is 0, finite or infinite."""
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0, 300.0, 1e5, 1e9]))
+    center = scale * draw(st.floats(min_value=-10.0, max_value=10.0))
+    radius = draw(st.one_of(
+        st.just(0.0),
+        st.just(math.inf),
+        st.sampled_from([0.3, 0.1 + 0.2, 1.5, 300.0]),
+        st.floats(min_value=0.0, max_value=10 * scale),
+    ))
+    spread = draw(st.integers(min_value=1, max_value=6))
+    pool = []
+    for edge in (center - radius, center, center + radius):
+        pool += [v for v in adjacent_floats(edge, spread)
+                 if math.isfinite(v)]
+    values = draw(st.lists(st.sampled_from(pool), max_size=max_size))
+    return sorted(values), center, radius

@@ -3,9 +3,13 @@
 Coverage is defined by ``abs(t_i - t_j) <= lambda``; any window computed as
 ``t_i + lambda >= t_j`` (or bisect bounds derived from it) can disagree with
 that at boundary floats — ``0.5 + 0.3 == 0.8`` yet ``0.8 - 0.5 > 0.3``, and
-``0.8 - 0.3 == 0.5`` yet ``0.8 - 0.5 > 0.3``.  These tests pin concrete
-instances where each solver originally produced a non-cover (or the verifier
-a false negative) before the arithmetic was unified.
+``0.8 - 0.3 == 0.5`` yet ``0.8 - 0.5 > 0.3``.  Widening such a bisect by
+one slot per side is not enough either: an edge value may repeat, and
+several floats may sit between the rounded ``t_i +- lambda`` and the true
+edge.  These tests pin concrete instances where a solver produced a
+non-cover, a non-optimal or non-reference answer, or the verifier a false
+negative, before every within-lambda lookup went through the one exact
+:func:`repro.core.instance.window`.
 """
 
 import random
@@ -13,7 +17,8 @@ import random
 import pytest
 
 from repro.core.brute_force import brute_force, exact_via_setcover
-from repro.core.coverage import is_cover, uncovered_pairs
+from repro.core.coverage import covered_pairs_by, is_cover, \
+    uncovered_pairs
 from repro.core.greedy_sc import greedy_sc
 from repro.core.instance import Instance
 from repro.core.opt import opt
@@ -70,6 +75,45 @@ class TestPinnedRegressions:
         )
         result = stream_solve("instant", instance, tau=0.3)
         assert is_cover(instance, result.to_solution().posts)
+
+    def test_scan_plus_strikes_every_post_within_lambda(self):
+        """Posts 7, 9 and 10 of label c lie within 300 of post 5, above
+        the rounded 149.223566541692 + 300.  A strike from that edge
+        widened by one slot reached only post 7, and Scan+ picked post
+        10 as well."""
+        instance = Instance.from_specs([
+            (-150.77643345830802, "a"), (-150.77643345830796, "b"),
+            (449.223566541692, "bc"), (449.2235665416919, "b"),
+            (449.22356654169204, "a"), (149.223566541692, "abc"),
+            (449.2235665416919, "c"), (449.22356654169204, "abc"),
+            (149.22356654169195, "b"), (449.22356654169204, "ac"),
+            (449.22356654169204, "ac"),
+        ], lam=300.0)
+        solution = scan_plus(instance)
+        assert solution.uids == (5,)
+        assert is_cover(instance, solution.posts)
+
+    def test_covered_pairs_at_a_repeated_edge_value(self):
+        """376.65160000000003 - 76.6516 == 300.0: post 3 covers both
+        posts at 76.6516, not only the one the widened bisect reached."""
+        instance = _instance([
+            (1, 76.6516, "a"), (2, 76.6516, "a"),
+            (3, 376.65160000000003, "a"), (4, 576.6516, "a"),
+        ], lam=300.0)
+        assert covered_pairs_by(instance, instance.post(3)) == {
+            (1, "a"), (2, "a"), (3, "a"), (4, "a"),
+        }
+
+    def test_opt_is_optimal_at_a_repeated_edge_value(self):
+        """Posts 1 and 4 share a value; the widened bisect offered only
+        one of them to the DP's windows, and OPT returned 3 posts."""
+        instance = _instance([
+            (0, -494.62755948918726, "ac"), (3, -494.6275594891872, "c"),
+            (1, -194.62755948918723, "ab"), (4, -194.62755948918723, "ac"),
+            (2, 105.37244051081272, "ac"),
+        ], lam=300.0)
+        for solver in (opt, brute_force, exact_via_setcover):
+            assert set(solver(instance).uids) == {1, 4}, solver
 
     def test_opt_frontier_survives_old_new_boundary(self):
         """f(j) computed additively can strand a post between 'old' and

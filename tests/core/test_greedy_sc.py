@@ -11,36 +11,9 @@ from repro.core.coverage import is_cover
 from repro.core.greedy_sc import _greedy_posts, _label_windows, \
     build_setcover_family, greedy_sc
 from repro.core.instance import Instance
-from repro.core.post import Post
 from repro.setcover import greedy_set_cover
 
-from ..conftest import LABELS, small_instances
-
-
-@st.composite
-def boundary_instances(draw):
-    """Instances whose values sit on window edges: anchors ``x``, ``x +
-    lam`` and ``x - lam`` and the floats next to each, with repeats;
-    lambda may be 0, a label may be declared that no post carries, and
-    there may be no posts at all."""
-    lam = draw(st.sampled_from([0.0, 0.3, 0.1 + 0.2, 1.5, 300.0]))
-    anchors = draw(st.lists(
-        st.floats(min_value=0.0, max_value=50.0), min_size=1, max_size=3,
-    ))
-    values = []
-    for x in anchors:
-        for edge in (x, x + lam, x - lam):
-            values += [edge, math.nextafter(edge, -math.inf),
-                       math.nextafter(edge, math.inf)]
-    labels = LABELS[:draw(st.integers(min_value=1, max_value=3))]
-    specs = draw(st.lists(st.tuples(
-        st.sampled_from(values),
-        st.sets(st.sampled_from(labels), min_size=1),
-    ), max_size=16))
-    posts = [Post(uid, value, frozenset(chosen))
-             for uid, (value, chosen) in enumerate(specs)]
-    declared = labels + draw(st.sampled_from(["", LABELS[-1]]))
-    return Instance(posts, lam, labels=declared)
+from ..conftest import boundary_instances, small_instances
 
 
 class TestSetCoverFamily:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.instance import Instance
+from repro.core.instance import Instance, window
 from repro.core.post import Post, make_posts
 from repro.errors import InvalidInstanceError
 
@@ -29,6 +29,42 @@ class TestInstanceConstruction:
     def test_zero_lambda_allowed(self):
         instance = Instance.from_specs([(1.0, "a")], lam=0.0)
         assert instance.lam == 0.0
+
+    def test_infinite_lambda_allowed(self):
+        instance = Instance.from_specs([(1.0, "a")], lam=float("inf"))
+        assert instance.lam == float("inf")
+        assert Instance.from_sorted(instance.posts, float("inf"), "a") \
+            .lam == float("inf")
+
+    # a NaN lambda fails every `<=` test: the solvers returned every
+    # post, and no set of posts passes the verifier
+    NAN = float("nan")
+
+    def test_nan_lambda_rejected_by_the_constructor(self):
+        posts = [Post(uid=0, value=1.0, labels=frozenset("a"))]
+        with pytest.raises(InvalidInstanceError):
+            Instance(posts, lam=self.NAN)
+
+    def test_nan_lambda_rejected_by_from_specs(self):
+        with pytest.raises(InvalidInstanceError):
+            Instance.from_specs(
+                [(0.0, "a"), (1.0, "a"), (2.0, "a")], lam=self.NAN
+            )
+
+    def test_nan_lambda_rejected_by_from_sorted(self):
+        instance = Instance.from_specs([(0.0, "a"), (1.0, "a")], lam=1.0)
+        with pytest.raises(InvalidInstanceError):
+            Instance.from_sorted(instance.posts, self.NAN, "a")
+
+    def test_nan_lambda_rejected_by_with_lam(self):
+        instance = Instance.from_specs([(0.0, "a"), (1.0, "a")], lam=1.0)
+        with pytest.raises(InvalidInstanceError):
+            instance.with_lam(self.NAN)
+
+    def test_negative_lambda_rejected_by_from_sorted(self):
+        instance = Instance.from_specs([(0.0, "a")], lam=1.0)
+        with pytest.raises(InvalidInstanceError):
+            Instance.from_sorted(instance.posts, -1.0, "a")
 
     def test_duplicate_uids_rejected(self):
         posts = [
@@ -73,30 +109,34 @@ class TestPostingLists:
         assert [p.value for p in instance.posting("a")] == [1.0, 2.0]
         assert [p.value for p in instance.posting("b")] == [2.0, 3.0]
 
-    def test_range_query_closed_bounds(self):
+    def test_window_closed_bounds(self):
         instance = Instance.from_specs(
             [(1.0, "a"), (2.0, "a"), (3.0, "a")], lam=1.0
         )
-        hits = instance.posting("a").range(1.0, 2.0)
-        assert [p.value for p in hits] == [1.0, 2.0]
+        plist = instance.posting("a")
+        lo, hi = window(plist.values, 1.5, 0.5)
+        assert [p.value for p in plist.posts[lo:hi]] == [1.0, 2.0]
 
-    def test_range_query_empty(self):
+    def test_window_empty(self):
         instance = Instance.from_specs([(1.0, "a")], lam=1.0)
-        assert instance.posting("a").range(5.0, 9.0) == ()
+        assert window(instance.posting("a").values, 7.0, 2.0) == (1, 1)
 
-    def test_count_in(self):
+    def test_window_count(self):
         instance = Instance.from_specs(
             [(float(v), "a") for v in range(10)], lam=1.0
         )
-        assert instance.posting("a").count_in(2.0, 5.0) == 4
+        lo, hi = window(instance.posting("a").values, 3.5, 1.5)
+        assert hi - lo == 4
 
-    def test_first_after(self):
+    def test_window_at_radius_zero_holds_the_equal_values(self):
         instance = Instance.from_specs(
             [(1.0, "a"), (3.0, "a")], lam=1.0
         )
         plist = instance.posting("a")
-        assert plist.first_after(1.0).value == 3.0
-        assert plist.first_after(3.0) is None
+        lo, hi = window(plist.values, 1.0, 0.0)
+        assert (lo, hi) == (0, 1)
+        assert plist[hi].value == 3.0
+        assert window(plist.values, 3.0, 0.0) == (1, 2)
 
     def test_posting_lists_mapping(self):
         instance = Instance.from_specs([(1.0, "ab")], lam=1.0)

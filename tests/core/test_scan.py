@@ -34,15 +34,9 @@ def scan_plus_full_strike_reference(
 
     def mark(picked: Post) -> None:
         for other_label in picked.labels:
-            plist = instance.posting(other_label)
-            lo, hi = plist.range_indices(
-                picked.value - lam, picked.value + lam
-            )
-            lo = max(0, lo - 1)
-            hi = min(len(plist), hi + 1)
             flags = covered[other_label]
-            for idx in range(lo, hi):
-                if abs(plist[idx].value - picked.value) <= lam:
+            for idx, post in enumerate(instance.posting(other_label)):
+                if abs(post.value - picked.value) <= lam:
                     flags[idx] = True
 
     picks: List[Post] = []

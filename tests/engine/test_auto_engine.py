@@ -34,7 +34,7 @@ def exact_pairs(instance: Instance) -> int:
     ``searchsorted`` calls, for instances too large for O(n^2)."""
     total = 0
     for label in instance.labels:
-        values = instance.posting(label).values_array
+        values = np.asarray(instance.posting(label).values)
         hi = np.searchsorted(values, values + instance.lam, side="right")
         lo = np.searchsorted(values, values - instance.lam, side="left")
         total += int((hi - lo).sum())

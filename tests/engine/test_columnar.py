@@ -86,12 +86,12 @@ class TestColumnarInstance:
 
     @given(engine_instances())
     def test_property_agrees_with_posting_list_arrays(self, inst):
-        # the probe and numpy builder read the snapshot; range queries
-        # read PostingList.values_array — both views must be one data
+        # the probe and numpy builder read the snapshot; window queries
+        # read PostingList.values — both views must be one data
         snap = ColumnarInstance(inst)
         for label in inst.labels:
             assert np.array_equal(snap.posting_values[label],
-                                  inst.posting(label).values_array)
+                                  inst.posting(label).values)
 
     def test_declared_empty_label_has_empty_arrays(self):
         inst = Instance(

@@ -183,6 +183,31 @@ class TestStoreInvariants:
         assert [p.uid for p in near] == [2, 3, 4]
         assert store.posts_near("nba", 20.0, 10.0) == []
 
+    @staticmethod
+    def _near(values, center, lam=300.0):
+        store = PostStore()
+        for uid, value in enumerate(values):
+            store.add(Post(uid=uid, value=value,
+                           labels=frozenset({"golf"}), text=""))
+        return [p.uid for p in store.posts_near("golf", center, lam)]
+
+    def test_posts_near_keeps_two_floats_below_the_rounded_edge(self):
+        # both lie exactly 300 from the center, below the rounded
+        # 184.6603 - 300 == -115.3397; a bisect widened by one slot
+        # kept only the second
+        assert self._near(
+            [-115.33970000000002, -115.33970000000001], 184.6603
+        ) == [0, 1]
+
+    def test_posts_near_keeps_three_floats_below_the_rounded_edge(self):
+        # all three lie within 300 of the center, below the rounded
+        # 304.1451 - 300 == 4.1451000000000136; a bisect widened by one
+        # slot kept only the last
+        assert self._near(
+            [4.145100000000011, 4.145100000000012, 4.145100000000013],
+            304.1451,
+        ) == [0, 1, 2]
+
 
 class TestExpiry:
     def test_expire_drops_old_posts_and_unmatched(self):
