@@ -77,7 +77,6 @@ def make_queries():
 
 def build_service(**overrides):
     overrides.setdefault("dedup_distance", None)
-    overrides.setdefault("executor", "thread")
     return DiversificationService(
         make_queries(), ServiceConfig(**overrides)
     )

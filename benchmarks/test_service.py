@@ -58,7 +58,7 @@ LABEL_SETS = [
 def build_service() -> DiversificationService:
     service = DiversificationService(
         TOPICS,
-        ServiceConfig(dedup_distance=None, executor="thread"),
+        ServiceConfig(dedup_distance=None),
     )
     texts = ("golf putt", "nba dunk", "cpu kernel", "film cinema")
     service.ingest(

@@ -62,8 +62,7 @@ def main() -> None:
     with observability.session() as bundle:
         service = DiversificationService(
             TOPICS,
-            ServiceConfig(dedup_distance=None, coalesce_window=0.02,
-                          audit_sample=1.0),
+            ServiceConfig(dedup_distance=None, audit_sample=1.0),
         )
         service.ingest(make_docs())
         cold, hit, (a, b) = asyncio.run(serve(service))

@@ -32,6 +32,10 @@ import heapq
 from bisect import bisect_left, bisect_right
 from typing import Dict, List, Set, Tuple
 
+# Imported with the module, not on the first rescan: the engine package
+# loads numpy, and a lazy import would charge that to the first timed
+# solve.  Called through the module so a patched ``choose_engine`` is seen.
+from ..engine import auto as _auto
 from ..observability import facade as _obs
 from ..setcover import greedy_set_cover
 from .instance import Instance
@@ -181,9 +185,7 @@ def _greedy_posts(
         chosen = _windowed_lazy_heap(instance)
     elif strategy == "rescan":
         if engine == "auto":
-            from ..engine.auto import choose_engine
-
-            engine = choose_engine(instance)
+            engine = _auto.choose_engine(instance)
         if engine == "numpy":
             from .fastpath import build_family_encoded
 

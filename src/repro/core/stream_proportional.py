@@ -123,9 +123,10 @@ class StreamScanProportional(StreamingAlgorithm):
         density0: Optional[float] = None,
         decay: Optional[float] = None,
     ):
-        if lam0 <= 0:
+        # `not >` / `not >=` refuse NaN too, on which a stream never drains
+        if not lam0 > 0:
             raise ValueError(f"lam0 must be positive, got {lam0}")
-        if tau < 0:
+        if not tau >= 0:
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.labels = sorted(labels)
         self.lam0 = float(lam0)

@@ -66,7 +66,8 @@ class StreamScan(StreamingAlgorithm):
     propagate = False
 
     def __init__(self, labels, lam: float, tau: float):
-        if lam < 0 or tau < 0:
+        # `not >=` refuses NaN too, on which a stream never drains
+        if not (lam >= 0 and tau >= 0):
             raise ValueError("lambda and tau must be non-negative")
         self.labels = sorted(labels)
         self.lam = float(lam)
@@ -176,7 +177,9 @@ class InstantCover(StreamingAlgorithm):
     name = "instant"
 
     def __init__(self, labels, lam: float, window: Optional[float] = None):
-        if window is not None and window < lam:
+        if not lam >= 0:  # refuses NaN too
+            raise ValueError(f"lambda must be >= 0, got {lam}")
+        if window is not None and not window >= lam:
             raise ValueError(
                 "window must be >= lambda: an entry younger than lambda "
                 f"can still cover arrivals (window={window}, lam={lam})"
@@ -228,7 +231,8 @@ class StreamGreedySC(StreamingAlgorithm):
     stop_at_oldest = False
 
     def __init__(self, labels, lam: float, tau: float):
-        if lam < 0 or tau < 0:
+        # `not >=` refuses NaN too, on which a stream never drains
+        if not (lam >= 0 and tau >= 0):
             raise ValueError("lambda and tau must be non-negative")
         self.labels = set(labels)
         self.lam = float(lam)

@@ -10,9 +10,7 @@ paths need around them:
   ``engine="auto"`` family-builder selection of GreedySC's rescan (the
   default lazy heap builds no family);
 * :mod:`~repro.engine.sharding` — the gap-cut independence argument and
-  the verifier-backed :func:`stitch_repair` the cluster router uses;
-* :mod:`~repro.engine.executors` — the ``serial`` / ``thread``
-  executors the service batches solves onto.
+  the verifier-backed :func:`stitch_repair` the cluster router uses.
 
 ``docs/performance.md`` gives the measurements behind running each
 solver serially.
@@ -20,13 +18,6 @@ solver serially.
 
 from .auto import AUTO_PAIR_THRESHOLD, choose_engine, estimate_pair_count
 from .columnar import ColumnarInstance, snapshot
-from .executors import (
-    SerialExecutor,
-    ShardExecutor,
-    ThreadExecutor,
-    default_workers,
-    get_executor,
-)
 from .sharding import stitch_repair
 
 __all__ = [
@@ -35,12 +26,6 @@ __all__ = [
     "snapshot",
     # seam repair
     "stitch_repair",
-    # executors
-    "ShardExecutor",
-    "SerialExecutor",
-    "ThreadExecutor",
-    "get_executor",
-    "default_workers",
     # auto engine selection
     "AUTO_PAIR_THRESHOLD",
     "estimate_pair_count",

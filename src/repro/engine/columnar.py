@@ -6,10 +6,11 @@ per-label posting lists as *index arrays* into it.  Building those from
 the object model costs one pass over the posts.
 
 A :class:`ColumnarInstance` materialises them **once per instance** and is
-cached in a :class:`weakref.WeakKeyDictionary` (behind a lock — the
-service's thread executor hits ``snapshot`` concurrently), so repeated
-solves of one instance share the same arrays; the cache dies with the
-instance.
+cached in a :class:`weakref.WeakKeyDictionary` (behind a lock, so callers
+on several threads share one snapshot), so repeated solves of one
+instance share the same arrays; the cache dies with the instance.  Its
+only caller is GreedySC's paper-faithful rescan, which no served path
+runs.
 """
 
 from __future__ import annotations
@@ -71,8 +72,7 @@ class ColumnarInstance:
         return len(self.values)
 
 
-# The snapshot cache is hit concurrently by thread executors (every
-# worker that touches the same instance calls ``snapshot``); the lock
+# Rescans of one instance may run on several threads at once; the lock
 # makes build-and-insert atomic so one instance gets exactly one
 # snapshot, never racing duplicates.
 _CACHE: "weakref.WeakKeyDictionary[Instance, ColumnarInstance]" = (

@@ -106,7 +106,7 @@ class CoverView:
         rebuild_ratio: float = 3.0,
         rebuild_slack: int = 8,
     ):
-        if lam < 0:
+        if not lam >= 0:  # refuses NaN too, as the Instance constructors do
             raise ReproError(f"lambda must be >= 0, got {lam}")
         if rebuild_ratio < 1.0:
             raise ReproError(

@@ -49,7 +49,7 @@ class BoxCoverage:
     def __init__(self, radii: Sequence[float]):
         if not radii:
             raise InvalidInstanceError("need at least one dimension")
-        if any(r < 0 for r in radii):
+        if not all(r >= 0 for r in radii):  # refuses NaN too
             raise InvalidInstanceError(f"radii must be >= 0, got {radii}")
         self.radii: Tuple[float, ...] = tuple(float(r) for r in radii)
 

@@ -86,7 +86,7 @@ class StreamGreedyBox(StreamingAlgorithm):
     name = "stream_greedy_box"
 
     def __init__(self, labels, radii: Sequence[float], tau: float):
-        if tau < 0:
+        if not tau >= 0:  # refuses NaN too, on which a stream never drains
             raise ValueError(f"tau must be >= 0, got {tau}")
         self.labels = set(labels)
         self.coverage = BoxCoverage(radii)

@@ -10,7 +10,7 @@ Request-scoped tracing (PR 5) adds three ideas on top of plain nesting:
 * a :class:`TraceContext` — ``(trace_id, span_id, tenant)`` — names one
   request's trace and the span new work should hang under.  Contexts are
   explicit values, so they can cross executor boundaries (thread pools,
-  micro-batch closures, cluster frames) that implicit stacks cannot;
+  solve-job closures, cluster frames) that implicit stacks cannot;
 * :meth:`Tracer.activate` installs a context as the *remote parent* for
   spans opened where no local span is open — this is how a solver job
   running on a pool thread parents its spans into the request that

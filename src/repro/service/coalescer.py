@@ -1,9 +1,10 @@
-"""Request coalescing and solver micro-batching.
+"""Request coalescing and the solve's hop off the event loop.
 
 Digest traffic is heavily duplicated: a popular ``(labels, lambda,
 algorithm, dimension)`` combination is requested by thousands of sessions
 against the same corpus epoch, and solver determinism makes every one of
-those runs byte-identical.  Two cooperating pieces exploit that:
+those runs byte-identical.  Two pieces sit between a cold request and its
+solve:
 
 * :class:`RequestCoalescer` — single-flight deduplication.  The first
   request for a key becomes the *leader* and actually computes; every
@@ -13,40 +14,22 @@ those runs byte-identical.  Two cooperating pieces exploit that:
   ``service.coalesced`` counter is the proof the acceptance tests
   assert on).
 
-* :class:`MicroBatcher` — cross-key batching.  *Distinct* keys arriving
-  within ``window`` seconds are collected (up to ``max_batch``) and
-  dispatched as one task list onto a :mod:`repro.engine` shard executor,
-  so a thread executor runs the batch's solves in parallel instead of
-  serially waking per request.  The batch window doubles as the
-  coalescing window: while the leader sits in a filling batch, identical
-  requests keep landing on its future.
+* :class:`MicroBatcher` — the leader's one thread hop.  Its :meth:`run`
+  hands the synchronous solve to the event loop's default executor, so
+  the loop keeps serving cache hits, view reads and followers while a
+  solve is in flight.
 
 Both are asyncio-native: they must be used from a running event loop.
-The executor contract is the narrow :class:`~repro.engine.executors
-.ShardExecutor` one; the batcher ships live closures (digests close over
-matchers and documents), which the ``serial`` and ``thread`` executors
-run in-process.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, \
-    Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, Hashable, Tuple
 
-from ..engine.executors import ShardExecutor
 from ..observability import facade as _obs
 
 __all__ = ["RequestCoalescer", "MicroBatcher"]
-
-
-def _call_guarded(job: Callable[[], Any]) -> Tuple[bool, Any]:
-    """Run one batched job, capturing its exception instead of letting it
-    poison the whole executor batch."""
-    try:
-        return True, job()
-    except BaseException as error:  # noqa: BLE001 - refanned per future
-        return False, error
 
 
 class RequestCoalescer:
@@ -96,94 +79,16 @@ class RequestCoalescer:
 
 
 class MicroBatcher:
-    """Collect jobs for ``window`` seconds, then run them as one batch on
-    a shard executor.
+    """Run one synchronous job off the event loop.
 
-    Parameters
-    ----------
-    executor:
-        A :class:`~repro.engine.executors.ShardExecutor` (``serial`` or
-        ``thread``).
-    window:
-        Seconds to hold the first job while the batch fills.  ``0``
-        flushes on the next event-loop tick — still enough to batch
-        requests submitted in the same tick, without adding latency.
-    max_batch:
-        Flush immediately once this many jobs are pending.
+    It no longer batches.  Scan, Scan+ and GreedySC are pure Python and
+    hold the GIL, so a batch never ran two solves in parallel, and a
+    client that awaits one digest at a time only ever filled it with one
+    job (``docs/performance.md``, "The solve hop").  The name stays
+    because ``digestbench/layers.py`` wraps ``MicroBatcher.run`` by name.
     """
 
-    def __init__(
-        self,
-        executor: ShardExecutor,
-        window: float = 0.0,
-        max_batch: int = 8,
-    ):
-        if window < 0:
-            raise ValueError(f"window must be >= 0, got {window}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.executor = executor
-        self.window = window
-        self.max_batch = max_batch
-        self._pending: List[Tuple[Callable[[], Any], "asyncio.Future"]] = []
-        self._timer: Optional["asyncio.TimerHandle"] = None
-        self.batches = 0
-        self.jobs = 0
-
     async def run(self, job: Callable[[], Any]) -> Any:
-        """Schedule ``job`` into the current batch; await its result."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future" = loop.create_future()
-        self._pending.append((job, future))
-        self.jobs += 1
-        if len(self._pending) >= self.max_batch:
-            self._flush(loop)
-        elif len(self._pending) == 1:
-            if self.window > 0:
-                self._timer = loop.call_later(
-                    self.window, self._flush, loop
-                )
-            else:
-                loop.call_soon(self._flush, loop)
-        return await future
-
-    def _flush(self, loop: "asyncio.AbstractEventLoop") -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if not self._pending:
-            return
-        batch, self._pending = self._pending, []
-        self.batches += 1
-        if _obs.enabled():
-            _obs.count("service.batches")
-            _obs.observe("service.batch_size", len(batch))
-        asyncio.ensure_future(self._execute(loop, batch))
-
-    async def _execute(
-        self,
-        loop: "asyncio.AbstractEventLoop",
-        batch: List[Tuple[Callable[[], Any], "asyncio.Future"]],
-    ) -> None:
-        jobs = [job for job, _ in batch]
-        try:
-            outcomes = await loop.run_in_executor(
-                None,
-                self.executor.run,
-                _call_guarded,
-                [(job,) for job in jobs],
-            )
-        except BaseException as error:  # executor itself failed
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(error)
-                    future.exception()
-            return
-        for (_, future), (ok, value) in zip(batch, outcomes):
-            if future.done():
-                continue
-            if ok:
-                future.set_result(value)
-            else:
-                future.set_exception(value)
-                future.exception()
+        """Run ``job`` on the loop's default executor and await it; a
+        failing job raises to this awaiter only."""
+        return await asyncio.get_running_loop().run_in_executor(None, job)

@@ -7,10 +7,11 @@ summaries — implemented over the existing stack end to end:
 
 * **digest requests** flow through admission control
   (:mod:`~repro.service.admission`), the epoch-keyed result cache
-  (:mod:`~repro.service.cache`), single-flight coalescing and solver
-  micro-batching (:mod:`~repro.service.coalescer`) onto the solvers on
-  a :mod:`repro.engine` executor, over instances materialized from the
-  post store (:class:`~repro.incremental.PostStore`) ingest maintains;
+  (:mod:`~repro.service.cache`) and single-flight coalescing
+  (:mod:`~repro.service.coalescer`); a cold solve takes one hop to the
+  event loop's default executor and runs the :mod:`repro.core` solver
+  over an instance materialized from the post store
+  (:class:`~repro.incremental.PostStore`) ingest maintains;
 * **stream traffic** feeds one supervised pipeline
   (:class:`~repro.resilience.supervisor.StreamSupervisor` underneath),
   so hostile arrivals are quarantined or repaired rather than crashing
@@ -48,7 +49,6 @@ from ..errors import ReproError, ServiceOverloadError
 from ..incremental import DocumentProjector, PostStore, ViewRegistry
 from ..index.inverted_index import Document
 from ..index.query import TopicQuery
-from ..engine.executors import get_executor
 from ..observability import facade as _obs
 from ..observability import structlog
 from ..observability.collector import ScrapeLedger
@@ -89,8 +89,9 @@ class ServiceConfig:
     """Tuning knobs for one :class:`DiversificationService`.
 
     See ``docs/serving.md`` for the tuning guide.  The defaults are
-    conservative: coalescing on (zero-window, i.e. same-tick), cache on,
-    rate limiting off, watermarks sized for a single-process deployment.
+    conservative: cache on, rate limiting off, watermarks sized for a
+    single-process deployment.  Coalescing has no knob: identical
+    requests always share an in-flight solve.
     """
 
     # solving
@@ -98,11 +99,6 @@ class ServiceConfig:
     dimension: str = "time"
     dedup_distance: Optional[int] = 3
     degrade_ladder: Tuple[str, ...] = DEFAULT_DEGRADE_LADDER
-    executor: str = "thread"
-    workers: Optional[int] = None
-    # batching / coalescing
-    coalesce_window: float = 0.0
-    max_batch: int = 8
     # cache
     cache_capacity: int = 256
     cache_ttl: Optional[float] = None
@@ -171,11 +167,13 @@ class ServiceConfig:
             raise ReproError(
                 f"unknown streaming algorithm {self.stream_algorithm!r}"
             )
-        if self.executor not in ("serial", "thread"):
+        # `not >=` refuses NaN too, on which a stream never drains
+        if not self.stream_lam >= 0:
             raise ReproError(
-                "the service batches live closures; executor must be "
-                f"'serial' or 'thread', got {self.executor!r}"
+                f"stream_lam must be >= 0, got {self.stream_lam}"
             )
+        if not self.tau >= 0:
+            raise ReproError(f"tau must be >= 0, got {self.tau}")
         if not 0.0 <= self.audit_sample <= 1.0:
             raise ReproError(
                 f"audit_sample must be in [0, 1], got {self.audit_sample}"
@@ -448,18 +446,7 @@ class DiversificationService:
             hard_watermark=self.config.hard_watermark,
         )
         self.coalescer = RequestCoalescer()
-        # One executor instance for the service's lifetime: its lazily
-        # created pool stays warm across requests (executors no longer
-        # rebuild a pool per run), and the service owns its teardown —
-        # close() here and on checkpoint restore.
-        self.executor = get_executor(
-            self.config.executor, self.config.workers
-        )
-        self.batcher = MicroBatcher(
-            self.executor,
-            window=self.config.coalesce_window,
-            max_batch=self.config.max_batch,
-        )
+        self.batcher = MicroBatcher()
         self._resilience = (
             self.config.resilience
             if self.config.resilience is not None
@@ -805,7 +792,7 @@ class DiversificationService:
         counters: Dict[str, int],
         ctx: TraceContext,
     ) -> DigestResult:
-        """The synchronous work unit shipped to the executor.
+        """The synchronous work unit a cold solve runs off the loop.
 
         Runs on an executor thread with no inherited trace state, so the
         leader's context is re-activated explicitly; the produced digest
@@ -858,8 +845,9 @@ class DiversificationService:
         response: ServiceResponse,
     ) -> ServiceResponse:
         """Post-serve hooks shared by every exit path: SLO accounting,
-        per-node telemetry, slow-solve profile capture, quality-audit
-        sampling, and the correlated structured event."""
+        per-node telemetry, the facade's per-path latency, slow-solve
+        profile capture, quality-audit sampling, and the correlated
+        structured event."""
         self.slo.record(
             request.session, response.algorithm,
             latency_s=response.latency_s, status=response.status,
@@ -885,6 +873,18 @@ class DiversificationService:
         ):
             self._capture_slow_profile(request, response)
         if response.result is not None:
+            # a served digest, by the path that served it (a coalesced
+            # follower counts as a solve); shed and error record none
+            if _obs.enabled():
+                path = "cache_hit" if response.cached else (
+                    "view_hit" if response.view else "solve"
+                )
+                if response.view:
+                    _obs.count("service.view_hits")
+                _obs.observe("service.latency", response.latency_s)
+                _obs.observe(
+                    f"service.latency.{path}", response.latency_s
+                )
             self.auditor.observe(
                 response.result,
                 tenant=request.session,
@@ -1036,9 +1036,6 @@ class DiversificationService:
         cached = self.cache.get(key)
         if cached is not None:
             latency = self._clock() - started
-            if _obs.enabled():
-                _obs.observe("service.latency", latency)
-                _obs.observe("service.latency.cache_hit", latency)
             if traced:
                 # link-span: this request served the digest that trace
                 # computed — the assembled tree can follow it
@@ -1057,10 +1054,6 @@ class DiversificationService:
         view_result = self._read_view(key)
         if view_result is not None:
             latency = self._clock() - started
-            if _obs.enabled():
-                _obs.count("service.view_hits")
-                _obs.observe("service.latency", latency)
-                _obs.observe("service.latency.view_hit", latency)
             if traced:
                 with _obs.span(
                     "service.view_hit",
@@ -1143,14 +1136,11 @@ class DiversificationService:
                     key_epoch=key.epoch,
                     algorithm=algorithm,
                 )
-        latency = self._clock() - started
-        if _obs.enabled():
-            _obs.observe("service.latency", latency)
-            _obs.observe("service.latency.solve", latency)
         return self._account(request, ctx, ServiceResponse(
             status=DEGRADED if degraded or result.downgrades else OK,
             result=result, algorithm=algorithm, coalesced=coalesced,
-            latency_s=latency, epoch=key.epoch, reason=decision.reason,
+            latency_s=self._clock() - started, epoch=key.epoch,
+            reason=decision.reason,
             trace_id=ctx.trace_id or "",
         ))
 
@@ -1268,8 +1258,11 @@ class DiversificationService:
         restored state: digests cached against the pre-restore corpus —
         including ones computed from stream state *newer* than the
         checkpoint — become unreachable, so a rolled-back service can
-        never serve results from a future it no longer remembers.
-        Returns the new epoch.
+        never serve results from a future it no longer remembers.  A
+        solve in flight across the restore finishes on its thread and is
+        served at its key's epoch, but the cache and the view registry
+        refuse to publish it, as they do for one in flight across an
+        ingest.  Returns the new epoch.
         """
         supervisor = StreamSupervisor.restore(
             checkpoint,
@@ -1283,10 +1276,6 @@ class DiversificationService:
             Document(post.uid, post.value, post.text)
             for post in checkpoint.journal
         ]
-        # Kill the warm pool: restore is the rollback path, and workers
-        # (or queued jobs) may hold pre-restore state.  The executor
-        # stays usable — the next solve lazily builds a fresh pool.
-        self.executor.close()
         # The store and views were maintained against the pre-restore
         # corpus; reproject the rolled-back corpus and invalidate the
         # views (they re-seed from the first post-restore batch solve).
@@ -1339,13 +1328,11 @@ class DiversificationService:
         return emissions
 
     def close(self) -> None:
-        """Release pooled resources (the warm solver executor).
-
-        Idempotent, and not terminal: a request served after ``close()``
-        simply rebuilds the pool.  Call it when retiring the service so
-        worker threads don't linger until interpreter exit.
+        """Retire the service.  A no-op: the service holds no pool (a
+        cold solve runs on the event loop's default executor), so there
+        is nothing to release.  Kept so callers that own a service can
+        retire it without knowing that; idempotent, and not terminal.
         """
-        self.executor.close()
 
     # -- observability control plane ---------------------------------------
 
@@ -1445,7 +1432,6 @@ class DiversificationService:
                 "hit_rate": self._views.hit_rate(),
             },
             "admission": dict(self.admission.decisions),
-            "batches": self.batcher.batches,
             "subscriptions": {
                 sub.sid: {
                     "session": sub.session,
@@ -1486,17 +1472,6 @@ class DiversificationService:
             "queues": {
                 "pending": self._pending,
                 "coalescer_inflight": self.coalescer.inflight(),
-                "batcher": {
-                    "batches": self.batcher.batches,
-                    "jobs": self.batcher.jobs,
-                },
-                "executor": {
-                    "name": self.executor.name,
-                    "workers": self.executor.workers,
-                    "pool_alive": getattr(
-                        self.executor, "alive", False
-                    ),
-                },
                 "subscriptions": {
                     sub.sid: len(sub)
                     for sub in self._subscriptions.values()

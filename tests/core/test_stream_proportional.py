@@ -76,6 +76,13 @@ class TestStreamScanProportional:
         with pytest.raises(ValueError):
             StreamScanProportional({"a"}, lam0=1.0, tau=-1.0)
 
+    @pytest.mark.parametrize("lam0, tau", [(math.nan, 1.0), (1.0, math.nan)],
+                             ids=["nan-lam0", "nan-tau"])
+    def test_nan_parameters_refused(self, lam0, tau):
+        # construction only: a NaN stream would never drain
+        with pytest.raises(ValueError):
+            StreamScanProportional({"a"}, lam0=lam0, tau=tau)
+
     def test_single_post_emitted(self):
         algorithm, result = _run_proportional(
             _posts([5.0]), lam0=1.0, tau=2.0

@@ -72,6 +72,43 @@ class TestStreamScanBasics:
             StreamScan(labels={"a"}, lam=1.0, tau=-0.5)
 
 
+# Construction only: a stream built on a NaN lambda or tau never drains
+# (a NaN deadline never compares >= the next arrival), so no test here
+# ever runs one.
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestParametersThatAreNotNumbers:
+    @pytest.mark.parametrize("cls", [
+        StreamScan, StreamScanPlus, StreamGreedySC, StreamGreedySCPlus,
+    ])
+    @pytest.mark.parametrize("lam, tau", [(NAN, 1.0), (1.0, NAN)],
+                             ids=["nan-lam", "nan-tau"])
+    def test_nan_lambda_or_tau_refused(self, cls, lam, tau):
+        with pytest.raises(ValueError):
+            cls(["a"], lam, tau)
+
+    @pytest.mark.parametrize("cls", [
+        StreamScan, StreamScanPlus, StreamGreedySC, StreamGreedySCPlus,
+    ])
+    def test_infinite_lambda_and_tau_stay_legal(self, cls):
+        algorithm = cls(["a"], INF, INF)
+        assert algorithm.lam == INF and algorithm.tau == INF
+
+    @pytest.mark.parametrize("lam", [NAN, -1.0], ids=["nan", "negative"])
+    def test_instant_cover_refuses_a_lambda_below_zero_or_nan(self, lam):
+        with pytest.raises(ValueError):
+            InstantCover(["a"], lam)
+
+    def test_instant_cover_refuses_a_nan_window(self):
+        with pytest.raises(ValueError):
+            InstantCover(["a"], 1.0, window=NAN)
+
+    def test_instant_cover_keeps_an_infinite_lambda(self):
+        assert InstantCover(["a"], INF, window=INF).lam == INF
+
+
 class TestStreamScanEquivalence:
     """With tau >= lambda, StreamScan reproduces batch Scan exactly
     (Section 5.1's approximation-bound argument rests on this)."""

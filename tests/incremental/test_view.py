@@ -40,6 +40,13 @@ class TestConstruction:
         with pytest.raises(ReproError):
             CoverView(store, LABELS, 1.0, rebuild_slack=-1)
 
+    def test_rejects_a_nan_lambda(self):
+        with pytest.raises(ReproError):
+            CoverView(PostStore(), LABELS, float("nan"))
+
+    def test_keeps_an_infinite_lambda(self):
+        assert CoverView(PostStore(), LABELS, float("inf")).lam == float("inf")
+
     def test_starts_stale(self):
         view = CoverView(PostStore(), LABELS, 1.0)
         assert view.stale

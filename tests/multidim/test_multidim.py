@@ -63,6 +63,20 @@ class TestModel:
         with pytest.raises(InvalidInstanceError):
             BoxCoverage((-0.5,))
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(InvalidInstanceError):
+            BoxCoverage((float("nan"), 1.0))
+
+    def test_nan_radius_instance_rejected(self):
+        # it used to construct, and greedy_box then failed on an
+        # "uncoverable" universe
+        with pytest.raises(InvalidInstanceError):
+            MultiInstance([_mp(0, (0.0, 0.0), "a")],
+                          radii=(float("nan"), 1.0))
+
+    def test_infinite_radius_stays_legal(self):
+        assert BoxCoverage((float("inf"), 1.0)).radii[0] == float("inf")
+
     def test_covered_pairs_by_box(self):
         instance = _grid_instance(radii=(2.0, 2.0))
         centre = instance.post(4)  # the (2, 2) post

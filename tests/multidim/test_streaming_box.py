@@ -7,6 +7,7 @@ import pytest
 from repro.core.streaming import stream_solve
 from repro.core.instance import Instance
 from repro.core.post import Post
+from repro.errors import InvalidInstanceError
 from repro.multidim import (
     InstantBoxCover,
     MultiInstance,
@@ -103,6 +104,15 @@ class TestStreamGreedyBox:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             StreamGreedyBox({"a"}, radii=(1.0,), tau=-1.0)
+
+    def test_nan_tau_and_radius_rejected(self):
+        # construction only: a NaN stream would never drain
+        with pytest.raises(ValueError):
+            StreamGreedyBox({"a"}, radii=(1.0,), tau=float("nan"))
+        with pytest.raises(InvalidInstanceError):
+            StreamGreedyBox({"a"}, radii=(float("nan"),), tau=1.0)
+        with pytest.raises(InvalidInstanceError):
+            InstantBoxCover({"a"}, radii=(float("nan"),))
 
     def test_multilabel_hub_selected(self):
         posts = [

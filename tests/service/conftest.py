@@ -9,7 +9,9 @@ counts stay exact unless a test opts dedup back in.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Sequence
+import threading
+import time
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -57,6 +59,38 @@ def make_service(
 def run(coro):
     """The suite has no pytest-asyncio; drive coroutines explicitly."""
     return asyncio.run(coro)
+
+
+def hold_solves(
+    service: DiversificationService,
+) -> Tuple[threading.Event, threading.Event]:
+    """Make each cold solve wait on its executor thread until released.
+
+    Returns ``(entered, release)``: ``entered`` is set once a solve is
+    running off the loop, and setting ``release`` lets it finish.  Wait
+    for ``entered`` with :func:`solve_entered`, which yields to the loop
+    instead of blocking it.
+    """
+    entered, release = threading.Event(), threading.Event()
+    solve_job = service._solve_job
+
+    def held_solve_job(*args):
+        entered.set()
+        release.wait(5.0)
+        return solve_job(*args)
+
+    service._solve_job = held_solve_job
+    return entered, release
+
+
+async def solve_entered(
+    entered: threading.Event, timeout: float = 5.0
+) -> None:
+    deadline = time.monotonic() + timeout
+    while not entered.is_set():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"no solve started within {timeout} s")
+        await asyncio.sleep(0.001)
 
 
 @pytest.fixture

@@ -1,4 +1,4 @@
-"""Unit tests for single-flight coalescing and solver micro-batching."""
+"""Unit tests for single-flight coalescing and the solve's thread hop."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import threading
 
 import pytest
 
-from repro.engine.executors import SerialExecutor, ThreadExecutor
 from repro.service import MicroBatcher, RequestCoalescer
 
 from .conftest import run
@@ -126,34 +125,31 @@ def test_sequential_submits_compute_each_time():
     run(main())
 
 
-def test_batcher_collects_same_tick_jobs_into_one_batch():
+def test_batcher_runs_jobs_off_the_loop_thread():
     async def main():
-        batcher = MicroBatcher(SerialExecutor(), window=0.0, max_batch=8)
-        results = await asyncio.gather(
+        batcher = MicroBatcher()
+        loop_thread = threading.get_ident()
+        threads = await asyncio.gather(
+            *[batcher.run(threading.get_ident) for _ in range(4)]
+        )
+        assert all(t != loop_thread for t in threads)
+
+    run(main())
+
+
+def test_batcher_returns_each_jobs_own_result():
+    async def main():
+        batcher = MicroBatcher()
+        return await asyncio.gather(
             *[batcher.run(lambda i=i: i * i) for i in range(5)]
         )
-        assert results == [0, 1, 4, 9, 16]
-        assert batcher.batches == 1
-        assert batcher.jobs == 5
 
-    run(main())
-
-
-def test_batcher_flushes_at_max_batch():
-    async def main():
-        batcher = MicroBatcher(SerialExecutor(), window=60.0, max_batch=2)
-        results = await asyncio.gather(
-            *[batcher.run(lambda i=i: i) for i in range(4)]
-        )
-        assert results == [0, 1, 2, 3]
-        assert batcher.batches == 2  # never waited for the 60s window
-
-    run(main())
+    assert run(main()) == [0, 1, 4, 9, 16]
 
 
 def test_batcher_isolates_job_failures():
     async def main():
-        batcher = MicroBatcher(SerialExecutor(), max_batch=3)
+        batcher = MicroBatcher()
 
         def ok():
             return "ok"
@@ -167,24 +163,14 @@ def test_batcher_isolates_job_failures():
         )
         assert outcomes[0] == "ok" and outcomes[2] == "ok"
         assert isinstance(outcomes[1], RuntimeError)
+        assert str(outcomes[1]) == "this job only"
+        # the failure left nothing behind: the next job runs normally
+        assert await batcher.run(ok) == "ok"
 
     run(main())
 
 
-def test_batcher_on_thread_executor_runs_off_loop():
-    async def main():
-        batcher = MicroBatcher(ThreadExecutor(2), max_batch=4)
-        loop_thread = threading.get_ident()
-        threads = await asyncio.gather(
-            *[batcher.run(threading.get_ident) for _ in range(4)]
-        )
-        assert all(t != loop_thread for t in threads)
-
-    run(main())
-
-
-def test_batcher_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        MicroBatcher(SerialExecutor(), window=-1.0)
-    with pytest.raises(ValueError):
-        MicroBatcher(SerialExecutor(), max_batch=0)
+def test_batcher_takes_no_arguments():
+    # no executor, window or batch size: one hop per job
+    with pytest.raises(TypeError):
+        MicroBatcher(window=0.0)

@@ -11,13 +11,15 @@ forbids that; these tests pin it.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.errors import ReproError
 from repro.index.inverted_index import Document
 from repro.service import DigestRequest
 
-from .conftest import make_service, run
+from .conftest import hold_solves, make_service, run, solve_entered
 
 
 def golf_doc(uid: int, ts: float, extra: str = "") -> Document:
@@ -121,6 +123,48 @@ def test_near_duplicate_dedup_survives_restore():
         assert service.health()["corpus"]["streamed"] == 1
 
     run(scenario())
+
+
+def test_solve_in_flight_across_restore_is_served_but_not_published():
+    """A cold solve still running on its thread when the service is
+    restored finishes, and is served at its key's epoch; the cache and
+    the view registry refuse to publish it at the restored epoch."""
+    service = streaming_service()
+    request = DigestRequest(lam=30.0, labels=("golf",))
+
+    async def scenario():
+        for i in range(4):
+            await service.feed(golf_doc(i, 1000.0 + 10 * i))
+        checkpoint = service.checkpoint()
+        for i in range(4, 8):
+            await service.feed(golf_doc(i, 1000.0 + 10 * i))
+        entered, release = hold_solves(service)
+        task = asyncio.ensure_future(service.digest(request))
+        await solve_entered(entered)
+        key_epoch = service.epoch
+        stale_drops = service.cache.stats.stale_drops
+        views = service.introspect()["views"]
+        new_epoch = service.restore(checkpoint)
+        release.set()
+        in_flight = await task
+        assert service.cache.stats.stale_drops == stale_drops + 1
+        assert len(service.cache) == 0
+        after_views = service.introspect()["views"]
+        assert after_views["seeds"] == views["seeds"]
+        assert after_views["stale_seeds"] == views["stale_seeds"] + 1
+        after = await service.digest(request)  # released: runs at once
+        return key_epoch, new_epoch, in_flight, after
+
+    key_epoch, new_epoch, in_flight, after = run(scenario())
+    assert in_flight.status == "ok" and not in_flight.cached
+    assert in_flight.epoch == key_epoch < new_epoch
+    # solved over the pre-restore corpus, the future the restore forgot
+    assert {p.uid for p in in_flight.result.instance.posts} == set(range(8))
+    # the next digest solves afresh at the restored epoch
+    assert not (after.cached or after.view or after.coalesced)
+    assert after.epoch == new_epoch
+    assert {p.uid for p in after.result.instance.posts} == {0, 1, 2, 3}
+    assert service.solves == 2
 
 
 def test_checkpoint_before_any_feed_is_an_error():

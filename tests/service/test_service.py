@@ -13,6 +13,7 @@ import asyncio
 import importlib
 import json
 import math
+import threading
 
 import pytest
 
@@ -30,7 +31,8 @@ from repro.resilience.policies import SanitizationPolicy
 from repro.resilience.supervisor import ResilienceConfig
 from repro.service import DigestRequest, ServiceConfig
 
-from .conftest import make_docs, make_queries, make_service, run
+from .conftest import hold_solves, make_docs, make_queries, \
+    make_service, run, solve_entered
 
 
 def canonical(response) -> str:
@@ -43,15 +45,13 @@ def canonical(response) -> str:
 @pytest.mark.parametrize("labels", [None, ("golf", "nba")],
                          ids=["all", "subset"])
 @pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
-@pytest.mark.parametrize("executor", ["serial", "thread"])
-def test_served_digest_matches_batch_pipeline(executor, algorithm, labels):
-    # a cold solve on either executor is the batch pipeline's digest of
-    # the same documents, pick for pick
-    service = make_service(executor=executor)
+def test_served_digest_matches_batch_pipeline(algorithm, labels):
+    # a cold solve is the batch pipeline's digest of the same
+    # documents, pick for pick
+    service = make_service()
     service.ingest(make_docs())
     response = run(service.digest(DigestRequest(
         lam=25.0, labels=labels, algorithm=algorithm)))
-    service.close()
     queries = [q for q in make_queries()
                if labels is None or q.label in labels]
     expected = DiversificationPipeline(
@@ -341,22 +341,109 @@ def test_equivalent_requests_coalesce_across_label_order():
     assert service.solves == 1
 
 
-def test_distinct_requests_do_not_coalesce_but_batch():
+@pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
+def test_concurrent_distinct_requests_each_solve_once(algorithm):
+    # distinct keys in flight together: one solve each, none coalesced,
+    # and each the batch pipeline's digest at its own lambda
+    service = make_service()
+    service.ingest(make_docs())
+    lams = [20.0, 25.0, 30.0, 40.0]
+
+    async def burst():
+        return await asyncio.gather(*[
+            service.digest(DigestRequest(lam=lam, algorithm=algorithm))
+            for lam in lams
+        ])
+
+    responses = run(burst())
+    assert service.solves == len(lams)
+    assert [r.status for r in responses] == ["ok"] * len(lams)
+    assert not any(r.coalesced or r.cached or r.view for r in responses)
+    for lam, response in zip(lams, responses):
+        expected = DiversificationPipeline(
+            make_queries(), lam=lam, algorithm=algorithm,
+            dedup_distance=None,
+        ).digest(make_docs())
+        assert response.result.solution.uids == expected.solution.uids
+
+
+# -- the solve hop ------------------------------------------------------------
+
+
+def test_cold_solve_runs_off_the_event_loop_thread():
+    service = make_service()
+    service.ingest(make_docs())
+    solve_job = service._solve_job
+    threads = []
+
+    def recording_solve_job(*args):
+        threads.append(threading.get_ident())
+        return solve_job(*args)
+
+    service._solve_job = recording_solve_job
+
+    async def scenario():
+        loop_thread = threading.get_ident()
+        response = await service.digest(DigestRequest(lam=30.0))
+        return loop_thread, response
+
+    loop_thread, response = run(scenario())
+    assert response.status == "ok"
+    assert len(threads) == 1 and threads[0] != loop_thread
+
+
+def test_loop_serves_other_requests_while_a_solve_is_in_flight():
     service = make_service()
     service.ingest(make_docs())
 
-    async def burst():
-        return await asyncio.gather(
-            *[
-                service.digest(DigestRequest(lam=float(20 + i)))
-                for i in range(4)
-            ]
+    async def scenario():
+        await service.digest(DigestRequest(lam=30.0))  # cached
+        entered, release = hold_solves(service)
+        cold = asyncio.ensure_future(
+            service.digest(DigestRequest(lam=40.0))
         )
+        await solve_entered(entered)
+        # the held solve occupies a thread, not the loop
+        hit = await service.digest(DigestRequest(lam=30.0))
+        queues = service.introspect()["queues"]
+        release.set()
+        return hit, queues, await cold
 
-    responses = run(burst())
-    assert service.solves == 4
-    assert not any(r.coalesced for r in responses)
-    assert service.batcher.batches == 1  # one executor dispatch
+    hit, queues, cold = run(scenario())
+    assert hit.cached and hit.status == "ok"
+    # the in-flight solve is what pending and coalescer_inflight count
+    assert queues["pending"] == 1 and queues["coalescer_inflight"] == 1
+    assert cold.status == "ok" and not cold.cached
+    after = service.introspect()["queues"]
+    assert after["pending"] == 0 and after["coalescer_inflight"] == 0
+    assert service.solves == 2
+
+
+def test_failing_solve_is_an_error_for_its_own_request_only():
+    service = make_service()
+    service.ingest(make_docs())
+    solve_job = service._solve_job
+
+    def failing_at_lambda_20(algorithm, instance, counters, ctx):
+        if instance.lam == 20.0:
+            raise RuntimeError("this solve only")
+        return solve_job(algorithm, instance, counters, ctx)
+
+    service._solve_job = failing_at_lambda_20
+
+    async def burst():
+        return await asyncio.gather(*[
+            service.digest(DigestRequest(lam=lam))
+            for lam in (20.0, 20.0, 30.0)
+        ])
+
+    leader, follower, other = run(burst())
+    # the leader and its follower share the failure, nobody else does
+    assert leader.status == follower.status == "error"
+    assert "this solve only" in follower.reason
+    assert service.solves == 2  # the follower shared the failed solve
+    assert other.status == "ok" and other.result.solution.size > 0
+    assert len(service.cache) == 1  # only the good solve was published
 
 
 # -- caching -----------------------------------------------------------------
@@ -569,8 +656,39 @@ def test_config_rejects_unknown_names():
         ServiceConfig(degrade_ladder=("greedy_sc", "quantum"))
     with pytest.raises(ReproError):
         ServiceConfig(stream_algorithm="quantum")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("executor", "thread"),
+    ("workers", 2),
+    ("coalesce_window", 0.0),
+    ("max_batch", 8),
+])
+def test_config_has_no_executor_or_batch_knobs(name, value):
+    # a cold solve takes one hop to the loop's default executor, and
+    # coalescing needs no window: these knobs are gone, not ignored
+    with pytest.raises(TypeError):
+        ServiceConfig(**{name: value})
+
+
+@pytest.mark.parametrize("overrides", [
+    {"stream_lam": math.nan},
+    {"tau": math.nan},
+    {"stream_lam": -1.0},
+    {"tau": -1.0},
+], ids=["nan-lam", "nan-tau", "negative-lam", "negative-tau"])
+def test_config_refuses_a_stream_lambda_or_tau_that_is_not_a_number(
+    overrides,
+):
+    # a NaN lambda or tau would reach the stream algorithm, whose
+    # deadline loop never drains on it
     with pytest.raises(ReproError):
-        ServiceConfig(executor="process")  # live closures don't pickle
+        ServiceConfig(**overrides)
+
+
+def test_config_keeps_an_infinite_stream_lambda_and_tau():
+    config = ServiceConfig(stream_lam=math.inf, tau=math.inf)
+    assert config.stream_lam == math.inf and config.tau == math.inf
 
 
 # -- subscriptions ------------------------------------------------------------
@@ -744,3 +862,79 @@ def test_health_snapshot_is_json_safe_and_counts():
     assert health["corpus"] == {"ingested": 6, "streamed": 2}
     assert health["subscriptions"][str(sub.sid)]["delivered"] == 2
     assert health["pending"] == 0
+
+
+def test_close_is_idempotent_and_not_terminal():
+    # the service holds no pool: close() releases nothing, may be
+    # called twice, and a request after it is served as before
+    service = make_service()
+    service.ingest(make_docs(6))
+    before = run(service.digest(DigestRequest(lam=30.0)))
+    service.close()
+    service.close()
+    after = run(service.digest(DigestRequest(lam=40.0)))
+    assert before.status == after.status == "ok"
+    assert service.solves == 2
+
+
+# -- one latency record per request path --------------------------------------
+
+
+def latency_counts(bundle):
+    """Observation counts of the facade's ``service.latency*``
+    histograms, keyed by name."""
+    return {
+        name: entry["count"]
+        for name, entry in bundle.registry.snapshot().items()
+        if name.startswith("service.latency") and entry["count"]
+    }
+
+
+def test_each_served_digest_records_one_latency_on_its_own_path():
+    # six tokens: the six requests before the last, which is shed
+    service = make_service(rate=0.0001, burst=6.0)
+    service.ingest(make_docs())
+    recorded = []
+
+    async def step(*requests):
+        before = latency_counts(bundle)
+        responses = await asyncio.gather(
+            *[service.digest(request) for request in requests]
+        )
+        after = latency_counts(bundle)
+        recorded.append({
+            name: count - before.get(name, 0)
+            for name, count in after.items()
+            if count != before.get(name, 0)
+        })
+        return responses
+
+    async def scenario():
+        (cold,) = await step(DigestRequest(lam=30.0))
+        leader, follower = await step(
+            DigestRequest(lam=25.0), DigestRequest(lam=25.0)
+        )
+        (hit,) = await step(DigestRequest(lam=30.0))
+        service.ingest(make_docs(n=3, offset=500))
+        (view,) = await step(DigestRequest(lam=30.0))
+        (error,) = await step(DigestRequest(lam=30.0, labels=("nope",)))
+        (shed,) = await step(DigestRequest(lam=30.0))
+        return cold, leader, follower, hit, view, error, shed
+
+    with facade.session() as bundle:
+        cold, leader, follower, hit, view, error, shed = run(scenario())
+
+    assert not (cold.cached or cold.view or cold.coalesced)
+    assert not leader.coalesced and follower.coalesced
+    assert hit.cached and view.view
+    assert error.status == "error" and shed.status == "shed"
+    assert recorded == [
+        {"service.latency": 1, "service.latency.solve": 1},
+        # the leader and its follower, one record each
+        {"service.latency": 2, "service.latency.solve": 2},
+        {"service.latency": 1, "service.latency.cache_hit": 1},
+        {"service.latency": 1, "service.latency.view_hit": 1},
+        {},
+        {},
+    ]
+    assert bundle.registry.counters()["service.view_hits"] == 1

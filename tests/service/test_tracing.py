@@ -4,8 +4,8 @@ The property under test: *every* served response — cold, cache hit,
 coalesced follower, degraded, shed — carries a trace_id whose assembled
 span tree is a real tree (every parent resolves in-trace, no cycles),
 rooted at ``service.request``, and whose link-spans resolve to the trace
-that actually computed the digest.  Checked on the service's thread
-executor and under admission-triggered degradation.
+that actually computed the digest.  Checked across the solve's hop to an
+executor thread and under admission-triggered degradation.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def assert_traced_request(bundle, response, *, expect=()):
 class TestEveryStatusIsTraced:
     def test_cold_cached_and_coalesced(self):
         with observability.session() as bundle:
-            service = make_service(coalesce_window=0.02)
+            service = make_service()
             service.ingest(make_docs())
 
             async def scenario():
@@ -170,7 +170,7 @@ class TestEveryStatusIsTraced:
 class TestLinkSpans:
     def test_follower_links_to_leaders_solve_span(self):
         with observability.session() as bundle:
-            service = make_service(coalesce_window=0.02)
+            service = make_service()
             service.ingest(make_docs())
 
             async def scenario():
@@ -215,7 +215,7 @@ class TestLinkSpans:
             assert "service.solve" in names_of(link["linked"])
 
 
-# -- solves on the service's executors ----------------------------------------
+# -- solves on an executor thread ---------------------------------------------
 
 def descendants(node):
     for child in node.get("children", []):
@@ -225,12 +225,11 @@ def descendants(node):
 
 class TestExecutors:
     @pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_solver_spans_join_the_trace(self, executor, algorithm):
+    def test_solver_spans_join_the_trace(self, algorithm):
         # the solve runs on an executor thread with no inherited trace
         # state; its solver span must still land under this request
         with observability.session() as bundle:
-            service = make_service(executor=executor)
+            service = make_service()
             service.ingest(make_docs())
             response = run(service.digest(DigestRequest(
                 lam=25.0, algorithm=algorithm)))
@@ -246,7 +245,7 @@ class TestExecutors:
 
     def test_concurrent_thread_solves_keep_their_own_traces(self):
         with observability.session() as bundle:
-            service = make_service(executor="thread", workers=2)
+            service = make_service()
             service.ingest(make_docs())
 
             async def scenario():
@@ -359,7 +358,7 @@ class TestQuietFailureEvents:
 
     def test_every_response_status_is_evented(self):
         with observability.session():
-            service = make_service(coalesce_window=0.02)
+            service = make_service()
             service.ingest(make_docs())
 
             async def scenario():

@@ -4,6 +4,7 @@ view-related introspection surfaces."""
 
 from __future__ import annotations
 
+import asyncio
 import json
 
 import pytest
@@ -14,7 +15,8 @@ from repro.index.inverted_index import Document
 from repro.observability import facade
 from repro.service import DigestRequest, ServiceConfig
 
-from .conftest import make_docs, make_service, run
+from .conftest import hold_solves, make_docs, make_service, run, \
+    solve_entered
 
 
 # -- serving ------------------------------------------------------------------
@@ -112,6 +114,34 @@ def test_stale_epoch_view_never_served():
     assert not response.view
     assert service._views.stale_reads >= 1
     assert service._views.stale_seeds >= 1
+
+
+def test_solve_in_flight_across_an_ingest_seeds_no_view():
+    # a solve still on its thread when an ingest commits a new epoch is
+    # served, but its cover must not seed a view at the new epoch; the
+    # next solve seeds it (the restore twin is in test_invalidation.py)
+    service = make_service()
+    service.ingest(make_docs())
+    request = DigestRequest(lam=30.0)
+
+    async def scenario():
+        entered, release = hold_solves(service)
+        task = asyncio.ensure_future(service.digest(request))
+        await solve_entered(entered)
+        service.ingest(make_docs(n=3, offset=500))
+        release.set()
+        raced = await task
+        assert (service._views.seeds, service._views.stale_seeds) == (0, 1)
+        resolved = await service.digest(request)
+        service.ingest(make_docs(n=3, offset=600))
+        return raced, resolved, await service.digest(request)
+
+    raced, resolved, read = run(scenario())
+    assert raced.status == "ok" and raced.epoch < resolved.epoch
+    assert not (resolved.cached or resolved.view)
+    assert (service._views.seeds, service._views.stale_seeds) == (1, 1)
+    assert read.view and read.epoch == service.epoch
+    assert service.solves == 2
 
 
 def test_dimension_override_bypasses_views():
