@@ -973,6 +973,21 @@ class ClusterRouter:
         )
         return response
 
+    def _error(
+        self,
+        ctx: TraceContext,
+        started: float,
+        reason: str,
+        algorithm: str = "",
+        **fields: Any,
+    ) -> ClusterResponse:
+        """An ``error`` response, stamped like every other exit."""
+        return ClusterResponse(
+            status=ERROR, result=None, algorithm=algorithm,
+            latency_s=self._clock() - started,
+            trace_id=ctx.trace_id or "", reason=reason, **fields,
+        )
+
     async def _serve(
         self,
         request: DigestRequest,
@@ -984,18 +999,9 @@ class ClusterRouter:
         try:
             labels = self._resolve_labels(request.labels)
         except ClusterError as error:
-            return ClusterResponse(
-                status=ERROR, result=None, algorithm="",
-                latency_s=self._clock() - started,
-                trace_id=ctx.trace_id or "", reason=str(error),
-            )
+            return self._error(ctx, started, str(error))
         if len(self.ring) == 0:
-            return ClusterResponse(
-                status=ERROR, result=None, algorithm="",
-                latency_s=self._clock() - started,
-                trace_id=ctx.trace_id or "",
-                reason="the cluster has no nodes",
-            )
+            return self._error(ctx, started, "the cluster has no nodes")
         self._remember_hot(request, labels)
         # group the requested labels by their live owner list: labels
         # sharing owners ride one scatter leg (and hedge together)
@@ -1008,13 +1014,10 @@ class ClusterRouter:
                 continue
             groups.setdefault(owners, []).append(label)
         if not groups:
-            return ClusterResponse(
-                status=ERROR, result=None,
+            return self._error(
+                ctx, started, "no live shard owns any requested label",
                 algorithm=request.algorithm or "",
-                latency_s=self._clock() - started,
-                trace_id=ctx.trace_id or "",
                 missing_labels=tuple(sorted(missing)),
-                reason="no live shard owns any requested label",
             )
         self._inflight += 1
         if _obs.enabled():
@@ -1038,14 +1041,10 @@ class ClusterRouter:
         missing.extend(failed_labels)
         served = [leg for leg in legs if leg["response"] is not None]
         if not served:
-            return ClusterResponse(
-                status=ERROR, result=None,
+            return self._error(
+                ctx, started, "every scatter leg failed",
                 algorithm=request.algorithm or "",
-                latency_s=self._clock() - started,
-                trace_id=ctx.trace_id or "",
-                missing_labels=tuple(sorted(missing)),
-                hedges=hedges,
-                reason="every scatter leg failed",
+                missing_labels=tuple(sorted(missing)), hedges=hedges,
             )
         return self._merge(
             request, ctx, started, served,
@@ -1281,16 +1280,13 @@ class ClusterRouter:
                     if known is post:
                         continue
                     if known.value != post.value:
-                        return ClusterResponse(
-                            status=ERROR, result=None,
-                            algorithm=algorithm,
-                            latency_s=self._clock() - started,
-                            trace_id=ctx.trace_id or "",
-                            shards=shards, missing_labels=missing,
-                            hedges=hedges,
-                            reason=f"scatter legs disagree on the value "
-                            f"of post {post.uid}: {known.value!r} and "
+                        return self._error(
+                            ctx, started,
+                            f"scatter legs disagree on the value of "
+                            f"post {post.uid}: {known.value!r} and "
                             f"{post.value!r}",
+                            algorithm=algorithm, shards=shards,
+                            missing_labels=missing, hedges=hedges,
                         )
                     unions[post.uid] = \
                         unions.get(post.uid, known.labels) | post.labels

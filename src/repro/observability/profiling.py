@@ -15,9 +15,7 @@ Exports:
 * :meth:`Profiler.speedscope` — a ``sampled``-type speedscope JSON
   document (https://www.speedscope.app/file-format-schema.json);
 * :meth:`Profiler.capture` / the cluster ``profile`` op — a bounded
-  N-second capture from a live worker;
-* :meth:`Profiler.snapshot_recent` — the trailing window a service
-  attaches to auditor-flagged slow solves.
+  N-second capture from a live worker.
 """
 
 from __future__ import annotations
@@ -149,22 +147,16 @@ class Profiler:
 
     # -- exports -----------------------------------------------------------
 
-    def _window(
-        self, window_s: Optional[float]
-    ) -> List[Tuple[float, Tuple[str, ...]]]:
+    def _buffered(self) -> List[Tuple[float, Tuple[str, ...]]]:
         with self._lock:
-            samples = list(self._samples)
-        if window_s is None or not samples:
-            return samples
-        cutoff = samples[-1][0] - window_s
-        return [item for item in samples if item[0] >= cutoff]
+            return list(self._samples)
 
-    def collapsed(self, *, window_s: Optional[float] = None) -> str:
+    def collapsed(self) -> str:
         """Folded-stack text: one ``frame;frame;frame count`` line per
         distinct stack, sorted by descending count."""
         tally: Counter = Counter(
             ";".join(stack)
-            for _, stack in self._window(window_s)
+            for _, stack in self._buffered()
             if stack
         )
         lines = [
@@ -175,11 +167,9 @@ class Profiler:
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def speedscope(
-        self, *, name: str = "repro", window_s: Optional[float] = None
-    ) -> Dict[str, Any]:
-        """A ``sampled``-type speedscope document for the window."""
-        samples = self._window(window_s)
+    def speedscope(self, *, name: str = "repro") -> Dict[str, Any]:
+        """A ``sampled``-type speedscope document for the buffer."""
+        samples = self._buffered()
         frame_index: Dict[str, int] = {}
         frames: List[Dict[str, str]] = []
         profile_samples: List[List[int]] = []
@@ -214,19 +204,6 @@ class Profiler:
                 }
             ],
             "exporter": "repro.observability.profiling",
-        }
-
-    def snapshot_recent(
-        self, window_s: float = 1.0
-    ) -> Dict[str, Any]:
-        """The trailing window as an attachable record (slow-solve
-        capture): sample count plus collapsed stacks."""
-        samples = self._window(window_s)
-        return {
-            "window_s": window_s,
-            "samples": len(samples),
-            "hz": self.hz,
-            "collapsed": self.collapsed(window_s=window_s),
         }
 
     def capture(self, seconds: float, *, hz: Optional[int] = None) -> Dict[str, Any]:

@@ -60,11 +60,14 @@ def _self_check() -> List[str]:
         f"metrics exposition: {lint_text(text, 'to_prometheus')} samples"
     )
 
+    # tenants are request sessions, which arrive off the cluster wire;
+    # one is deliberately nasty so unescaped label values fail here
     slo = SLOMonitor()
     slo.record("acme", "scan", latency_s=0.01, status="ok")
     slo.record("acme", "scan", latency_s=0.05, status="shed")
     slo.record("beta", "greedy_sc", latency_s=0.02,
                status="degraded", cached=True)
+    slo.record('ac"me\\\n', "scan", latency_s=0.03, status="ok")
     text = slo.to_prometheus()
     reports.append(
         f"slo exposition: {lint_text(text, 'SLOMonitor.to_prometheus')} "

@@ -34,6 +34,8 @@ import time as _time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from .collector import escape_label_value
+
 __all__ = ["SLOMonitor", "quantile"]
 
 # statuses that spend the availability error budget
@@ -213,7 +215,7 @@ class SLOMonitor:
             if value is None:
                 return
             label_text = ",".join(
-                f'{k}="{v}"' for k, v in labels.items()
+                f'{k}="{escape_label_value(v)}"' for k, v in labels.items()
             )
             lines.append(f"{metric}{{{label_text}}} {float(value)}")
 

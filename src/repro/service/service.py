@@ -21,10 +21,15 @@ summaries — implemented over the existing stack end to end:
   requests down the batch ladder (GreedySC -> Scan+ -> Scan), the hard
   watermark and token bucket shed, and supervisor faults surface as
   quarantine counts and degraded responses — never unhandled exceptions;
-* **everything is observable**: RED metrics (``service.requests``,
-  ``service.errors``, ``service.latency`` histograms), cache hit/miss
-  counters, shed/degrade counters and per-stage spans, all through
-  :mod:`repro.observability`.
+* **one record per request**: the :class:`ServiceResponse` a digest
+  returns names the path that served it, and every per-request signal
+  is derived from it once — the tenant's SLO sample, the always-on
+  per-service ``telemetry`` (request and status counters,
+  ``service.latency_s`` and its per-path split, federated by
+  :meth:`DiversificationService.scrape`), the auditor's offer and one
+  ``service.{status}`` event.  With the :mod:`repro.observability`
+  facade on, per-stage spans and the components' own counters (cache,
+  views, admission, coalescing) join them.
 
 Corpus versioning is the invariant the cache hangs off: any mutation of
 what a digest could see — batch ingest, an admitted stream arrival, a
@@ -83,6 +88,9 @@ DEGRADED = "degraded"
 ERROR = "error"
 # SHED is reused from .admission as a response status
 
+# each path that serves a digest, with the auditor's name for it
+_SERVED_PATHS = {"cache_hit": "cache", "view_hit": "view", "solve": "batch"}
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -136,14 +144,10 @@ class ServiceConfig:
     view_rebuild_slack: int = 8
     max_views: int = 64
     view_window: Optional[float] = None
-    # observability control plane: head-based trace sampling (None =
-    # trace every request when the facade is on; 0.1 = spans for ~10 %
-    # of requests, chosen deterministically from the trace id so every
-    # tier agrees) and the slow-solve profile-capture threshold (a
-    # solve slower than this, with a profiler attached, gets its
-    # trailing profile window recorded against the trace id)
+    # head-based trace sampling: None = trace every request when the
+    # facade is on; 0.1 = spans for ~10 % of requests, chosen
+    # deterministically from the trace id so every tier agrees
     trace_sample: Optional[float] = None
-    profile_slow_s: Optional[float] = None
     # time
     clock: Callable[[], float] = _time.perf_counter
 
@@ -196,10 +200,6 @@ class ServiceConfig:
                 and not 0.0 <= self.trace_sample <= 1.0:
             raise ReproError(
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
-            )
-        if self.profile_slow_s is not None and self.profile_slow_s < 0:
-            raise ReproError(
-                f"profile_slow_s must be >= 0, got {self.profile_slow_s}"
             )
         if self.view_window is not None:
             if self.view_window <= 0:
@@ -270,11 +270,12 @@ class DigestRequest:
 
 @dataclass(frozen=True)
 class ServiceResponse:
-    """Outcome of one digest request.
+    """Outcome of one digest request — the request's one record.
 
     ``status`` is ``"ok"``, ``"degraded"`` (served at a lower ladder
     rung), ``"shed"`` (refused; ``result`` is None) or ``"error"``
-    (solver failure surfaced as data, not as an exception).
+    (solver failure surfaced as data, not as an exception).  ``path``
+    names what answered it.
     """
 
     status: str
@@ -291,6 +292,18 @@ class ServiceResponse:
     # the producing trace's id — the two differ exactly when this
     # request did not do the solving itself.
     trace_id: str = ""
+
+    @property
+    def path(self) -> str:
+        """What answered the request: ``"shed"``, ``"error"``,
+        ``"cache_hit"``, ``"view_hit"`` or ``"solve"`` (a coalesced
+        follower shares its leader's solve).  Derived from the fields,
+        so it is not on the wire."""
+        if self.status in (SHED, ERROR):
+            return self.status
+        if self.cached:
+            return "cache_hit"
+        return "view_hit" if self.view else "solve"
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe representation — the service's wire format."""
@@ -479,11 +492,9 @@ class DiversificationService:
         self._next_sid = 1
         self._pending = 0
         self.solves = 0
-        self.requests = 0
-        self.errors = 0
-        # Always-on service state (like the counters above): per-tenant
-        # SLO accounting and the quality auditor.  Neither is behind the
-        # observability facade — SLOs are a service feature.
+        # Always-on service state: per-tenant SLO accounting and the
+        # quality auditor.  Neither is behind the observability facade
+        # — SLOs are a service feature.
         self.slo = SLOMonitor(
             objective=self.config.slo_objective,
             windows=self.config.slo_windows,
@@ -498,12 +509,22 @@ class DiversificationService:
         # `scrape` op federates.  Deliberately NOT the process-global
         # facade registry — in-process cluster harnesses share that one
         # across every worker, which would defeat per-node federation.
-        self.telemetry = MetricsRegistry(clock=self._clock)
-        self._telemetry_ledger = ScrapeLedger(self.telemetry)
-        # Continuous-profiling hooks: an attached Profiler plus the
-        # bounded ring of slow-solve captures (profile_slow_s gates).
-        self._profiler: Optional[Any] = None
-        self.slow_profiles: "deque" = deque(maxlen=8)
+        self.telemetry = telemetry = MetricsRegistry(clock=self._clock)
+        self._telemetry_ledger = ScrapeLedger(telemetry)
+        # the instruments every request writes, bound once so that
+        # accounting a request looks nothing up
+        self._requests = telemetry.counter("service.requests")
+        self._by_status = {
+            status: telemetry.counter(f"service.status.{status}")
+            for status in (OK, DEGRADED, SHED, ERROR)
+        }
+        self._cache_hits = telemetry.counter("service.cache_hits")
+        self._view_hits = telemetry.counter("service.view_hits")
+        self._latency = telemetry.histogram("service.latency_s")
+        self._latency_by_path = {
+            path: telemetry.histogram(f"service.latency_s.{path}")
+            for path in _SERVED_PATHS
+        }
         # When this service runs as a cluster worker, the node sets
         # this to a callable returning its role/ring/peer summary —
         # health() and introspect() surface it as a "cluster" section.
@@ -839,105 +860,50 @@ class DiversificationService:
         )
 
     def _account(
-        self,
-        request: DigestRequest,
-        ctx: TraceContext,
-        response: ServiceResponse,
-    ) -> ServiceResponse:
-        """Post-serve hooks shared by every exit path: SLO accounting,
-        per-node telemetry, the facade's per-path latency, slow-solve
-        profile capture, quality-audit sampling, and the correlated
-        structured event."""
+        self, request: DigestRequest, response: ServiceResponse
+    ) -> None:
+        """Derive every per-request signal from the request's one
+        record: the tenant's SLO sample, the per-node telemetry
+        (the counters :meth:`scrape` federates, ``service.latency_s``
+        and its per-path split), the auditor's offer and the one
+        ``service.{status}`` event."""
+        path, latency = response.path, response.latency_s
         self.slo.record(
             request.session, response.algorithm,
-            latency_s=response.latency_s, status=response.status,
+            latency_s=latency, status=response.status,
             cached=response.cached,
         )
-        telemetry = self.telemetry
-        telemetry.counter("service.requests").inc()
-        telemetry.counter(f"service.status.{response.status}").inc()
+        self._requests.inc()
+        self._by_status[response.status].inc()
         if response.cached:
-            telemetry.counter("service.cache_hits").inc()
+            self._cache_hits.inc()
         if response.view:
-            telemetry.counter("service.view_hits").inc()
-        telemetry.histogram("service.latency_s").observe(
-            response.latency_s
-        )
-        if (
-            self._profiler is not None
-            and self.config.profile_slow_s is not None
-            and not response.cached
-            and not response.view
-            and response.status in (OK, DEGRADED)
-            and response.latency_s >= self.config.profile_slow_s
-        ):
-            self._capture_slow_profile(request, response)
+            self._view_hits.inc()
+        self._latency.observe(latency)
         if response.result is not None:
-            # a served digest, by the path that served it (a coalesced
-            # follower counts as a solve); shed and error record none
-            if _obs.enabled():
-                path = "cache_hit" if response.cached else (
-                    "view_hit" if response.view else "solve"
-                )
-                if response.view:
-                    _obs.count("service.view_hits")
-                _obs.observe("service.latency", response.latency_s)
-                _obs.observe(
-                    f"service.latency.{path}", response.latency_s
-                )
+            # a served digest, on its path; shed and error have none
+            self._latency_by_path[path].observe(latency)
             self.auditor.observe(
                 response.result,
                 tenant=request.session,
                 algorithm=response.algorithm,
                 epoch=response.epoch,
-                source="view" if response.view
-                else ("cache" if response.cached else "batch"),
+                source=_SERVED_PATHS[path],
             )
         level = logging.INFO if response.status in (OK, DEGRADED) \
             else logging.WARNING
         structlog.emit(
             f"service.{response.status}",
             level=level,
-            trace_id=ctx.trace_id,
-            tenant=request.session,
-            epoch=response.epoch,
-            algorithm=response.algorithm,
-            latency_s=response.latency_s,
-            cached=response.cached,
-            coalesced=response.coalesced,
-            reason=response.reason,
-        )
-        return response
-
-    def _capture_slow_profile(
-        self,
-        request: DigestRequest,
-        response: ServiceResponse,
-    ) -> None:
-        """Attach the profiler's trailing window to a flagged slow
-        solve — the same over-threshold solves the auditor samples —
-        so "why was this one slow" has stacks, not just a latency."""
-        capture = self._profiler.snapshot_recent(
-            window_s=max(response.latency_s, 0.25)
-        )
-        self.slow_profiles.append({
-            "trace_id": response.trace_id,
-            "tenant": request.session,
-            "algorithm": response.algorithm,
-            "latency_s": response.latency_s,
-            "samples": capture["samples"],
-            "collapsed": capture["collapsed"],
-        })
-        self.telemetry.counter("service.slow_profiles").inc()
-        structlog.emit(
-            "service.slow_solve_profiled",
-            level=logging.WARNING,
             trace_id=response.trace_id,
             tenant=request.session,
             epoch=response.epoch,
             algorithm=response.algorithm,
-            latency_s=response.latency_s,
-            samples=capture["samples"],
+            path=path,
+            latency_s=latency,
+            cached=response.cached,
+            coalesced=response.coalesced,
+            reason=response.reason,
         )
 
     async def digest(self, request: DigestRequest) -> ServiceResponse:
@@ -951,10 +917,6 @@ class DiversificationService:
         """
         started = self._clock()
         ctx = TraceContext.mint(tenant=request.session)
-        self.requests += 1
-        if _obs.enabled():
-            _obs.count("service.requests")
-            _obs.count(f"service.sessions.{request.session}.requests")
         # Head-based trace sampling: metrics stay exact for every
         # request; spans are only recorded for the sampled fraction.
         # The decision hashes the trace id, so the router/worker tiers
@@ -964,63 +926,60 @@ class DiversificationService:
             self.config.trace_sample is None
             or head_sample(ctx.trace_id, self.config.trace_sample)
         )
-        if not traced:
+        if traced:
+            with _obs.activate(ctx):
+                with _obs.span(
+                    "service.request",
+                    tenant=request.session,
+                    lam=request.lam,
+                ) as root:
+                    outcome = await self._serve(
+                        request, ctx.at(getattr(root, "span_id", None))
+                    )
+                    latency = self._clock() - started
+        else:
             if _obs.enabled():
                 _obs.count("service.trace_unsampled")
-            return await self._serve(
-                request, ctx, started, traced=False
-            )
-        with _obs.activate(ctx):
-            with _obs.span(
-                "service.request",
-                tenant=request.session,
-                lam=request.lam,
-            ) as root:
-                return await self._serve(
-                    request,
-                    ctx.at(getattr(root, "span_id", None)),
-                    started,
-                )
+            outcome = await self._serve(request, ctx, traced=False)
+            latency = self._clock() - started
+        response = ServiceResponse(
+            **outcome, latency_s=latency, trace_id=ctx.trace_id or ""
+        )
+        self._account(request, response)
+        if response.status == SHED and self.config.raise_on_shed:
+            raise ServiceOverloadError(response.reason)
+        return response
 
     async def _serve(
         self,
         request: DigestRequest,
         ctx: TraceContext,
-        started: float,
         *,
         traced: bool = True,
-    ) -> ServiceResponse:
+    ) -> Dict[str, Any]:
+        """Decide one request: the :class:`ServiceResponse` fields
+        other than the latency and trace id, which :meth:`digest`
+        stamps."""
         decision = self.admission.admit(self._pending)
         algorithm = request.algorithm or self.config.algorithm
         if decision.action == SHED:
-            _obs.count("service.shed")
-            latency = self._clock() - started
-            response = self._account(request, ctx, ServiceResponse(
+            return dict(
                 status=SHED, result=None, algorithm=algorithm,
-                latency_s=latency, epoch=self.epoch,
-                reason=decision.reason, trace_id=ctx.trace_id or "",
-            ))
-            if self.config.raise_on_shed:
-                raise ServiceOverloadError(decision.reason)
-            return response
+                epoch=self.epoch, reason=decision.reason,
+            )
         try:
             labels = self._resolve_labels(request)
         except ReproError as error:
-            self.errors += 1
-            _obs.count("service.errors")
-            return self._account(request, ctx, ServiceResponse(
+            return dict(
                 status=ERROR, result=None, algorithm=algorithm,
-                latency_s=self._clock() - started,
                 epoch=self.epoch, reason=str(error),
-                trace_id=ctx.trace_id or "",
-            ))
+            )
         degraded = decision.action == DEGRADE
         if degraded:
             requested = algorithm
             algorithm = self._degraded_algorithm(
                 algorithm, decision.degrade_steps
             )
-            _obs.count("service.degraded")
             structlog.emit(
                 "service.degrade",
                 trace_id=ctx.trace_id,
@@ -1031,11 +990,11 @@ class DiversificationService:
                 steps=decision.degrade_steps,
                 reason=decision.reason,
             )
+        status = DEGRADED if degraded else OK
         key = self.cache.key_for(labels, request.lam, algorithm,
                                  self.config.dimension)
         cached = self.cache.get(key)
         if cached is not None:
-            latency = self._clock() - started
             if traced:
                 # link-span: this request served the digest that trace
                 # computed — the assembled tree can follow it
@@ -1045,27 +1004,22 @@ class DiversificationService:
                     link_span_id=cached.solve_span_id,
                 ):
                     pass
-            return self._account(request, ctx, ServiceResponse(
-                status=DEGRADED if degraded else OK,
-                result=cached, algorithm=algorithm, cached=True,
-                latency_s=latency, epoch=key.epoch,
-                reason=decision.reason, trace_id=ctx.trace_id or "",
-            ))
+            return dict(
+                status=status, result=cached, algorithm=algorithm,
+                cached=True, epoch=key.epoch, reason=decision.reason,
+            )
         view_result = self._read_view(key)
         if view_result is not None:
-            latency = self._clock() - started
             if traced:
                 with _obs.span(
                     "service.view_hit",
                     view_size=len(view_result.solution.posts),
                 ):
                     pass
-            return self._account(request, ctx, ServiceResponse(
-                status=DEGRADED if degraded else OK,
-                result=view_result, algorithm=algorithm, view=True,
-                latency_s=latency, epoch=key.epoch,
-                reason=decision.reason, trace_id=ctx.trace_id or "",
-            ))
+            return dict(
+                status=status, result=view_result, algorithm=algorithm,
+                view=True, epoch=key.epoch, reason=decision.reason,
+            )
 
         async def compute() -> DigestResult:
             # before the first await, so at the corpus state key.epoch
@@ -1083,14 +1037,10 @@ class DiversificationService:
         try:
             result, coalesced = await self.coalescer.submit(key, compute)
         except Exception as error:  # solver failure becomes data, not a crash
-            self.errors += 1
-            _obs.count("service.errors")
-            return self._account(request, ctx, ServiceResponse(
+            return dict(
                 status=ERROR, result=None, algorithm=algorithm,
-                latency_s=self._clock() - started,
                 epoch=key.epoch, reason=repr(error),
-                trace_id=ctx.trace_id or "",
-            ))
+            )
         finally:
             self._pending -= 1
             if _obs.enabled():
@@ -1136,13 +1086,11 @@ class DiversificationService:
                     key_epoch=key.epoch,
                     algorithm=algorithm,
                 )
-        return self._account(request, ctx, ServiceResponse(
-            status=DEGRADED if degraded or result.downgrades else OK,
+        return dict(
+            status=DEGRADED if result.downgrades else status,
             result=result, algorithm=algorithm, coalesced=coalesced,
-            latency_s=self._clock() - started, epoch=key.epoch,
-            reason=decision.reason,
-            trace_id=ctx.trace_id or "",
-        ))
+            epoch=key.epoch, reason=decision.reason,
+        )
 
     # -- streaming path ----------------------------------------------------
 
@@ -1336,41 +1284,16 @@ class DiversificationService:
 
     # -- observability control plane ---------------------------------------
 
-    def attach_profiler(self, profiler: Any) -> None:
-        """Attach a running
-        :class:`~repro.observability.profiling.Profiler`; with
-        ``profile_slow_s`` set, solves over the threshold record their
-        trailing profile window into :attr:`slow_profiles`."""
-        self._profiler = profiler
-
-    def _slo_burn_summary(self) -> Dict[str, Any]:
-        """Worst-case burn rates across tenants — the compact SLO block
-        a scrape ships to the collector's anomaly engine."""
-        max_fast = 0.0
-        max_slow = 0.0
-        worst_p99: Optional[float] = None
-        snapshot = self.slo.snapshot()
-        for record in snapshot:
-            burn = record.get("burn", {})
-            max_fast = max(
-                max_fast,
-                burn.get("fast", {}).get("burn_rate", 0.0),
-            )
-            max_slow = max(
-                max_slow,
-                burn.get("slow", {}).get("burn_rate", 0.0),
-            )
-            p99 = record.get("latency", {}).get("p99")
-            if p99 is not None:
-                worst_p99 = (
-                    p99 if worst_p99 is None else max(worst_p99, p99)
-                )
-        return {
-            "max_fast_burn": max_fast,
-            "max_slow_burn": max_slow,
-            "worst_p99": worst_p99,
-            "series": len(snapshot),
-        }
+    def _slo_burn_summary(self) -> Dict[str, float]:
+        """Worst-case burn rates across tenants — the SLO block a
+        scrape ships, holding what the collector and its anomaly
+        engine read and nothing more."""
+        max_fast = max_slow = 0.0
+        for record in self.slo.snapshot():
+            burn = record["burn"]
+            max_fast = max(max_fast, burn["fast"]["burn_rate"])
+            max_slow = max(max_slow, burn["slow"]["burn_rate"])
+        return {"max_fast_burn": max_fast, "max_slow_burn": max_slow}
 
     def scrape(self, cursor: Optional[int] = None) -> Dict[str, Any]:
         """One federation scrape of this service's telemetry.
@@ -1405,6 +1328,16 @@ class DiversificationService:
             ),
         }
         return payload
+
+    @property
+    def requests(self) -> int:
+        """Digest requests answered, whatever their status."""
+        return self._requests.value
+
+    @property
+    def errors(self) -> int:
+        """Digest requests answered with an ``error`` response."""
+        return self._by_status[ERROR].value
 
     def health(self) -> Dict[str, Any]:
         """A JSON-safe snapshot of the tier's vitals."""
@@ -1511,24 +1444,6 @@ class DiversificationService:
                 "version": self._telemetry_ledger.version,
                 "resets": self._telemetry_ledger.resets,
                 "instruments": len(self.telemetry.names()),
-            },
-            "profiling": {
-                "attached": self._profiler is not None,
-                "running": (
-                    bool(getattr(self._profiler, "running", False))
-                ),
-                "threshold_s": self.config.profile_slow_s,
-                "captured": self.telemetry.counter(
-                    "service.slow_profiles"
-                ).value,
-                "recent": [
-                    {
-                        key: value
-                        for key, value in record.items()
-                        if key != "collapsed"
-                    }
-                    for record in self.slow_profiles
-                ],
             },
             "cluster": (
                 None if self.cluster_info is None

@@ -24,12 +24,12 @@ from repro.core.post import Post
 from repro.experiments.common import make_day_instance
 from repro.index.inverted_index import Document
 from repro.index.query import LabelMatcher, TopicQuery
-from repro.observability import facade
+from repro.observability import facade, structlog
 from repro.pipeline import DiversificationPipeline
 from repro.resilience.faults import FaultInjector
 from repro.resilience.policies import SanitizationPolicy
 from repro.resilience.supervisor import ResilienceConfig
-from repro.service import DigestRequest, ServiceConfig
+from repro.service import DigestRequest, ServiceConfig, ServiceResponse
 
 from .conftest import hold_solves, make_docs, make_queries, \
     make_service, run, solve_entered
@@ -317,7 +317,7 @@ def test_identical_concurrent_requests_share_one_solve():
     counters = bundle.registry.counters()
     assert counters["service.solves"] == 1
     assert counters["service.coalesced"] == 9
-    assert counters["service.requests"] == 10
+    assert service.requests == 10
     assert service.solves == 1
     leaders = [r for r in responses if not r.coalesced]
     assert len(leaders) == 1
@@ -585,7 +585,7 @@ def test_hard_watermark_sheds_without_exceptions():
     assert len(shed) == 4 and len(served) == 2
     assert all(r.result is None for r in shed)
     assert all("hard watermark" in r.reason for r in shed)
-    assert bundle.registry.counters()["service.shed"] == 4
+    assert service.telemetry.counter("service.status.shed").value == 4
 
 
 def test_token_bucket_sheds_overflow():
@@ -877,31 +877,38 @@ def test_close_is_idempotent_and_not_terminal():
     assert service.solves == 2
 
 
-# -- one latency record per request path --------------------------------------
+# -- one record per request ---------------------------------------------------
 
 
-def latency_counts(bundle):
-    """Observation counts of the facade's ``service.latency*``
-    histograms, keyed by name."""
+def latency_counts(service):
+    """Observation counts of the service's ``service.latency_s*``
+    telemetry histograms, keyed by name."""
     return {
         name: entry["count"]
-        for name, entry in bundle.registry.snapshot().items()
-        if name.startswith("service.latency") and entry["count"]
+        for name, entry in service.telemetry.snapshot().items()
+        if name.startswith("service.latency_s") and entry["count"]
     }
 
 
-def test_each_served_digest_records_one_latency_on_its_own_path():
-    # six tokens: the six requests before the last, which is shed
+def serve_seven():
+    """Seven requests through a service holding six tokens: a cold
+    solve, a coalesced leader and follower, a cache hit, a view hit
+    after an ingest, an unknown-label error and a shed.
+
+    Returns the service, the seven responses and, per group of
+    concurrent requests, the observations the group added to each
+    ``service.latency_s*`` histogram.
+    """
     service = make_service(rate=0.0001, burst=6.0)
     service.ingest(make_docs())
     recorded = []
 
     async def step(*requests):
-        before = latency_counts(bundle)
+        before = latency_counts(service)
         responses = await asyncio.gather(
             *[service.digest(request) for request in requests]
         )
-        after = latency_counts(bundle)
+        after = latency_counts(service)
         recorded.append({
             name: count - before.get(name, 0)
             for name, count in after.items()
@@ -921,20 +928,110 @@ def test_each_served_digest_records_one_latency_on_its_own_path():
         (shed,) = await step(DigestRequest(lam=30.0))
         return cold, leader, follower, hit, view, error, shed
 
-    with facade.session() as bundle:
-        cold, leader, follower, hit, view, error, shed = run(scenario())
+    return service, run(scenario()), recorded
+
+
+def test_each_served_digest_records_one_latency_on_its_own_path():
+    # observability off: the service's own telemetry is the record
+    assert not facade.enabled()
+    service, responses, recorded = serve_seven()
+    cold, leader, follower, hit, view, error, shed = responses
 
     assert not (cold.cached or cold.view or cold.coalesced)
     assert not leader.coalesced and follower.coalesced
     assert hit.cached and view.view
     assert error.status == "error" and shed.status == "shed"
+    # one observation per response; one per served digest on its path
     assert recorded == [
-        {"service.latency": 1, "service.latency.solve": 1},
+        {"service.latency_s": 1, "service.latency_s.solve": 1},
         # the leader and its follower, one record each
-        {"service.latency": 2, "service.latency.solve": 2},
-        {"service.latency": 1, "service.latency.cache_hit": 1},
-        {"service.latency": 1, "service.latency.view_hit": 1},
-        {},
-        {},
+        {"service.latency_s": 2, "service.latency_s.solve": 2},
+        {"service.latency_s": 1, "service.latency_s.cache_hit": 1},
+        {"service.latency_s": 1, "service.latency_s.view_hit": 1},
+        {"service.latency_s": 1},
+        {"service.latency_s": 1},
     ]
-    assert bundle.registry.counters()["service.view_hits"] == 1
+    counts = latency_counts(service)
+    counters = service.telemetry.counters()
+    on_paths = sum(
+        counts[f"service.latency_s.{path}"]
+        for path in ("cache_hit", "view_hit", "solve")
+    )
+    assert (
+        on_paths + counters["service.status.shed"]
+        + counters["service.status.error"]
+        == counts["service.latency_s"]
+        == counters["service.requests"]
+        == service.requests == 7
+    )
+    assert service.errors == 1
+    assert counters["service.view_hits"] == 1
+
+
+def test_facade_holds_no_twin_of_a_request_outcome():
+    with facade.session() as bundle:
+        serve_seven()
+        service = degrade_service()
+
+        async def burst():
+            return await asyncio.gather(
+                *[
+                    service.digest(DigestRequest(lam=float(20 + i)))
+                    for i in range(3)
+                ]
+            )
+
+        assert "degraded" in {r.status for r in run(burst())}
+
+    names = bundle.registry.names()
+    twins = {
+        "service.requests", "service.errors", "service.shed",
+        "service.degraded", "service.view_hits", "service.latency",
+    }
+    assert twins.isdisjoint(names)
+    assert not [
+        name for name in names
+        if name.startswith(("service.latency.", "service.sessions."))
+    ]
+    # the components' own counters stay
+    counters = bundle.registry.counters()
+    assert counters["service.views.hits"] == 1
+    assert counters["service.admission.shed"] == 1
+    assert counters["service.admission.degrade"] == 2
+
+
+def test_response_path_names_what_served_it():
+    with structlog.capture() as events:
+        _, responses, _ = serve_seven()
+    assert [response.path for response in responses] == [
+        "solve", "solve", "solve", "cache_hit", "view_hit", "error",
+        "shed",
+    ]
+    cold, view = responses[0], responses[4]
+    by_trace = {
+        event["trace_id"]: event for event in events
+        if event["event"] == "service.ok"
+    }
+    assert by_trace[cold.trace_id]["path"] == "solve"
+    assert by_trace[view.trace_id]["path"] == "view_hit"
+    # derived from the fields, so not a wire field
+    assert "path" not in view.to_dict()
+    assert ServiceResponse.from_dict(view.to_dict()).path == "view_hit"
+
+
+def test_slow_solve_profile_hook_is_gone():
+    with pytest.raises(TypeError):
+        ServiceConfig(profile_slow_s=1.0)
+    service = make_service()
+    assert not hasattr(service, "attach_profiler")
+    assert "profiling" not in service.introspect()
+
+
+def test_scrape_ships_only_the_burn_maxima():
+    service = make_service()
+    service.ingest(make_docs(6))
+    run(service.digest(DigestRequest(lam=25.0, session="acme")))
+    run(service.digest(DigestRequest(lam=25.0, labels=("nope",))))
+    slo = service.scrape()["slo"]
+    assert set(slo) == {"max_fast_burn", "max_slow_burn"}
+    assert slo["max_fast_burn"] > 0

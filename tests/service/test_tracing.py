@@ -418,8 +418,13 @@ class TestIntrospect:
 
         service = make_service()
         service.ingest(make_docs(6))
-        run(service.digest(DigestRequest(lam=25.0, session="acme")))
+        # the tenant is the request's session, which arrives off the
+        # cluster wire: every label value must escape and parse back
+        sessions = ("acme", 'ac"me', "back\\slash", "new\nline", "}{")
+        for session in sessions:
+            run(service.digest(DigestRequest(lam=25.0, session=session)))
         samples = parse_prometheus(service.slo_prometheus())
         labels = [s["labels"] for s in samples
                   if s["name"] == "service_slo_requests_total"]
-        assert {"tenant": "acme", "algorithm": "greedy_sc"} in labels
+        for session in sessions:
+            assert {"tenant": session, "algorithm": "greedy_sc"} in labels

@@ -39,7 +39,7 @@ def test_view_serves_after_ingest_without_resolve():
         response.result.instance, response.result.solution.posts
     ) == []
     counters = bundle.registry.counters()
-    assert counters["service.view_hits"] == 1
+    assert counters["service.views.hits"] == 1
     assert counters["service.views.seeds"] == 1
 
 
