@@ -96,9 +96,11 @@ def segments(docs, count):
     return [docs[i:i + size] for i in range(0, len(docs), size)]
 
 
-def timed_digest(service, request):
+async def timed_digest(service, request):
+    # awaited on the caller's loop: a loop per digest (asyncio.run)
+    # costs more than a view read does
     started = time.perf_counter()
-    response = run(service.digest(request))
+    response = await service.digest(request)
     return response, time.perf_counter() - started
 
 
@@ -108,41 +110,44 @@ def test_view_read_vs_cold_solve(incremental_record, incremental_figure):
     Both services replay the same day in ingest chunks; after each chunk
     the views-on service answers from its maintained cover while the
     views-off twin re-solves.  The comparison is within one process and
-    one workload, so pool and allocator constants cancel."""
+    one workload, so pool and allocator constants cancel.  Every digest
+    of both services is awaited on one event loop."""
     docs = day_documents()
     viewed = build_service(audit_sample=1.0)
     cold = build_service(views=False)
     request = DigestRequest(lam=LAM_S)
-
-    chunks = segments(docs, SEGMENTS)
-    # priming pass: first chunk + one digest seeds the view
-    viewed.ingest(chunks[0])
-    cold.ingest(chunks[0])
-    run(viewed.digest(request))
-    run(cold.digest(request))
-
     view_lat, cold_lat, warm_lat = [], [], []
     view_sizes = []
-    for chunk in chunks[1:]:
-        viewed.ingest(chunk)
-        cold.ingest(chunk)
-        for _ in range(READS_PER_SEGMENT):
-            response, elapsed = timed_digest(viewed, request)
-            if response.view:
-                view_lat.append(elapsed)
-                view_sizes.append(response.result.size)
-                assert uncovered_pairs(
-                    response.result.instance,
-                    response.result.solution.posts,
-                ) == []
-            elif response.cached:
-                # epoch-exact repeat — the latency floor
-                warm_lat.append(elapsed)
-            # else: a drift-triggered re-solve; it re-seeds the view and
-            # the next read is incremental again
-        response, elapsed = timed_digest(cold, request)
-        assert not response.view
-        cold_lat.append(elapsed)
+
+    async def replay():
+        chunks = segments(docs, SEGMENTS)
+        # priming pass: first chunk + one digest seeds the view
+        viewed.ingest(chunks[0])
+        cold.ingest(chunks[0])
+        await viewed.digest(request)
+        await cold.digest(request)
+        for chunk in chunks[1:]:
+            viewed.ingest(chunk)
+            cold.ingest(chunk)
+            for _ in range(READS_PER_SEGMENT):
+                response, elapsed = await timed_digest(viewed, request)
+                if response.view:
+                    view_lat.append(elapsed)
+                    view_sizes.append(response.result.size)
+                    assert uncovered_pairs(
+                        response.result.instance,
+                        response.result.solution.posts,
+                    ) == []
+                elif response.cached:
+                    # epoch-exact repeat — the latency floor
+                    warm_lat.append(elapsed)
+                # else: a drift-triggered re-solve; it re-seeds the view
+                # and the next read is incremental again
+            response, elapsed = await timed_digest(cold, request)
+            assert not response.view
+            cold_lat.append(elapsed)
+
+    run(replay())
 
     assert view_lat, "steady-state ingest never served a view"
     assert cold_lat

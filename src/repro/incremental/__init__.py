@@ -11,13 +11,14 @@ cache, StreamScan locality).
 """
 
 from .registry import ViewKey, ViewRegistry
-from .store import DocumentProjector, PostStore
+from .store import DocumentProjector, PostStore, StoreSnapshot
 from .view import CoverView, ViewLedger
 
 __all__ = [
     "CoverView",
     "DocumentProjector",
     "PostStore",
+    "StoreSnapshot",
     "ViewKey",
     "ViewLedger",
     "ViewRegistry",

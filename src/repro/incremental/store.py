@@ -28,9 +28,14 @@ Two pieces:
   :meth:`~repro.core.instance.Instance.from_sorted` instance — no
   re-sort, no re-validation on the read path.
 
-The store also tracks the values of *unmatched* kept documents, so a
-view can report exact ``unmatched_dropped`` counters even after window
-expiry removed some of them.
+A read need not build that instance at all: :meth:`PostStore.snapshot`
+takes the rows (one list slice) and the batch pipeline's counters under
+one hold of the lock, and the :class:`StoreSnapshot` it returns builds
+the instance through :meth:`PostStore.materialize` only when something
+reads it.  ``matched`` comes from a per-label-set index of sorted values
+(one bisect per distinct label set), and the store tracks the values of
+*unmatched* kept documents, so ``unmatched_dropped`` stays exact even
+after window expiry removed some of them.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from ..index.inverted_index import Document
 from ..index.query import LabelMatcher, TopicQuery
 from ..index.simhash import SimHashIndex, simhash
 
-__all__ = ["DocumentProjector", "PostStore"]
+__all__ = ["DocumentProjector", "PostStore", "StoreSnapshot"]
 
 
 class DocumentProjector:
@@ -109,11 +114,69 @@ class DocumentProjector:
         )
 
 
+class StoreSnapshot:
+    """One read of a :class:`PostStore`: its rows from the read's
+    horizon on, and the batch pipeline's counters for them.
+
+    ``rows`` is a slice of the store's post list taken under its lock —
+    a list the store never mutates, of immutable posts — so the snapshot
+    stays exact after later ingests, expiries and rebuilds.
+    :attr:`instance` builds the read's instance from it through
+    :meth:`PostStore.materialize` on first access, once; nothing else
+    here builds it, ``repr`` included.
+    """
+
+    __slots__ = ("labels", "lam", "rows", "counters", "_store",
+                 "_instance")
+
+    def __init__(
+        self,
+        store: "PostStore",
+        labels: FrozenSet[str],
+        lam: float,
+        rows: List[Post],
+        counters: Dict[str, int],
+    ):
+        self.labels = labels
+        self.lam = lam
+        self.rows = rows
+        # matched / unmatched_dropped / duplicates_dropped
+        self.counters = counters
+        self._store = store
+        self._instance: Optional[Instance] = None
+
+    @property
+    def instance(self) -> Instance:
+        """``store.materialize(labels, lam, min_value=horizon)`` as it
+        was at the read, built on first access and kept (two threads
+        reading at once build it once)."""
+        with self._store._lock:
+            if self._instance is None:
+                self._instance = self._store.materialize(
+                    self.labels, self.lam, rows=self.rows
+                )
+            return self._instance
+
+    @property
+    def posts(self) -> Tuple[Post, ...]:
+        """The instance's posts (builds it)."""
+        return self.instance.posts
+
+    def __repr__(self) -> str:
+        return (
+            f"StoreSnapshot(rows={len(self.rows)}, "
+            f"labels={sorted(self.labels)}, lam={self.lam:g}, "
+            f"built={self._instance is not None})"
+        )
+
+
 class PostStore:
     """Projected posts in ``(value, uid)`` order, shared by all views.
 
     Thread-safe: the write path appends from ingest/feed (possibly WAL
     consumer threads) while views materialize reads under the same lock.
+    ``version`` moves on every change a read can see: the rows and the
+    unmatched / duplicate tallies behind the counters.
     """
 
     def __init__(self, projector: Optional[DocumentProjector] = None):
@@ -123,6 +186,9 @@ class PostStore:
         self._posts: List[Post] = []
         # per label: its posts' sorted values and the posts, index-aligned
         self._by_label: Dict[str, Tuple[List[float], List[Post]]] = {}
+        # per distinct label set: its posts' sorted values — count()
+        # answers a read's matched counter from it
+        self._by_label_set: Dict[FrozenSet[str], List[float]] = {}
         self._by_uid: Dict[int, Post] = {}
         # values of kept-but-unmatched documents, sorted — expired with
         # the window so views report exact unmatched_dropped counters
@@ -154,6 +220,9 @@ class PostStore:
                 at = bisect.bisect_right(values, post.value)
                 values.insert(at, post.value)
                 posts.insert(at, post)
+            bisect.insort(
+                self._by_label_set.setdefault(post.labels, []), post.value
+            )
             self._by_uid[post.uid] = post
             self._note_value(post.value)
             self.version += 1
@@ -177,6 +246,8 @@ class PostStore:
                     value = float(self.projector._value_of(document))
                     bisect.insort(self._unmatched_values, value)
                     self._note_value(value)
+                # a counter moved (unmatched or duplicates_dropped)
+                self.version += 1
                 return None
             self.add(post)
             return post
@@ -201,20 +272,26 @@ class PostStore:
                 removed = self._posts[:idx]
                 del self._keys[:idx]
                 del self._posts[:idx]
-                affected: Set[str] = set()
+                label_sets: Set[FrozenSet[str]] = set()
                 for post in removed:
                     del self._by_uid[post.uid]
-                    affected |= post.labels
-                for label in affected:
+                    label_sets.add(post.labels)
+                for label in set().union(*label_sets):
                     values, posts = self._by_label[label]
                     dead = bisect.bisect_left(values, cutoff)
                     del values[:dead]
                     del posts[:dead]
+                for label_set in label_sets:
+                    values = self._by_label_set[label_set]
+                    del values[:bisect.bisect_left(values, cutoff)]
+                    if not values:
+                        del self._by_label_set[label_set]
                 self.expired += len(removed)
                 self.version += 1
             dead = bisect.bisect_left(self._unmatched_values, cutoff)
             if dead:
                 del self._unmatched_values[:dead]
+                self.version += 1
             return removed
 
     # -- read path ---------------------------------------------------------
@@ -247,6 +324,23 @@ class PostStore:
             )
             return posts + unmatched
 
+    def count(
+        self, labels: Iterable[str], min_value: Optional[float] = None
+    ) -> int:
+        """How many posts ``materialize(labels, lam, min_value)`` holds —
+        the live posts with a label in ``labels`` and value ``>=
+        min_value`` — from one bisect per distinct label set, without
+        building anything."""
+        universe = frozenset(labels)
+        with self._lock:
+            total = 0
+            for label_set, values in self._by_label_set.items():
+                if not universe.isdisjoint(label_set):
+                    total += len(values)
+                    if min_value is not None:
+                        total -= bisect.bisect_left(values, min_value)
+            return total
+
     def post(self, uid: int) -> Optional[Post]:
         return self._by_uid.get(uid)
 
@@ -264,11 +358,44 @@ class PostStore:
             lo, hi = window(values, center, lam)
             return posts[lo:hi]
 
+    def _rows_since(self, min_value: Optional[float]) -> List[Post]:
+        """The live rows with value ``>= min_value``: a new list (call
+        under the lock)."""
+        if min_value is None:
+            return self._posts[:]
+        return self._posts[bisect.bisect_left(self._keys, (min_value,)):]
+
+    def snapshot(
+        self,
+        labels: Iterable[str],
+        lam: float,
+        min_value: Optional[float] = None,
+    ) -> StoreSnapshot:
+        """One read for ``labels`` from ``min_value`` on: the rows and
+        the batch pipeline's counters, from one hold of the lock, so all
+        of it describes one store version.  A kept document in the
+        window either matched or was dropped unmatched.  Builds no
+        instance."""
+        universe = frozenset(labels)
+        with self._lock:
+            matched = self.count(universe, min_value)
+            counters = {
+                "matched": matched,
+                "unmatched_dropped":
+                    self.live_documents_since(min_value) - matched,
+                "duplicates_dropped": 0 if self.projector is None
+                else self.projector.duplicates_dropped,
+            }
+            return StoreSnapshot(
+                self, universe, lam, self._rows_since(min_value), counters
+            )
+
     def materialize(
         self,
         labels: Iterable[str],
         lam: float,
         min_value: Optional[float] = None,
+        rows: Optional[List[Post]] = None,
     ) -> Instance:
         """The instance a batch solve over ``labels`` would see.
 
@@ -282,17 +409,19 @@ class PostStore:
         holds one label set per distinct combination.  ``min_value``
         additionally clips the old end — how a view with a narrower
         per-label-set window reads a store whose physical retention is
-        the widest window of any view.
+        the widest window of any view.  ``rows`` builds from a
+        :class:`StoreSnapshot`'s rows instead of the live ones (and
+        ignores ``min_value``, which the snapshot already applied): the
+        one build path, for live and deferred reads alike.
         """
         universe: FrozenSet[str] = frozenset(labels)
         with self._lock:
-            start = 0 if min_value is None else bisect.bisect_left(
-                self._keys, (min_value,)
-            )
+            if rows is None:
+                rows = self._rows_since(min_value)
+            # label keys are never dropped, so this also holds for the
+            # rows of an earlier snapshot
             if universe.issuperset(self._by_label):
-                return Instance.from_sorted(
-                    self._posts[start:], lam, universe
-                )
+                return Instance.from_sorted(rows, lam, universe)
             intern = None if self.projector is None \
                 else self.projector.intern
             # a post's label set -> its labels inside the subset: all of
@@ -300,7 +429,7 @@ class PostStore:
             # subset) or none (skip it)
             relabel: Dict[FrozenSet[str], FrozenSet[str]] = {}
             selected: List[Post] = []
-            for post in self._posts[start:]:
+            for post in rows:
                 own = post.labels
                 inter = relabel.get(own)
                 if inter is None:

@@ -31,17 +31,21 @@ is servable only when its epoch equals the registry's committed epoch.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from ..core.coverage import uncovered_pairs
-from ..core.instance import Instance, window
+from ..core.instance import window
 from ..core.post import Post
 from ..core.solution import Solution
 from ..errors import ReproError
-from .store import PostStore
+from .store import PostStore, StoreSnapshot
 
 __all__ = ["CoverView", "ViewLedger"]
+
+# canonical post order
+_ROW_KEY = operator.attrgetter("value", "uid")
 
 
 @dataclass
@@ -127,13 +131,16 @@ class CoverView:
         # sorted member values for O(log) coverage probes
         self._members: Dict[int, Post] = {}
         self._index: Dict[str, List[float]] = {}
-        # read memoization: (store.version, mutation count) -> the last
-        # materialized answer.  A read against an unchanged store and an
-        # unchanged cover is a tuple compare — the near-O(1) hot path.
+        # read memoization: the last store snapshot, keyed on (store
+        # version, mutation count), and the last cover solution, keyed
+        # on the mutation count alone (it does not read the store).  A
+        # read against an unchanged store and an unchanged cover is two
+        # tuple compares — the near-O(1) hot path.
         self._mutations = 0
-        self._materialized: Optional[
-            Tuple[Tuple[int, int], Instance, Solution]
+        self._snapshot: Optional[
+            Tuple[Tuple[int, int], StoreSnapshot]
         ] = None
+        self._solution: Optional[Tuple[int, Solution]] = None
         self.baseline_size: Optional[int] = None
         self.epoch = -1
         self.stale = True
@@ -189,7 +196,7 @@ class CoverView:
         """
         self._members = {}
         self._index = {}
-        self._materialized = None
+        self._snapshot = self._solution = None
         for post in posts:
             self._select(post)
         self.baseline_size = max(1, int(baseline_size))
@@ -202,7 +209,7 @@ class CoverView:
         """Drop the maintained state; the next read must re-seed."""
         self._members = {}
         self._index = {}
-        self._materialized = None
+        self._snapshot = self._solution = None
         self._mutations += 1
         self.stale = True
         self.needs_rebuild = False
@@ -349,29 +356,29 @@ class CoverView:
 
     def cover_posts(self) -> Tuple[Post, ...]:
         """The maintained cover, in canonical ``(value, uid)`` order."""
-        return tuple(sorted(
-            self._members.values(), key=lambda p: (p.value, p.uid)
-        ))
+        return tuple(sorted(self._members.values(), key=_ROW_KEY))
 
-    def materialize(self) -> Tuple[Instance, Solution]:
-        """The view's answer: the store's current instance for these
-        labels plus the maintained cover as a solution.  Memoized on
-        (store version, cover mutations) — repeated reads against an
-        unchanged corpus cost a tuple compare."""
+    def materialize(self) -> Tuple[StoreSnapshot, Solution]:
+        """The view's answer: one store read at this view's horizon (its
+        rows and exact counters; the instance is built only when
+        something reads ``snapshot.instance``) and the maintained cover
+        as a solution.  The snapshot is memoized on (store version,
+        cover mutations), the solution on cover mutations alone."""
         self.ledger.reads += 1
-        state = (self.store.version, self._mutations)
-        memo = self._materialized
-        if memo is not None and memo[0] == state:
-            return memo[1], memo[2]
-        instance = self.store.materialize(
-            self.labels, self.lam, min_value=self.horizon
-        )
-        solution = Solution.from_posts(
-            f"view:{self.algorithm}", list(self.cover_posts()),
-            elapsed=0.0,
-        )
-        self._materialized = (state, instance, solution)
-        return instance, solution
+        mutations = self._mutations
+        solution = self._solution
+        if solution is None or solution[0] != mutations:
+            # cover_posts() is already unique and in canonical order
+            solution = self._solution = (mutations, Solution(
+                f"view:{self.algorithm}", self.cover_posts(), elapsed=0.0
+            ))
+        state = (self.store.version, mutations)
+        snapshot = self._snapshot
+        if snapshot is None or snapshot[0] != state:
+            snapshot = self._snapshot = (state, self.store.snapshot(
+                self.labels, self.lam, min_value=self.horizon
+            ))
+        return snapshot[1], solution[1]
 
     def verify(self) -> List[Tuple[int, str]]:
         """Uncovered (uid, label) pairs of the maintained cover against

@@ -19,9 +19,11 @@ layer (:mod:`repro.service`) publishes into one shared registry from
 concurrent executor threads, so every mutation is guarded.  Instrument
 updates take a per-instrument lock (CPython's ``+=`` on an attribute is
 *not* atomic — it compiles to a load/add/store triple that can interleave
-under preemption), and the registry's get-or-create path takes a registry
-lock so two threads racing to create the same name always converge on one
-instrument.  Reads of a single counter/gauge value stay lock-free (an
+under preemption), and the registry's create path takes a registry lock
+so two threads racing to create the same name always converge on one
+instrument; finding an existing one is a plain ``dict.get`` (atomic
+under the GIL), since the table only ever gains entries under that
+lock.  Reads of a single counter/gauge value stay lock-free (an
 attribute load is atomic); ``snapshot``/``counters`` lock only the
 instrument table iteration, so they are consistent per-instrument, not
 across instruments — fine for monitoring, which tolerates a tick of skew.
@@ -150,11 +152,15 @@ class MetricsRegistry:
         self._instruments: Dict[str, object] = {}
         self._lock = threading.Lock()
 
-    def _get(self, name: str, kind, factory):
+    def _get(self, name: str, kind, *args):
+        instrument = self._instruments.get(name)
+        if isinstance(instrument, kind):
+            # the common case: an existing instrument, no lock taken
+            return instrument
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
-                instrument = factory()
+                instrument = kind(name, *args)
                 self._instruments[name] = instrument
             elif not isinstance(instrument, kind):
                 raise TypeError(
@@ -164,15 +170,15 @@ class MetricsRegistry:
             return instrument
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter, lambda: Counter(name))
+        return self._get(name, Counter)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge, lambda: Gauge(name))
+        return self._get(name, Gauge)
 
     def histogram(
         self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
     ) -> Histogram:
-        return self._get(name, Histogram, lambda: Histogram(name, buckets))
+        return self._get(name, Histogram, buckets)
 
     # -- introspection ----------------------------------------------------
 

@@ -201,6 +201,40 @@ class SLOMonitor:
             })
         return out
 
+    def max_burn_rates(
+        self, now: Optional[float] = None
+    ) -> Tuple[float, float]:
+        """The largest fast- and slow-window burn rate over every
+        series (0.0 without requests) — what :meth:`snapshot` reports,
+        maxed, from one pass over the samples: no quantiles, no sort."""
+        if now is None:
+            now = self._clock()
+        fast, slow = self.windows
+        budget = 1.0 - self.objective
+        with self._lock:
+            series = [list(s.samples) for s in self._series.values()]
+        max_fast = max_slow = 0.0
+        for samples in series:
+            fast_requests = fast_errors = slow_requests = slow_errors = 0
+            for stamp, _, status, _ in samples:
+                age = now - stamp
+                if age <= slow:
+                    failed = status in FAILURE_STATUSES
+                    slow_requests += 1
+                    slow_errors += failed
+                    if age <= fast:  # fast <= slow
+                        fast_requests += 1
+                        fast_errors += failed
+            if fast_requests:
+                max_fast = max(
+                    max_fast, fast_errors / fast_requests / budget
+                )
+            if slow_requests:
+                max_slow = max(
+                    max_slow, slow_errors / slow_requests / budget
+                )
+        return max_fast, max_slow
+
     def to_prometheus(self, now: Optional[float] = None) -> str:
         """The snapshot in Prometheus text exposition format 0.0.4.
 

@@ -53,6 +53,11 @@ __all__ = [
 
 LOGGER_NAME = "repro.events"
 
+# bound once: ``logging.getLogger`` takes the logging module's lock, and
+# emit() runs once per served request.  It returns this same object to
+# anyone else asking for LOGGER_NAME.
+_LOGGER = logging.getLogger(LOGGER_NAME)
+
 _STRUCT_ATTR = "structured_event"
 
 
@@ -103,7 +108,7 @@ def configure(
     Returns the handler so callers can detach it
     (``logging.getLogger(LOGGER_NAME).removeHandler(handler)``).
     """
-    logger = logging.getLogger(LOGGER_NAME)
+    logger = _LOGGER
     handler = JsonLinesHandler(stream=stream)
     logger.addHandler(handler)
     if logger.level == logging.NOTSET or logger.level > level:
@@ -119,7 +124,7 @@ def capture(
 
     Yields the list the payloads are appended to, in emission order.
     """
-    logger = logging.getLogger(LOGGER_NAME)
+    logger = _LOGGER
     sink: List[Dict[str, Any]] = []
     handler = _ListHandler(sink)
     previous_level = logger.level
@@ -147,7 +152,7 @@ def emit(
     tracer is running), so events emitted under a request span correlate
     without every call-site threading the id through.
     """
-    logger = logging.getLogger(LOGGER_NAME)
+    logger = _LOGGER
     if not logger.isEnabledFor(level):
         return
     if trace_id is None:

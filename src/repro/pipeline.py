@@ -22,7 +22,7 @@ order — time is, sentiment is not — and refuses otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple, Union
 
@@ -77,9 +77,18 @@ def solve_instance(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DigestResult:
     """Outcome of a batch digest.
+
+    The digest is its cover and counters; the instance is the input the
+    cover was computed over.  ``source`` holds that instance, or — for a
+    maintained-view read — a
+    :class:`~repro.incremental.store.StoreSnapshot` of the store's rows
+    at the read, which :attr:`instance` builds on first access.  Pass
+    ``instance=`` for the first, ``source=`` for the second.  ``repr``,
+    ``==`` and ``dataclasses.replace`` never build it: ``source`` is
+    left out of the repr and compared by identity, as the instance was.
 
     ``downgrades`` is empty unless the pipeline runs with a
     :class:`~repro.resilience.supervisor.ResilienceConfig` whose batch
@@ -87,7 +96,6 @@ class DigestResult:
     """
 
     solution: Solution
-    instance: Instance
     matched: int
     duplicates_dropped: int
     unmatched_dropped: int
@@ -98,6 +106,41 @@ class DigestResult:
     # lets its own trace link back to the run that did the work.
     trace_id: Optional[str] = None
     solve_span_id: Optional[int] = None
+    source: Any = field(default=None, repr=False)
+
+    def __init__(
+        self,
+        solution: Solution,
+        instance: Optional[Instance] = None,
+        *,
+        matched: int,
+        duplicates_dropped: int,
+        unmatched_dropped: int,
+        downgrades: Tuple[DowngradeEvent, ...] = (),
+        trace_id: Optional[str] = None,
+        solve_span_id: Optional[int] = None,
+        source: Any = None,
+    ):
+        if (instance is None) == (source is None):
+            raise ReproError(
+                "a digest result takes exactly one of instance and source"
+            )
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "solution", solution)
+        set_field(self, "matched", matched)
+        set_field(self, "duplicates_dropped", duplicates_dropped)
+        set_field(self, "unmatched_dropped", unmatched_dropped)
+        set_field(self, "downgrades", downgrades)
+        set_field(self, "trace_id", trace_id)
+        set_field(self, "solve_span_id", solve_span_id)
+        set_field(self, "source", instance if source is None else source)
+
+    @property
+    def instance(self) -> Instance:
+        """The instance the cover was computed over (a deferred source
+        builds it here, once)."""
+        source = self.source
+        return source if isinstance(source, Instance) else source.instance
 
     @property
     def posts(self):

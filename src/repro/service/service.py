@@ -11,7 +11,9 @@ summaries — implemented over the existing stack end to end:
   (:mod:`~repro.service.coalescer`); a cold solve takes one hop to the
   event loop's default executor and runs the :mod:`repro.core` solver
   over an instance materialized from the post store
-  (:class:`~repro.incremental.PostStore`) ingest maintains;
+  (:class:`~repro.incremental.PostStore`) ingest maintains, and a
+  maintained view answers with its cover and a store snapshot whose
+  instance is built only if something reads it;
 * **stream traffic** feeds one supervised pipeline
   (:class:`~repro.resilience.supervisor.StreamSupervisor` underneath),
   so hostile arrivals are quarantined or repaired rather than crashing
@@ -51,7 +53,8 @@ from ..core.instance import Instance
 from ..core.registry import available_algorithms
 from ..core.streaming import _STREAM_FACTORIES
 from ..errors import ReproError, ServiceOverloadError
-from ..incremental import DocumentProjector, PostStore, ViewRegistry
+from ..incremental import DocumentProjector, PostStore, StoreSnapshot, \
+    ViewRegistry
 from ..index.inverted_index import Document
 from ..index.query import TopicQuery
 from ..observability import facade as _obs
@@ -774,26 +777,13 @@ class DiversificationService:
             start = -1
         return ladder[min(start + steps, len(ladder) - 1)]
 
-    def _counters(
-        self, instance: Instance, horizon: Optional[float]
-    ) -> Dict[str, int]:
-        """The batch pipeline's counters for an instance the store
-        materialized at ``horizon``: a kept document in the window either
-        matched or was dropped unmatched."""
-        store, matched = self._store, len(instance.posts)
-        return {
-            "matched": matched,
-            "unmatched_dropped":
-                store.live_documents_since(horizon) - matched,
-            "duplicates_dropped": store.projector.duplicates_dropped,
-        }
-
-    def _materialize(
+    def _read_store(
         self, labels: Tuple[str, ...], lam: float
-    ) -> Tuple[Instance, Dict[str, int]]:
-        """The instance a batch solve over ``labels`` sees now, and its
-        counters.  The store keeps posts for the *widest* view window;
-        a narrower per-label-set window clips this read further."""
+    ) -> StoreSnapshot:
+        """The store read a batch solve over ``labels`` sees now: rows
+        and counters.  The store keeps posts for the *widest* view
+        window; a narrower per-label-set window clips this read
+        further."""
         if self._views_poisoned:
             raise ReproError(f"post store poisoned: {self._views_poisoned}")
         store = self._store
@@ -803,8 +793,7 @@ class DiversificationService:
             if window is not None and store.max_value is not None:
                 own = store.max_value - window
                 horizon = own if horizon is None else max(horizon, own)
-        instance = store.materialize(labels, lam, min_value=horizon)
-        return instance, self._counters(instance, horizon)
+        return store.snapshot(labels, lam, min_value=horizon)
 
     def _solve_job(
         self,
@@ -852,11 +841,9 @@ class DiversificationService:
         )
         if view is None:
             return None
-        instance, solution = view.materialize()
+        snapshot, solution = view.materialize()
         return DigestResult(
-            solution=solution,
-            instance=instance,
-            **self._counters(instance, view.horizon),
+            solution=solution, source=snapshot, **snapshot.counters
         )
 
     def _account(
@@ -1024,12 +1011,13 @@ class DiversificationService:
         async def compute() -> DigestResult:
             # before the first await, so at the corpus state key.epoch
             # names, and paid by the coalescing leader only
-            instance, counters = self._materialize(labels, request.lam)
+            snapshot = self._read_store(labels, request.lam)
+            instance = snapshot.instance
             self.solves += 1
             _obs.count("service.solves")
-            return await self.batcher.run(
-                lambda: self._solve_job(algorithm, instance, counters, ctx)
-            )
+            return await self.batcher.run(lambda: self._solve_job(
+                algorithm, instance, snapshot.counters, ctx
+            ))
 
         self._pending += 1
         if _obs.enabled():
@@ -1288,11 +1276,7 @@ class DiversificationService:
         """Worst-case burn rates across tenants — the SLO block a
         scrape ships, holding what the collector and its anomaly
         engine read and nothing more."""
-        max_fast = max_slow = 0.0
-        for record in self.slo.snapshot():
-            burn = record["burn"]
-            max_fast = max(max_fast, burn["fast"]["burn_rate"])
-            max_slow = max(max_slow, burn["slow"]["burn_rate"])
+        max_fast, max_slow = self.slo.max_burn_rates()
         return {"max_fast_burn": max_fast, "max_slow_burn": max_slow}
 
     def scrape(self, cursor: Optional[int] = None) -> Dict[str, Any]:

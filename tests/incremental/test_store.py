@@ -2,6 +2,8 @@
 pipeline's preprocessing, ordering invariants, window expiry."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.instance import Instance
 from repro.core.post import Post
@@ -261,3 +263,92 @@ class TestMatcherSubsetLemma:
         for doc in make_docs(40):
             assert subset.match(doc.text) == \
                 full.match(doc.text) & universe
+
+
+# -- counting a read without building it -----------------------------------
+
+COUNT_LABELS = ("a", "b", "c", "d")
+COUNT_QUERIES = [TopicQuery(label, [f"kw{label}"]) for label in COUNT_LABELS]
+COUNT_SUBSETS = [
+    tuple(label for bit, label in enumerate(COUNT_LABELS) if mask >> bit & 1)
+    for mask in range(16)
+]
+label_sets = st.frozensets(st.sampled_from(COUNT_LABELS))
+# few distinct values, so values repeat within and across label sets
+count_values = st.integers(0, 8).map(float)
+history_ops = st.one_of(
+    st.tuples(st.just("add"), count_values,
+              label_sets.filter(bool)),
+    st.tuples(st.just("document"), count_values, label_sets),
+    st.tuples(st.just("expire"), count_values, st.just(frozenset())),
+)
+
+
+def replay(history):
+    store = PostStore(DocumentProjector(COUNT_QUERIES, dedup_distance=None))
+    for uid, (op, value, labels) in enumerate(history):
+        if op == "add":
+            store.add(Post(uid=uid, value=value, labels=labels))
+        elif op == "document":
+            text = " ".join(f"kw{label}" for label in sorted(labels))
+            store.ingest_document(Document(uid, value, text or "chatter"))
+        else:
+            store.expire(value)
+    return store
+
+
+class TestCount:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(history_ops, max_size=30))
+    def test_count_equals_materialized_size(self, history):
+        store = replay(history)
+        values = sorted({post.value for post in store.materialize(
+            COUNT_LABELS, 1.0).posts})
+        horizons = [None] + values + [v + 0.5 for v in values] + [-1.0]
+        for labels in COUNT_SUBSETS:
+            for horizon in horizons:
+                posts = store.materialize(labels, 1.0, horizon).posts
+                assert store.count(labels, horizon) == len(posts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(history_ops, max_size=30), st.sampled_from(
+        [None, 0.0, 2.5, 4.0]))
+    def test_snapshot_is_the_materialized_read(self, history, horizon):
+        store = replay(history)
+        for labels in COUNT_SUBSETS[1:]:
+            snapshot = store.snapshot(labels, 1.0, min_value=horizon)
+            want = store.materialize(labels, 1.0, horizon)
+            matched = len(want.posts)
+            assert snapshot.counters == {
+                "matched": matched,
+                "unmatched_dropped":
+                    store.live_documents_since(horizon) - matched,
+                "duplicates_dropped": 0,
+            }
+            assert snapshot.instance.posts == want.posts
+            assert snapshot.instance.labels == want.labels
+
+    def test_snapshot_survives_later_writes(self):
+        store = replay([("add", 1.0, frozenset("ab")),
+                        ("add", 2.0, frozenset("c")),
+                        ("document", 3.0, frozenset())])
+        snapshot = store.snapshot(("a", "c"), 1.0, min_value=1.5)
+        want = store.materialize(("a", "c"), 1.0, 1.5).posts
+        store.add(Post(uid=9, value=5.0, labels=frozenset("a")))
+        store.expire(4.0)
+        assert snapshot.counters["matched"] == 1
+        assert snapshot.counters["unmatched_dropped"] == 1
+        assert snapshot.instance.posts == want
+        assert "built=True" in repr(snapshot)
+
+    def test_version_moves_with_every_counter(self):
+        store = replay([("add", 1.0, frozenset("a"))])
+        version = store.version
+        store.ingest_document(Document(5, 2.0, "chatter"))  # unmatched
+        assert store.version > version
+        version = store.version
+        store.expire(1.5)  # drops the post and nothing unmatched
+        assert store.version > version
+        version = store.version
+        store.expire(3.0)  # drops only the unmatched value
+        assert store.version > version

@@ -1,5 +1,7 @@
 """The metrics registry: counters, gauges, histograms."""
 
+import threading
+
 import pytest
 
 from repro.observability.metrics import (
@@ -69,6 +71,47 @@ class TestRegistry:
         registry.counter("a")
         with pytest.raises(TypeError):
             registry.gauge("a")
+
+    def test_finding_an_instrument_takes_no_lock(self):
+        class CountingLock:
+            def __init__(self):
+                self.lock, self.acquired = threading.Lock(), 0
+
+            def __enter__(self):
+                self.acquired += 1
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self.lock.__exit__(*exc)
+
+        registry = MetricsRegistry()
+        counter = registry.counter("c")
+        histogram = registry.histogram("h")
+        registry._lock = lock = CountingLock()
+        for _ in range(1000):
+            assert registry.counter("c") is counter
+            assert registry.histogram("h") is histogram
+        assert lock.acquired == 0
+        registry.gauge("new")
+        assert lock.acquired == 1
+
+    def test_racing_creators_get_one_instrument(self):
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(8)
+        got = []
+
+        def create():
+            barrier.wait()
+            got.append(registry.histogram("raced"))
+
+        threads = [threading.Thread(target=create) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(got) == 8
+        assert all(instrument is got[0] for instrument in got)
+        assert registry.names() == ["raced"]
 
     def test_counters_view_excludes_other_kinds(self):
         registry = MetricsRegistry()

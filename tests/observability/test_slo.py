@@ -200,6 +200,53 @@ class TestBurnRates:
         assert fast > slow
 
 
+class TestMaxBurnRates:
+    @staticmethod
+    def from_snapshot(monitor, now):
+        records = monitor.snapshot(now)
+        return (
+            max([0.0] + [r["burn"]["fast"]["burn_rate"] for r in records]),
+            max([0.0] + [r["burn"]["slow"]["burn_rate"] for r in records]),
+        )
+
+    def test_empty_monitor(self):
+        monitor, _ = make_monitor()
+        assert monitor.max_burn_rates() == (0.0, 0.0)
+
+    def test_windows_without_requests(self):
+        monitor, clock = make_monitor(windows=(10.0, 100.0))
+        monitor.record("t", "scan", latency_s=0.0, status="error")
+        clock.advance(50.0)  # out of the fast window only
+        assert monitor.max_burn_rates() == self.from_snapshot(
+            monitor, clock.now)
+        assert monitor.max_burn_rates()[0] == 0.0
+        clock.advance(100.0)  # out of both
+        assert monitor.max_burn_rates() == (0.0, 0.0)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_snapshot_maxima(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        monitor, clock = make_monitor(
+            objective=rng.choice([0.9, 0.99, 0.999]),
+            windows=(rng.uniform(1.0, 20.0), rng.uniform(20.0, 200.0)),
+            max_samples=rng.choice([4, 64, 4096]),
+        )
+        statuses = ("ok", "degraded", "shed", "error")
+        for _ in range(rng.randrange(0, 400)):
+            clock.advance(rng.expovariate(1.0))
+            monitor.record(
+                f"t{rng.randrange(6)}", rng.choice(["scan", "greedy_sc"]),
+                latency_s=rng.random(), status=rng.choice(statuses),
+                cached=rng.random() < 0.2,
+            )
+        for later in (0.0, 5.0, 60.0, 500.0):
+            now = clock.now + later
+            assert monitor.max_burn_rates(now) == \
+                self.from_snapshot(monitor, now)
+
+
 class TestPrometheus:
     def test_exposition_parses_and_carries_labels(self):
         monitor, _ = make_monitor()

@@ -128,3 +128,20 @@ class TestJsonLinesHandler:
         import sys
 
         assert JsonLinesHandler().stream is sys.stderr
+
+
+class TestLoggerBinding:
+    def test_emit_looks_no_logger_up(self, monkeypatch):
+        lookups = []
+        real = logging.getLogger
+
+        def counting(name=None):
+            lookups.append(name)
+            return real(name)
+
+        monkeypatch.setattr(logging, "getLogger", counting)
+        with structlog.capture() as events:
+            for index in range(1000):
+                structlog.emit("unit.bound", index=index)
+        assert lookups == []
+        assert [e["index"] for e in events] == list(range(1000))
