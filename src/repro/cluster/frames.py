@@ -7,7 +7,10 @@ deliberately boring — the interesting wire work is done by the
 just carry those dicts across an asyncio stream.  The bulk of the bytes
 is a digest answer's instance, which ``Instance.to_dict`` encodes as
 columns (uids, values, one label bitmask and one text per post) rather
-than one JSON object per post; ``Instance.from_dict`` checks them.
+than one JSON object per post.  The values column is one base64 string
+of little-endian float64s; the others are JSON lists.  One decoder,
+``InstanceColumns.decode``, checks the columns for both
+``Instance.from_dict`` and ``DigestResult.from_dict``.
 
 Two failure modes matter and both are rejected *before* any unbounded
 read, so a hostile or corrupt peer can never hang a reader mid-frame:
@@ -46,8 +49,9 @@ __all__ = [
 ]
 
 # Generous enough for a scatter leg carrying a full day-scale instance
-# (the 13,278-post fig13 day, texts included, is 0.63 MB as columns),
-# small enough that a corrupt header can't trigger a multi-GiB read.
+# (the 13,278-post fig13 day, texts included, is 0.51 MB as columns
+# with packed values), small enough that a corrupt header can't trigger
+# a multi-GiB read.
 MAX_FRAME = 32 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")

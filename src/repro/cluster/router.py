@@ -44,6 +44,7 @@ import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from dataclasses import replace as _dc_replace
+from itertools import compress
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
     Mapping, Optional, Sequence, Set, Tuple
 
@@ -105,6 +106,7 @@ _NO_SPAN = _NoSpan()
 
 # an instance's row order
 _ROW_KEY = operator.attrgetter("value", "uid")
+_UID = operator.attrgetter("uid")
 
 
 def _check_leg(
@@ -112,15 +114,16 @@ def _check_leg(
 ) -> None:
     """Raise :class:`ClusterError` when a leg's instance is not over
     the labels and lambda its request asked for — the merge hands the
-    legs' rows to ``Instance.from_sorted`` on that promise."""
+    legs' rows to ``Instance.from_sorted`` on that promise.  Reads the
+    decoded columns, so a forward never builds its instance here."""
     if result is None:
         return
-    instance = result.instance
-    if instance.labels != frozenset(sub.labels) \
-            or instance.lam != float(sub.lam):
+    source = result.source
+    if source.labels != frozenset(sub.labels) \
+            or source.lam != float(sub.lam):
         raise ClusterError(
-            f"{node} answered over labels {sorted(instance.labels)} at "
-            f"lambda {instance.lam}; the leg asked for "
+            f"{node} answered over labels {sorted(source.labels)} at "
+            f"lambda {source.lam}; the leg asked for "
             f"{list(sub.labels)} at lambda {float(sub.lam)}"
         )
 
@@ -1269,52 +1272,76 @@ class ClusterRouter:
                     hedges=hedges,
                     reason=legs[0]["response"].reason,
                 )
-            # merge the legs' instances by uid; a seam post appears in
-            # more than one leg (its labels span owners) with partial
-            # label sets whose union is its true requested label set
-            merged: Dict[int, Post] = {}
-            unions: Dict[int, FrozenSet[str]] = {}
-            for leg in legs:
-                for post in leg["response"].result.instance.posts:
-                    known = merged.setdefault(post.uid, post)
-                    if known is post:
+            # merge the legs on their decoded columns: a seam post is a
+            # uid in more than one leg (its labels span owners), with
+            # partial label sets whose union is its true requested
+            # label set.  One Post per merged row: a seam post is built
+            # once, with its union; every other row reuses the cover
+            # post its leg's decode built, or is built here.
+            columns = [leg["response"].result.source for leg in legs]
+            seam: Set[int] = set()
+            for index, first in enumerate(columns):
+                for other in columns[index + 1:]:
+                    seam |= first.rows.keys() & other.rows.keys()
+            posts: List[Post] = []
+            interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
+            for uid in sorted(seam):
+                known: Any = None
+                for leg_columns in columns:
+                    row = leg_columns.rows.get(uid)
+                    if row is None:
                         continue
-                    if known.value != post.value:
+                    value = leg_columns.values[row]
+                    labels = leg_columns.label_sets[leg_columns.masks[row]]
+                    if known is None:
+                        known, known_row, union = leg_columns, row, labels
+                    elif known.values[known_row] != value:
                         return self._error(
                             ctx, started,
                             f"scatter legs disagree on the value of "
-                            f"post {post.uid}: {known.value!r} and "
-                            f"{post.value!r}",
+                            f"post {uid}: {known.values[known_row]!r} "
+                            f"and {value!r}",
                             algorithm=algorithm, shards=shards,
                             missing_labels=missing, hedges=hedges,
                         )
-                    unions[post.uid] = \
-                        unions.get(post.uid, known.labels) | post.labels
-            # one Post per seam post, sharing one label set per
-            # distinct union; every other post is reused as decoded
-            interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
-            for uid, union in unions.items():
-                known = merged[uid]
-                merged[uid] = Post(
-                    uid=uid, value=known.value,
-                    labels=interned.setdefault(union, union),
-                    text=known.text,
+                    else:
+                        union = union | labels
+                posts.append(Post(
+                    uid, known.values[known_row],
+                    interned.setdefault(union, union),
+                    known.texts[known_row],
+                ))
+            for leg, leg_columns in zip(legs, columns):
+                cover = leg["response"].result.solution.posts
+                built = seam.union(map(_UID, cover))
+                keep = list(map(
+                    operator.not_, map(built.__contains__, leg_columns.uids)
+                ))
+                posts.extend(map(
+                    Post,
+                    compress(leg_columns.uids, keep),
+                    compress(leg_columns.values, keep),
+                    map(leg_columns.label_sets.__getitem__,
+                        compress(leg_columns.masks, keep)),
+                    compress(leg_columns.texts, keep),
+                ))
+                posts.extend(
+                    post for post in cover if post.uid not in seam
                 )
-            seam_uids = unions.keys()
             # each leg's labels were checked to be the ones it was
-            # asked for, and its rows are decoded sorted and unique, so
+            # asked for, and its rows were decoded sorted and unique, so
             # the merged rows meet from_sorted's contract once sorted
+            posts.sort(key=_ROW_KEY)
             instance = Instance.from_sorted(
-                sorted(merged.values(), key=_ROW_KEY),
-                float(request.lam), served_labels,
+                posts, float(request.lam), served_labels,
             )
             resolves = 0
             repairs = 0
             stitched = False
-            if seam_uids:
+            if seam:
                 self.seam_requests += 1
                 _obs.count("cluster.router.seam_requests")
-            if seam_uids and self.config.stitch_mode == "exact" \
+            if seam and self.config.stitch_mode == "exact" \
                     and not missing:
                 # seams break block independence, so re-solve the
                 # merged instance — byte-identical by construction
@@ -1331,7 +1358,7 @@ class ClusterRouter:
                     for leg in legs
                     for post in leg["response"].result.solution.posts
                 })
-                picks = [merged[uid] for uid in pick_uids]
+                picks = [instance.post(uid) for uid in pick_uids]
                 picks, repairs = stitch_repair(instance, picks)
                 stitched = True
                 if repairs:
@@ -1342,7 +1369,7 @@ class ClusterRouter:
                 solution = Solution.from_posts(
                     algorithm, picks, elapsed=0.0
                 )
-            span.set_attribute("seams", len(seam_uids))
+            span.set_attribute("seams", len(seam))
             span.set_attribute("repairs", repairs)
             downgrades: Tuple = ()
             for leg in legs:
@@ -1366,7 +1393,7 @@ class ClusterRouter:
             latency_s=self._clock() - started,
             trace_id=ctx.trace_id or "",
             shards=shards, missing_labels=missing,
-            seam_posts=len(seam_uids),
+            seam_posts=len(seam),
             stitched=stitched, stitch_repairs=repairs,
             resolves=resolves, hedges=hedges,
             reason="partial cover: some labels have no live shard"

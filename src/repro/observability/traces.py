@@ -48,7 +48,7 @@ DEFAULT_KEEP_STATUSES: FrozenSet[str] = frozenset(
     {"error", "degraded", "shed"}
 )
 
-# trace ids are 32 hex chars (uuid4); 8 of them give a uniform 32-bit
+# trace ids are 32 random hex chars; 8 of them give a uniform 32-bit
 # draw, plenty of resolution for sampling rates down to ~1e-9
 _HASH_SPAN = float(0x100000000)
 

@@ -22,11 +22,12 @@ order — time is, sentiment is not — and refuses otherwise.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple, Union
 
-from .core.instance import Instance
+from .core.instance import Instance, InstanceColumns
 from .core.post import Post
 from .core.registry import solve
 from .core.solution import Solution
@@ -82,11 +83,14 @@ class DigestResult:
     """Outcome of a batch digest.
 
     The digest is its cover and counters; the instance is the input the
-    cover was computed over.  ``source`` holds that instance, or — for a
-    maintained-view read — a
+    cover was computed over.  ``source`` holds that instance, or a
+    deferred source that :attr:`instance` builds it from on first
+    access: for a maintained-view read a
     :class:`~repro.incremental.store.StoreSnapshot` of the store's rows
-    at the read, which :attr:`instance` builds on first access.  Pass
-    ``instance=`` for the first, ``source=`` for the second.  ``repr``,
+    at the read, for a digest decoded off the wire (:meth:`from_dict`)
+    its checked :class:`~repro.core.instance.InstanceColumns`.  Either
+    kind carries ``labels`` and ``lam`` unbuilt.  Pass ``instance=`` for
+    an instance, ``source=`` for a deferred source.  ``repr``,
     ``==`` and ``dataclasses.replace`` never build it: ``source`` is
     left out of the repr and compared by identity, as the instance was.
 
@@ -190,33 +194,37 @@ class DigestResult:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "DigestResult":
-        """Inverse of :meth:`to_dict`: the cover posts are the decoded
-        instance's own posts.  Raises :class:`InvalidInstanceError` on
-        a malformed instance and :class:`ReproError` on a cover uid the
-        instance does not hold, or a cover out of ``(value, uid)``
-        order."""
-        instance = Instance.from_dict(payload["instance"])
+        """Inverse of :meth:`to_dict`.  The instance's columns are
+        checked here (:meth:`InstanceColumns.decode`) and kept as the
+        result's deferred ``source``: only the cover's posts are built
+        now, and :attr:`instance`, built on first read, holds those very
+        posts.  Raises :class:`InvalidInstanceError` on a malformed
+        instance and :class:`ReproError` on a cover uid the instance
+        does not hold, or a cover out of ``(value, uid)`` order."""
+        columns = InstanceColumns.decode(payload["instance"])
         encoded = payload["solution"]
-        cover = []
-        for uid in encoded["uids"]:
-            try:
-                cover.append(instance.post(uid))
-            except (KeyError, TypeError):
-                raise ReproError(
-                    f"cover uid {uid!r} is not in the instance"
-                ) from None
-        keys = [(post.value, post.uid) for post in cover]
-        if not all(a < b for a, b in zip(keys, keys[1:])):
+        try:
+            rows = list(map(columns.rows.__getitem__, encoded["uids"]))
+        except KeyError as error:
+            raise ReproError(
+                f"cover uid {error.args[0]!r} is not in the instance"
+            ) from None
+        except TypeError as error:
+            raise ReproError(
+                f"cover uids are not instance uids: {error}"
+            ) from None
+        # the instance's rows are strictly increasing in (value, uid)
+        if not all(map(operator.lt, rows, rows[1:])):
             raise ReproError(
                 "cover is not strictly increasing in (value, uid)"
             )
         return cls(
             solution=Solution(
                 algorithm=str(encoded["algorithm"]),
-                posts=tuple(cover),
+                posts=columns.posts_at(rows),
                 elapsed=float(encoded.get("elapsed", 0.0)),
             ),
-            instance=instance,
+            source=columns,
             matched=int(payload["matched"]),
             duplicates_dropped=int(payload["duplicates_dropped"]),
             unmatched_dropped=int(payload["unmatched_dropped"]),

@@ -435,3 +435,12 @@ def test_scatter_leg_frame_over_max_frame_is_rejected(scatter_leg_frame):
             await read_frame(reader, max_frame=body - 1)
 
     run(go())
+
+
+def test_scatter_leg_frame_ships_its_values_packed(scatter_leg_frame):
+    # 10,472 bytes when the values travelled as a JSON list of floats
+    assert len(scatter_leg_frame) <= 9_000
+    (frame,) = FrameDecoder().feed(scatter_leg_frame)
+    instance = frame["payload"]["response"]["result"]["instance"]
+    assert isinstance(instance["values"], str)
+    assert len(instance["values"]) == -(-8 * len(instance["uids"]) // 3) * 4

@@ -9,7 +9,9 @@ these tests pin the *batch* parity guarantee.
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace as _dc_replace
 
 import pytest
 
@@ -18,10 +20,13 @@ from repro.cluster.protocol import ClusterError, canonical_fingerprint
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
+from repro.core.instance import Instance
 from repro.index.inverted_index import Document
 from repro.index.query import TopicQuery
 from repro.observability import structlog
 from repro.service import DigestRequest, DiversificationService
+
+from ..conftest import pack, unpack
 
 from .conftest import (
     LAM_S,
@@ -519,6 +524,11 @@ def other_lambda(result):
     result["instance"]["lam"] *= 2
 
 
+def lam_as_a_string(result):
+    # float() would read it as the right lambda
+    result["instance"]["lam"] = repr(result["instance"]["lam"])
+
+
 def day_cluster():
     return LocalCluster(
         day_queries(), nodes=3, config=fast_cluster(),
@@ -542,6 +552,7 @@ def partial_owner(router):
     (cover_uid_outside_the_instance, "ReproError"),
     (extra_label, "ClusterError"),
     (other_lambda, "ClusterError"),
+    (lam_as_a_string, "InvalidInstanceError"),
 ], ids=lambda param: getattr(param, "__name__", ""))
 def test_a_corrupt_leg_fails_alone(corrupt, error):
     async def go():
@@ -657,13 +668,14 @@ def test_legs_disagreeing_on_a_seam_value_is_an_error():
                 # move one seam post's value up by one ulp, keeping the
                 # leg's rows sorted so that the leg still decodes
                 uids = result["instance"]["uids"]
-                values = result["instance"]["values"]
+                values = unpack(result["instance"]["values"])
                 for row, uid in enumerate(uids):
                     moved = math.nextafter(values[row], math.inf)
                     if uid in seam_uids and (
                         row + 1 == len(uids) or values[row + 1] > moved
                     ):
                         values[row] = moved
+                        result["instance"]["values"] = pack(values)
                         nudged.append(uid)
                         return
 
@@ -679,3 +691,94 @@ def test_legs_disagreeing_on_a_seam_value_is_an_error():
     assert response.result is None
     assert f"post {nudged[0]}" in response.reason
     assert errors == 1
+
+
+# -- what the router builds ------------------------------------------------
+
+
+def count_instance_builds(patch):
+    """Count every ``Instance`` built from here on (each constructor
+    ends in ``Instance._build``); returns the one-item count list."""
+    builds = [0]
+    build = Instance._build
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        return build(self, *args, **kwargs)
+
+    patch.setattr(Instance, "_build", counting)
+    return builds
+
+
+def record_leg_payloads(worker):
+    """Keep a JSON copy of every digest result payload ``worker`` sends."""
+    sent = []
+    corrupt_leg_payloads(
+        worker, lambda result: sent.append(json.loads(json.dumps(result)))
+    )
+    return sent
+
+
+def test_a_forward_builds_no_instance_until_one_is_read():
+    async def go(patch):
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            request = DigestRequest(lam=LAM_S, labels=("q0",))
+            # the owner's cache answers the second digest, so any build
+            # below is the router's
+            await router.digest(request)
+            owner = router._live_owners("q0")[0]
+            sent = record_leg_payloads(cluster.worker(owner))
+            builds = count_instance_builds(patch)
+            response = await router.digest(request)
+            return response, sent, builds
+
+    with pytest.MonkeyPatch.context() as patch:
+        response, (payload,), builds = run(go(patch))
+        assert response.status == "ok"
+        assert response.shards and len(response.shards) == 1
+        result = response.result
+        assert builds[0] == 0
+        repr(result)
+        repr(result.source)
+        assert result == result
+        replaced = _dc_replace(result, trace_id="elsewhere")
+        assert replaced.source is result.source
+        assert builds[0] == 0
+        instance = result.instance
+        assert builds[0] == 1
+        assert replaced.instance is instance
+        assert builds[0] == 1
+    reference = Instance.from_dict(payload["instance"])
+    assert instance.posts == reference.posts
+    assert [post.text for post in instance.posts] == \
+        [post.text for post in reference.posts]
+    assert (instance.labels, instance.lam) == \
+        (reference.labels, reference.lam)
+    for post in result.solution.posts:
+        assert post is instance.post(post.uid)
+
+
+def test_a_scatter_merge_builds_only_the_merged_instance():
+    async def go(patch):
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            request = DigestRequest(lam=LAM_S)
+            await router.digest(request)
+            merges = record_merges(router)
+            builds = count_instance_builds(patch)
+            response = await router.digest(request)
+            return response, merges, builds[0]
+
+    with pytest.MonkeyPatch.context() as patch:
+        response, merges, builds = run(go(patch))
+    assert response.status == "ok"
+    assert response.seam_posts > 0
+    assert builds == 1
+    ((legs, _),) = merges
+    assert len(legs) > 1
+    assert all(
+        leg["response"].result.source._instance is None for leg in legs
+    )

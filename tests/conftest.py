@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import strategies as st
@@ -31,6 +33,22 @@ def figure2_instance() -> Instance:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+# ---------------------------------------------------------------------------
+# The packed values column of the wire format
+# ---------------------------------------------------------------------------
+
+def unpack(packed: str) -> list:
+    """A packed values column as a list: little-endian float64, base64."""
+    raw = base64.b64decode(packed)
+    return list(struct.unpack(f"<{len(raw) // 8}d", raw))
+
+
+def pack(values) -> str:
+    """Inverse of :func:`unpack`."""
+    raw = struct.pack(f"<{len(values)}d", *values)
+    return base64.b64encode(raw).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 
 import asyncio
 import json
+import re
 
 import pytest
 
-from repro.observability.tracing import Span, TraceContext, Tracer
+from repro.observability.tracing import Span, TraceContext, Tracer, \
+    mint_trace_id
 
 
 class TestTracer:
@@ -102,6 +104,12 @@ class TestTraceContext:
         assert a.trace_id != b.trace_id
         assert a.tenant == "acme"
         assert a.span_id is None
+
+    def test_minted_ids_are_distinct_32_lowercase_hex(self):
+        ids = [mint_trace_id() for _ in range(10_000)]
+        assert len(set(ids)) == len(ids)
+        shape = re.compile(r"[0-9a-f]{32}")
+        assert all(shape.fullmatch(trace_id) for trace_id in ids)
 
     def test_at_rebases_parent_span(self):
         ctx = TraceContext.mint()
