@@ -345,7 +345,7 @@ def test_multi_tenant_slo(slo_record, slo_figure):
                 "tenant": tenant,
                 "documents": N_DOCS,
                 "requests": per_tenant,
-                "objective": service.config.slo_objective,
+                "objective": service.slo.objective,
                 "seed": SEED + 2,
             },
             counters={

@@ -71,7 +71,6 @@ from .errors import (
     LoaderError,
     ReproError,
     SanitizationError,
-    ServiceOverloadError,
     StreamOrderError,
     UnknownAlgorithmError,
     WalCorruptionError,
@@ -190,7 +189,6 @@ __all__ = [
     "IngestError",
     "WalCorruptionError",
     "LoaderError",
-    "ServiceOverloadError",
     "UnknownAlgorithmError",
     # pipeline facade
     "DiversificationPipeline",

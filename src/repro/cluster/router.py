@@ -19,13 +19,12 @@ in one block never change gains in another), and Scan/Scan+ decisions
 read only the post's own labels' coverage state.  So the union of the
 shard picks *is* the single-process solution.  Seam posts (labels on
 two nodes) break independence; the router detects them on merge — a
-uid in more than one sub-instance — and in ``stitch_mode="exact"``
-re-solves the merged instance locally (byte-identical by construction).
-In ``stitch_mode="stitch"`` it instead repairs the union with
-:func:`repro.engine.sharding.stitch_repair` — bounded extra picks,
-verifier-guaranteed valid.  Either way the merged cover passes through
-the verifier before it is served; an invalid stitched cover cannot
-escape.
+uid in more than one sub-instance — and re-solves the merged instance
+locally (byte-identical by construction).  Every other merge — seam-free,
+or degraded because some labels have no live shard — serves the union
+of the shard picks through :func:`repro.engine.sharding.stitch_repair`,
+which repairs any seam damage with bounded extra picks and verifies
+the result; an invalid stitched cover cannot escape.
 
 **Failure semantics**: per-shard deadlines, hedged retries to replicas
 after ``hedge_delay``, request-path failures feeding the same detector
@@ -60,7 +59,7 @@ from ..observability import facade as _obs
 from ..observability import structlog
 from ..observability.collector import Collector
 from ..observability.traces import TracePipeline, head_sample
-from ..observability.tracing import TraceContext
+from ..observability.tracing import INERT_SPAN, TraceContext
 from ..pipeline import DigestResult
 from ..service import DigestRequest, ServiceResponse
 from .frames import MAX_FRAME, encode_frame, read_frame
@@ -86,23 +85,15 @@ from .protocol import (
 )
 
 __all__ = ["ClusterConfig", "ClusterResponse", "ClusterRouter",
-           "NodeClient"]
+           "NodeClient", "WARM_KEYS"]
 
 OK = "ok"
 DEGRADED = "degraded"
 ERROR = "error"
 
+# rebalance warm-up: how many hot digest keys the router remembers
+WARM_KEYS = 128
 
-class _NoSpan:
-    """Inert span stand-in for unsampled requests."""
-
-    __slots__ = ()
-
-    def set_attribute(self, key: str, value: Any) -> None:
-        pass
-
-
-_NO_SPAN = _NoSpan()
 
 # an instance's row order
 _ROW_KEY = operator.attrgetter("value", "uid")
@@ -130,34 +121,29 @@ def _check_leg(
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    """Tuning knobs for one :class:`ClusterRouter`."""
+    """Tuning knobs for one :class:`ClusterRouter`.
+
+    The ring runs :class:`HashRing`'s default vnodes per worker, and the
+    rebalance warm list holds :data:`WARM_KEYS` keys.
+    """
 
     # placement
     replication: int = 1
-    virtual_nodes: int = 32
     # scatter behaviour
     request_timeout: float = 5.0
     hedge_delay: float = 0.25
-    stitch_mode: str = "exact"  # "exact" re-solves seams; "stitch" repairs
     # membership
     heartbeat_interval: float = 1.0
     heartbeat_timeout: float = 1.0
     max_missed: int = 3
     # wire
     max_frame: int = MAX_FRAME
-    # rebalance warm-up: how many hot digest keys the router remembers
-    warm_keys: int = 128
     clock: Callable[[], float] = _time.perf_counter
 
     def __post_init__(self) -> None:
         if self.replication < 1:
             raise ClusterError(
                 f"replication must be >= 1, got {self.replication}"
-            )
-        if self.stitch_mode not in ("exact", "stitch"):
-            raise ClusterError(
-                "stitch_mode must be 'exact' or 'stitch', got "
-                f"{self.stitch_mode!r}"
             )
         if self.request_timeout <= 0 or self.hedge_delay < 0:
             raise ClusterError(
@@ -380,7 +366,7 @@ class ClusterRouter:
         self.labels: Tuple[str, ...] = tuple(sorted(
             q.label for q in self.queries
         ))
-        self.ring = HashRing(virtual_nodes=self.config.virtual_nodes)
+        self.ring = HashRing()
         self.membership = Membership(max_missed=self.config.max_missed)
         self._clients: Dict[str, NodeClient] = {}
         # labels being handed to a joining node: ingest dual-writes to
@@ -439,10 +425,7 @@ class ClusterRouter:
             self.ring.add(name)
             structlog.emit("cluster.node_joined", node=name, moved=0)
             return {"node": name, "moved_labels": []}
-        target = HashRing(
-            list(self.ring.nodes) + [name],
-            virtual_nodes=self.config.virtual_nodes,
-        )
+        target = HashRing(list(self.ring.nodes) + [name])
         gained = self.ring.moved_keys(
             self.labels, target, self.config.replication
         ).get(name, [])
@@ -467,9 +450,7 @@ class ClusterRouter:
                 "cannot remove the last node of the cluster"
             )
         remaining = [n for n in self.ring.nodes if n != name]
-        target = HashRing(
-            remaining, virtual_nodes=self.config.virtual_nodes
-        )
+        target = HashRing(remaining)
         gains = self.ring.moved_keys(
             self.labels, target, self.config.replication
         )
@@ -682,8 +663,10 @@ class ClusterRouter:
         """Route every finished digest through ``pipeline``.
 
         Attaching also turns on router-level head sampling: a request
-        that loses the pipeline policy's coin flip creates no spans at
-        all (here or on the workers) — the cheap path the p50 gate in
+        that loses the pipeline policy's coin flip records no span here,
+        its seam re-solve included, and ships no trace context to the
+        workers, whose services sample their legs by their own
+        ``trace_sample`` — the cheap path the p50 gate in
         ``BENCH_observability.json`` measures."""
         self._trace_pipeline = pipeline
 
@@ -899,7 +882,7 @@ class ClusterRouter:
         )
         self._hot[key] = None
         self._hot.move_to_end(key)
-        while len(self._hot) > self.config.warm_keys:
+        while len(self._hot) > WARM_KEYS:
             self._hot.popitem(last=False)
 
     async def digest(self, request: DigestRequest) -> ClusterResponse:
@@ -928,9 +911,17 @@ class ClusterRouter:
                         ctx.at(getattr(root, "span_id", None)),
                         started,
                     )
+        elif _obs.enabled():
+            # unsampled: the request's context, marked so, stays active
+            # through the merge, so not even a seam re-solve records a
+            # span
+            _obs.count("cluster.router.trace_unsampled")
+            ctx = ctx.unsampled()
+            with _obs.activate(ctx):
+                response = await self._serve(
+                    request, ctx, started, traced=False
+                )
         else:
-            if _obs.enabled():
-                _obs.count("cluster.router.trace_unsampled")
             response = await self._serve(
                 request, ctx, started, traced=False
             )
@@ -1245,7 +1236,7 @@ class ClusterRouter:
                 "cluster.merge", legs=len(legs),
                 labels=len(served_labels),
             )
-            if traced else contextlib.nullcontext(_NO_SPAN)
+            if traced else contextlib.nullcontext(INERT_SPAN)
         )
         with merge_span as span:
             if len(legs) == 1 and not missing:
@@ -1341,8 +1332,7 @@ class ClusterRouter:
             if seam:
                 self.seam_requests += 1
                 _obs.count("cluster.router.seam_requests")
-            if seam and self.config.stitch_mode == "exact" \
-                    and not missing:
+            if seam and not missing:
                 # seams break block independence, so re-solve the
                 # merged instance — byte-identical by construction
                 solution = solve(algorithm, instance)
@@ -1351,8 +1341,9 @@ class ClusterRouter:
                 _obs.count("cluster.router.resolves")
             else:
                 # union of the shard picks (block-independent, hence
-                # byte-identical, when seam-free — see module docstring)
-                # repaired and verified by the existing seam machinery
+                # byte-identical, when seam-free — see module docstring),
+                # or a degraded merge's: repaired and verified by the
+                # seam machinery
                 pick_uids = sorted({
                     post.uid
                     for leg in legs
@@ -1477,7 +1468,7 @@ class ClusterRouter:
             "role": "router",
             "labels": list(self.labels),
             "ring": {
-                "virtual_nodes": self.config.virtual_nodes,
+                "virtual_nodes": self.ring.virtual_nodes,
                 "replication": self.config.replication,
                 "ownership": self.ring.ownership(
                     self.labels, self.config.replication
@@ -1512,7 +1503,6 @@ class ClusterRouter:
                 for node, labels in self._joining.items()
             },
             "hot_keys": len(self._hot),
-            "stitch_mode": self.config.stitch_mode,
             "fleet": (
                 self._collector.fleet()
                 if self._collector is not None else None

@@ -28,8 +28,8 @@ exact when no post spans two shards.
 When blocks are *not* independent, a union of block-local picks is not
 guaranteed to be a cover.  :func:`stitch_repair` re-verifies such a
 union with the existing verifier and repairs any seam damage with the
-optimal 1-D per-label greedy; the router's ``stitch_mode="stitch"``
-merge uses it.
+optimal 1-D per-label greedy; the router's seam-free and degraded
+merges use it.
 """
 
 from __future__ import annotations

@@ -78,17 +78,6 @@ class LoaderError(ReproError):
     """
 
 
-class ServiceOverloadError(ReproError):
-    """The serving layer shed a request under admission control.
-
-    Raised by :class:`repro.service.DiversificationService` (when
-    configured with ``raise_on_shed=True``) once the token bucket is
-    drained or the pending-request queue crosses its hard watermark.  The
-    default behaviour is to return a ``"shed"`` response instead of
-    raising, so closed-loop clients can back off gracefully.
-    """
-
-
 class IngestError(ReproError):
     """The durable ingest pipeline hit an unrecoverable condition.
 

@@ -10,14 +10,17 @@ maintenance rules and their paper grounding (Section 5 instant-decision
 cache, StreamScan locality).
 """
 
-from .registry import ViewKey, ViewRegistry
+from .registry import MAX_VIEWS, ViewKey, ViewRegistry
 from .store import DocumentProjector, PostStore, StoreSnapshot
-from .view import CoverView, ViewLedger
+from .view import REBUILD_RATIO, REBUILD_SLACK, CoverView, ViewLedger
 
 __all__ = [
     "CoverView",
     "DocumentProjector",
+    "MAX_VIEWS",
     "PostStore",
+    "REBUILD_RATIO",
+    "REBUILD_SLACK",
     "StoreSnapshot",
     "ViewKey",
     "ViewLedger",

@@ -15,6 +15,9 @@ view and falls through to the batch engine.  Stale views can be read
 *never*; at worst a fresh view is missed.  Seeding follows the result
 cache's dead-epoch rule: a solve that straddled an invalidation is
 refused (``stale_seeds``).
+
+**Bound.**  At most :data:`MAX_VIEWS` views live at once; seeding one
+more evicts the least recently seeded or read view (``evictions``).
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from ..observability import facade as _obs
 from .store import PostStore
 from .view import CoverView
 
-__all__ = ["ViewKey", "ViewRegistry"]
+__all__ = ["MAX_VIEWS", "ViewKey", "ViewRegistry"]
+
+# views maintained at once; past it the least recently used is evicted
+MAX_VIEWS = 64
 
 
 class ViewKey(NamedTuple):
@@ -49,17 +55,9 @@ class ViewRegistry:
         self,
         store: PostStore,
         *,
-        rebuild_ratio: float = 3.0,
-        rebuild_slack: int = 8,
-        max_views: int = 32,
         default_window: Optional[float] = None,
     ):
-        if max_views < 1:
-            raise ValueError(f"max_views must be >= 1, got {max_views}")
         self.store = store
-        self.rebuild_ratio = rebuild_ratio
-        self.rebuild_slack = rebuild_slack
-        self.max_views = max_views
         # sliding windows: the service-wide default plus per-label-set
         # overrides.  The *store* physically expires at the widest of
         # them (retention()); narrower windows are per-view horizons.
@@ -193,8 +191,6 @@ class ViewRegistry:
                 view = CoverView(
                     self.store, key.labels, key.lam,
                     algorithm=key.algorithm, dimension=key.dimension,
-                    rebuild_ratio=self.rebuild_ratio,
-                    rebuild_slack=self.rebuild_slack,
                 )
                 self._views[key] = view
             window = self.window_for(key.labels)
@@ -207,7 +203,7 @@ class ViewRegistry:
                 view.horizon = None
             view.seed(posts, baseline_size, epoch)
             self._views.move_to_end(key)
-            while len(self._views) > self.max_views:
+            while len(self._views) > MAX_VIEWS:
                 self._views.popitem(last=False)
                 self.evictions += 1
                 _obs.count("service.views.evictions")
@@ -321,7 +317,7 @@ class ViewRegistry:
             return {
                 "epoch": self.epoch,
                 "count": len(self._views),
-                "max_views": self.max_views,
+                "max_views": MAX_VIEWS,
                 "hits": self.hits,
                 "misses": self.misses,
                 "stale_reads": self.stale_reads,

@@ -18,9 +18,10 @@ paper's Section 5 streaming theory:
 * **quality** is watched by a ledger.  Instant decisions guarantee
   ``2s``-competitiveness against the stream, not against batch OPT on
   the current window; when the maintained cover drifts past
-  ``rebuild_ratio × baseline + rebuild_slack`` (baseline = last batch
-  solve's size), the view flags ``needs_rebuild`` and the service routes
-  the next read through the batch engine, which re-seeds the view.
+  ``REBUILD_RATIO × baseline + REBUILD_SLACK`` (3 × baseline + 8;
+  baseline = last batch solve's size), the view flags ``needs_rebuild``
+  and the service routes the next read through the batch engine, which
+  re-seeds the view.
 
 Views never invent coverage state: they are *seeded* from a batch
 solver's digest and only grow/shrink through the two delta rules above.
@@ -42,7 +43,12 @@ from ..core.solution import Solution
 from ..errors import ReproError
 from .store import PostStore, StoreSnapshot
 
-__all__ = ["CoverView", "ViewLedger"]
+__all__ = ["CoverView", "REBUILD_RATIO", "REBUILD_SLACK", "ViewLedger"]
+
+# the drift bound: a view past REBUILD_RATIO x its seeding solve's size
+# + REBUILD_SLACK members needs a batch rebuild
+REBUILD_RATIO = 3.0
+REBUILD_SLACK = 8
 
 # canonical post order
 _ROW_KEY = operator.attrgetter("value", "uid")
@@ -93,10 +99,10 @@ class CoverView:
     algorithm:
         The batch algorithm family this view stands in for — cold builds
         and rebuilds run it; reads advertise ``view:<algorithm>``.
-    rebuild_ratio / rebuild_slack:
-        Drift bound: the view flags ``needs_rebuild`` once its cover
-        exceeds ``rebuild_ratio * baseline + rebuild_slack`` members,
-        where baseline is the seeding batch solve's size.
+
+    The view flags ``needs_rebuild`` once its cover exceeds
+    ``REBUILD_RATIO * baseline + REBUILD_SLACK`` members, where baseline
+    is the seeding batch solve's size.
     """
 
     def __init__(
@@ -107,26 +113,14 @@ class CoverView:
         *,
         algorithm: str = "greedy_sc",
         dimension: str = "time",
-        rebuild_ratio: float = 3.0,
-        rebuild_slack: int = 8,
     ):
         if not lam >= 0:  # refuses NaN too, as the Instance constructors do
             raise ReproError(f"lambda must be >= 0, got {lam}")
-        if rebuild_ratio < 1.0:
-            raise ReproError(
-                f"rebuild_ratio must be >= 1, got {rebuild_ratio}"
-            )
-        if rebuild_slack < 0:
-            raise ReproError(
-                f"rebuild_slack must be >= 0, got {rebuild_slack}"
-            )
         self.store = store
         self.labels: FrozenSet[str] = frozenset(labels)
         self.lam = float(lam)
         self.algorithm = algorithm
         self.dimension = dimension
-        self.rebuild_ratio = float(rebuild_ratio)
-        self.rebuild_slack = int(rebuild_slack)
         # the maintained cover: uid -> relabeled member, plus per-label
         # sorted member values for O(log) coverage probes
         self._members: Dict[int, Post] = {}
@@ -332,8 +326,7 @@ class CoverView:
     def _check_drift(self) -> None:
         if self.baseline_size is None:
             return
-        bound = self.rebuild_ratio * self.baseline_size \
-            + self.rebuild_slack
+        bound = REBUILD_RATIO * self.baseline_size + REBUILD_SLACK
         if len(self._members) > bound and not self.needs_rebuild:
             self.needs_rebuild = True
             self.ledger.rebuild_flags += 1

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
 
 from .metrics import MetricsRegistry
-from .tracing import TraceContext, Tracer
+from .tracing import INERT_SPAN, TraceContext, Tracer
 
 __all__ = [
     "Observability",
@@ -138,21 +138,10 @@ def set_gauge(name: str, value: float) -> None:
         _ACTIVE.registry.gauge(name).set(value)
 
 
-class _NullSpan:
-    """Inert span stand-in returned while observability is off."""
-
-    __slots__ = ()
-
-    def set_attribute(self, key: str, value) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 @contextmanager
-def _null_span() -> Iterator[_NullSpan]:
-    yield _NULL_SPAN
+def _null_span() -> Iterator[object]:
+    """The inert span stand-in returned while observability is off."""
+    yield INERT_SPAN
 
 
 def span(name: str, **attributes):

@@ -14,7 +14,8 @@ Request-scoped tracing (PR 5) adds three ideas on top of plain nesting:
 * :meth:`Tracer.activate` installs a context as the *remote parent* for
   spans opened where no local span is open — this is how a solver job
   running on a pool thread parents its spans into the request that
-  submitted it;
+  submitted it.  A context marked unsampled (head sampling left its
+  request out) parents nothing: spans opened under it record nothing;
 * :meth:`Tracer.adopt` grafts spans recorded *elsewhere* (a cluster
   worker's spans, shipped back in its reply frame) into this tracer,
   re-identifying them so a request's span tree includes the work its
@@ -51,8 +52,8 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Deque, Dict, Iterator, List, \
     Mapping, Optional, Sequence, Union
 
-__all__ = ["DEFAULT_MAX_FINISHED", "Span", "TraceContext", "Tracer",
-           "mint_trace_id"]
+__all__ = ["DEFAULT_MAX_FINISHED", "INERT_SPAN", "Span", "TraceContext",
+           "Tracer", "mint_trace_id"]
 
 # Generous enough that every in-repo export/assembly pattern (the
 # threadsafety suite finishes 3200 spans; a request tree is dozens)
@@ -72,6 +73,19 @@ def mint_trace_id() -> str:
     return os.urandom(16).hex()
 
 
+class _InertSpan:
+    """What an unrecorded region yields: it takes attributes and keeps
+    none."""
+
+    __slots__ = ()
+
+    def set_attribute(self, key: str, value: Attr) -> None:
+        pass
+
+
+INERT_SPAN = _InertSpan()
+
+
 @dataclass(frozen=True)
 class TraceContext:
     """Names one trace and the span new work should parent under.
@@ -81,12 +95,15 @@ class TraceContext:
     along for per-session accounting and structured-log correlation.
     ``trace_id`` may be ``None`` for parent-only contexts — engine work
     traced outside any request still parents correctly, it just belongs
-    to no named trace.
+    to no named trace.  ``sampled`` is false for a request head sampling
+    left out; it is not on the wire, since a router ships a context
+    only for a sampled request.
     """
 
     trace_id: Optional[str]
     span_id: Optional[int] = None
     tenant: str = ""
+    sampled: bool = True
 
     @staticmethod
     def mint(tenant: str = "") -> "TraceContext":
@@ -96,6 +113,10 @@ class TraceContext:
     def at(self, span_id: Optional[int]) -> "TraceContext":
         """The same trace, re-rooted at ``span_id``."""
         return replace(self, span_id=span_id)
+
+    def unsampled(self) -> "TraceContext":
+        """The same position, marked so that no span records under it."""
+        return replace(self, sampled=False)
 
     # -- wire format (crosses process boundaries) --------------------------
 
@@ -267,6 +288,8 @@ class Tracer:
 
         The span is recorded even when the body raises — a crashed solver
         still shows up in the trace, flagged with an ``error`` attribute.
+        With no local span open under an unsampled context, nothing is
+        recorded and the body gets :data:`INERT_SPAN`.
         """
         stack = self._stack_var.get()
         parent = stack[-1] if stack else None
@@ -276,6 +299,9 @@ class Tracer:
         else:
             contexts = self._context_var.get()
             context = contexts[-1] if contexts else None
+            if context is not None and not context.sampled:
+                yield INERT_SPAN
+                return
             parent_id = context.span_id if context else None
             trace_id = context.trace_id if context else None
         span = Span(

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple, Union
 
@@ -157,15 +158,13 @@ class DigestResult:
 
     # -- wire format -------------------------------------------------------
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation — the serving layer's wire format.
-
-        The instance travels as columns (:meth:`Instance.to_dict`) and
-        the cover as the uids of its instance posts.  Raises
-        :class:`ReproError` when a cover post does not equal the
-        instance's post with its uid: the uids must decode to exactly
-        the posts that were computed.
-        """
+    @cached_property
+    def _cover_uids(self) -> Tuple[int, ...]:
+        """The cover's uids, once each cover post is checked to equal
+        the instance's post with its uid.  The result is frozen and its
+        cover and instance immutable, so the check runs once per result
+        (a worker's cache hits re-ship one result); a failed check
+        caches nothing and raises again."""
         instance = self.instance
         for post in self.solution.posts:
             try:
@@ -177,13 +176,24 @@ class DigestResult:
                     f"cover post {post!r} is not the instance's post "
                     f"{own!r}"
                 )
+        return tuple(post.uid for post in self.solution.posts)
+
+    def to_dict(self) -> Dict[str, Any]:
+        """JSON-safe representation — the serving layer's wire format.
+
+        The instance travels as columns (:meth:`Instance.to_dict`) and
+        the cover as the uids of its instance posts.  Raises
+        :class:`ReproError` when a cover post does not equal the
+        instance's post with its uid: the uids must decode to exactly
+        the posts that were computed.
+        """
         return {
             "solution": {
                 "algorithm": self.solution.algorithm,
-                "uids": [post.uid for post in self.solution.posts],
+                "uids": list(self._cover_uids),
                 "elapsed": self.solution.elapsed,
             },
-            "instance": instance.to_dict(),
+            "instance": self.instance.to_dict(),
             "matched": self.matched,
             "duplicates_dropped": self.duplicates_dropped,
             "unmatched_dropped": self.unmatched_dropped,

@@ -12,9 +12,11 @@ unreachable the instant the epoch moves, because no future lookup can
 construct its key.  :meth:`ResultCache.bump_epoch` additionally purges the
 dead generation eagerly so stale entries stop occupying LRU capacity.
 
-Bounds: LRU capacity (``capacity`` entries) and an optional per-entry TTL
-against the injectable clock.  All operations take the cache lock — the
-service reads from the event loop while solver threads publish results.
+Bound: LRU capacity (``capacity`` entries).  There is no time-to-live:
+an entry can only ever answer for the corpus epoch it was computed at,
+so expiring it would drop a correct answer.  All operations take the
+cache lock — the service reads from the event loop while solver threads
+publish results.
 
 Hit/miss/eviction/invalidation counts are tallied both locally (for the
 service health snapshot) and through the observability facade
@@ -24,11 +26,9 @@ service health snapshot) and through the observability facade
 from __future__ import annotations
 
 import threading
-import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, NamedTuple, \
-    Optional, Tuple
+from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from ..observability import facade as _obs
 
@@ -58,7 +58,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    expirations: int = 0
     invalidations: int = 0
     stale_drops: int = 0
     carried_forward: int = 0
@@ -73,7 +72,6 @@ class CacheStats:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "invalidations": self.invalidations,
             "stale_drops": self.stale_drops,
             "carried_forward": self.carried_forward,
@@ -82,37 +80,21 @@ class CacheStats:
 
 
 class ResultCache:
-    """Epoch-keyed, TTL- and LRU-bounded result cache.
+    """Epoch-keyed, LRU-bounded result cache.
 
     Parameters
     ----------
     capacity:
         Maximum resident entries; the least recently used entry is
         evicted on overflow.  Must be positive.
-    ttl:
-        Optional time-to-live in clock seconds; ``None`` disables
-        expiry.  Expiry is lazy (checked on lookup) plus purged wholesale
-        on :meth:`bump_epoch`.
-    clock:
-        Injectable monotonic time source, so tests pin TTL behaviour.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        ttl: Optional[float] = None,
-        clock: Callable[[], float] = _time.monotonic,
-    ):
+    def __init__(self, capacity: int = 256):
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"cache ttl must be positive, got {ttl}")
         self.capacity = capacity
-        self.ttl = ttl
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, Tuple[float, Any]]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
         self._epoch = 0
         self.stats = CacheStats()
 
@@ -165,8 +147,7 @@ class ResultCache:
                 self._entries.clear()
             else:
                 stale = 0
-                survivors: "OrderedDict[CacheKey, Tuple[float, Any]]" = \
-                    OrderedDict()
+                survivors: "OrderedDict[CacheKey, Any]" = OrderedDict()
                 for key, entry in self._entries.items():
                     touched = affected.intersection(key.labels)
                     if touched:
@@ -193,8 +174,7 @@ class ResultCache:
     # -- lookup / publish --------------------------------------------------
 
     def get(self, key: CacheKey) -> Optional[Any]:
-        """The cached value, or ``None`` on miss/expiry/stale epoch."""
-        now = self._clock()
+        """The cached value, or ``None`` on miss or stale epoch."""
         with self._lock:
             if key.epoch != self._epoch:
                 # Unreachable via key_for, but callers may hold old keys
@@ -202,19 +182,10 @@ class ResultCache:
                 self.stats.misses += 1
                 _obs.count("service.cache.misses")
                 return None
-            entry = self._entries.get(key)
-            if entry is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.stats.misses += 1
                 _obs.count("service.cache.misses")
-                return None
-            stored_at, value = entry
-            if self.ttl is not None and now - stored_at > self.ttl:
-                del self._entries[key]
-                self.stats.expirations += 1
-                self.stats.misses += 1
-                if _obs.enabled():
-                    _obs.count("service.cache.expirations")
-                    _obs.count("service.cache.misses")
                 return None
             self._entries.move_to_end(key)
             self.stats.hits += 1
@@ -233,7 +204,7 @@ class ResultCache:
                 self.stats.stale_drops += 1
                 _obs.count("service.cache.stale_drops")
                 return False
-            self._entries[key] = (self._clock(), value)
+            self._entries[key] = value
             self._entries.move_to_end(key)
             evicted = 0
             while len(self._entries) > self.capacity:

@@ -52,7 +52,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, \
 from ..core.instance import Instance
 from ..core.registry import available_algorithms
 from ..core.streaming import _STREAM_FACTORIES
-from ..errors import ReproError, ServiceOverloadError
+from ..errors import ReproError
 from ..incremental import DocumentProjector, PostStore, StoreSnapshot, \
     ViewRegistry
 from ..index.inverted_index import Document
@@ -84,7 +84,10 @@ __all__ = [
     "Subscription",
 ]
 
+# the batch rungs pressure steps a request down, one per soft watermark
 DEFAULT_DEGRADE_LADDER: Tuple[str, ...] = ("greedy_sc", "scan+", "scan")
+# pending emissions a subscription holds before it drops the oldest
+SUBSCRIPTION_DEPTH = 256
 
 OK = "ok"
 DEGRADED = "degraded"
@@ -101,7 +104,8 @@ class ServiceConfig:
 
     See ``docs/serving.md`` for the tuning guide.  The defaults are
     conservative: cache on, rate limiting off, watermarks sized for a
-    single-process deployment.  Coalescing has no knob: identical
+    single-process deployment.  What no deployment tunes is a constant
+    (the guide lists them), and coalescing has no knob: identical
     requests always share an in-flight solve.
     """
 
@@ -109,43 +113,32 @@ class ServiceConfig:
     algorithm: str = "greedy_sc"
     dimension: str = "time"
     dedup_distance: Optional[int] = 3
-    degrade_ladder: Tuple[str, ...] = DEFAULT_DEGRADE_LADDER
     # cache
     cache_capacity: int = 256
-    cache_ttl: Optional[float] = None
     # admission
     rate: Optional[float] = None
     burst: Optional[float] = None
     soft_watermark: int = 32
     hard_watermark: int = 128
-    raise_on_shed: bool = False
     # streaming
     stream_lam: float = 60.0
     stream_algorithm: str = "stream_scan+"
     tau: float = 0.0
-    subscription_depth: int = 256
     resilience: Optional[ResilienceConfig] = None
-    # SLO monitoring
-    slo_objective: float = 0.99
-    slo_windows: Tuple[float, float] = (300.0, 3600.0)
     # quality auditing (0.0 = off; 1.0 = audit every served digest)
     audit_sample: float = 0.0
-    audit_opt_max: int = 12
     audit_seed: int = 0
     # incremental materialized cover views (the CQRS read path):
     # ingest applies deltas, digest() reads a maintained cover.  A view
-    # past view_rebuild_ratio x its seeding batch solve (+ slack) is
-    # routed back through the batch engine and re-seeded.  views=False
-    # drops only the views, not the post store cold solves read.
+    # past its drift bound is routed back through the batch engine and
+    # re-seeded.  views=False drops only the views, not the post store
+    # cold solves read.
     # view_window slides the corpus: posts older than (newest -
     # view_window) expire from views AND from batch solves, keeping both
     # paths on one window; it requires dedup off (SimHash kept-sets
     # cannot be unwound when their anchor documents expire) and the
     # time dimension (the window is an age).
     views: bool = True
-    view_rebuild_ratio: float = 3.0
-    view_rebuild_slack: int = 8
-    max_views: int = 64
     view_window: Optional[float] = None
     # head-based trace sampling: None = trace every request when the
     # facade is on; 0.1 = spans for ~10 % of requests, chosen
@@ -160,16 +153,6 @@ class ServiceConfig:
                 f"unknown algorithm {self.algorithm!r}; available: "
                 + ", ".join(available_algorithms())
             )
-        unknown = [
-            name for name in self.degrade_ladder
-            if name not in available_algorithms()
-        ]
-        if unknown:
-            raise ReproError(
-                f"unknown algorithms in degrade ladder: {unknown}"
-            )
-        if not self.degrade_ladder:
-            raise ReproError("degrade_ladder needs at least one rung")
         if self.stream_algorithm not in _STREAM_FACTORIES:
             raise ReproError(
                 f"unknown streaming algorithm {self.stream_algorithm!r}"
@@ -184,20 +167,6 @@ class ServiceConfig:
         if not 0.0 <= self.audit_sample <= 1.0:
             raise ReproError(
                 f"audit_sample must be in [0, 1], got {self.audit_sample}"
-            )
-        if self.view_rebuild_ratio < 1.0:
-            raise ReproError(
-                "view_rebuild_ratio must be >= 1, got "
-                f"{self.view_rebuild_ratio}"
-            )
-        if self.view_rebuild_slack < 0:
-            raise ReproError(
-                "view_rebuild_slack must be >= 0, got "
-                f"{self.view_rebuild_slack}"
-            )
-        if self.max_views < 1:
-            raise ReproError(
-                f"max_views must be >= 1, got {self.max_views}"
             )
         if self.trace_sample is not None \
                 and not 0.0 <= self.trace_sample <= 1.0:
@@ -351,7 +320,8 @@ class Subscription:
     subscription keeps those intersecting its label filter (``None``
     keeps everything).  The queue is bounded: on overflow the *oldest*
     pending emission is dropped (freshness beats completeness in a live
-    digest) and ``dropped`` is incremented.
+    digest) and ``dropped`` is incremented.  The bound is
+    :data:`SUBSCRIPTION_DEPTH`.
 
     Deliberately not an :class:`asyncio.Queue`: on Python 3.9 a Queue
     binds its event loop at construction, and subscriptions are created
@@ -364,14 +334,10 @@ class Subscription:
         sid: int,
         session: str,
         labels: Optional[Iterable[str]] = None,
-        depth: int = 256,
     ):
-        if depth < 1:
-            raise ValueError(f"subscription depth must be >= 1: {depth}")
         self.sid = sid
         self.session = session
         self.labels = None if labels is None else frozenset(labels)
-        self.depth = depth
         self._items: "deque" = deque()
         self._waiters: "deque" = deque()
         self.delivered = 0
@@ -386,7 +352,7 @@ class Subscription:
             return False
         self._items.append(emission)
         self.delivered += 1
-        if len(self._items) > self.depth:
+        if len(self._items) > SUBSCRIPTION_DEPTH:
             self._items.popleft()
             self.dropped += 1
             _obs.count("service.subscription.dropped")
@@ -446,11 +412,7 @@ class DiversificationService:
             raise ReproError("duplicate labels in service query set")
         self.labels: Tuple[str, ...] = tuple(sorted(self._by_label))
         self._clock = self.config.clock
-        self.cache = ResultCache(
-            capacity=self.config.cache_capacity,
-            ttl=self.config.cache_ttl,
-            clock=self._clock,
-        )
+        self.cache = ResultCache(capacity=self.config.cache_capacity)
         bucket = None
         if self.config.rate is not None:
             bucket = TokenBucket(
@@ -475,11 +437,7 @@ class DiversificationService:
         self._views: Optional[ViewRegistry] = None
         if self.config.views:
             self._views = ViewRegistry(
-                self._store,
-                rebuild_ratio=self.config.view_rebuild_ratio,
-                rebuild_slack=self.config.view_rebuild_slack,
-                max_views=self.config.max_views,
-                default_window=self.config.view_window,
+                self._store, default_window=self.config.view_window
             )
         # The reason, once the corpus reached a state the store cannot
         # represent (e.g. duplicate uids across ingest and stream — batch
@@ -498,14 +456,9 @@ class DiversificationService:
         # Always-on service state: per-tenant SLO accounting and the
         # quality auditor.  Neither is behind the observability facade
         # — SLOs are a service feature.
-        self.slo = SLOMonitor(
-            objective=self.config.slo_objective,
-            windows=self.config.slo_windows,
-            clock=self._clock,
-        )
+        self.slo = SLOMonitor(clock=self._clock)
         self.auditor = DigestAuditor(
             sample_rate=self.config.audit_sample,
-            opt_max_posts=self.config.audit_opt_max,
             seed=self.config.audit_seed,
         )
         # Per-service telemetry: the always-on registry the cluster
@@ -768,7 +721,7 @@ class DiversificationService:
         return requested
 
     def _degraded_algorithm(self, algorithm: str, steps: int) -> str:
-        ladder = self.config.degrade_ladder
+        ladder = DEFAULT_DEGRADE_LADDER
         try:
             start = ladder.index(algorithm)
         except ValueError:
@@ -896,11 +849,11 @@ class DiversificationService:
     async def digest(self, request: DigestRequest) -> ServiceResponse:
         """Serve one digest request end to end.
 
-        Never raises for overload or solver failure (unless
-        ``raise_on_shed`` is set): pressure and faults come back as
-        ``shed`` / ``degraded`` / ``error`` responses.  Every response
-        carries a freshly minted trace_id; with observability enabled
-        its assembled span tree explains the whole request.
+        Never raises for overload or solver failure: pressure and faults
+        come back as ``shed`` / ``degraded`` / ``error`` responses.
+        Every response carries a freshly minted trace_id; with
+        observability enabled its assembled span tree explains the
+        whole request.
         """
         started = self._clock()
         ctx = TraceContext.mint(tenant=request.session)
@@ -924,17 +877,22 @@ class DiversificationService:
                         request, ctx.at(getattr(root, "span_id", None))
                     )
                     latency = self._clock() - started
+        elif _obs.enabled():
+            # unsampled: the request's context, marked so, stays active
+            # down to the solve's executor thread, and no span opens
+            # under it — the solver's own included
+            _obs.count("service.trace_unsampled")
+            ctx = ctx.unsampled()
+            with _obs.activate(ctx):
+                outcome = await self._serve(request, ctx, traced=False)
+            latency = self._clock() - started
         else:
-            if _obs.enabled():
-                _obs.count("service.trace_unsampled")
             outcome = await self._serve(request, ctx, traced=False)
             latency = self._clock() - started
         response = ServiceResponse(
             **outcome, latency_s=latency, trace_id=ctx.trace_id or ""
         )
         self._account(request, response)
-        if response.status == SHED and self.config.raise_on_shed:
-            raise ServiceOverloadError(response.reason)
         return response
 
     async def _serve(
@@ -1096,10 +1054,7 @@ class DiversificationService:
                     f"over {list(self.labels)}"
                 )
         subscription = Subscription(
-            sid=self._next_sid,
-            session=session,
-            labels=labels,
-            depth=self.config.subscription_depth,
+            sid=self._next_sid, session=session, labels=labels,
         )
         self._next_sid += 1
         self._subscriptions[subscription.sid] = subscription

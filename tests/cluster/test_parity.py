@@ -20,7 +20,6 @@ from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import canonical_fingerprint
 from repro.cluster.router import ClusterConfig
 from repro.cluster.worker import default_worker_config
-from repro.core.coverage import verify_cover
 from repro.service import DigestRequest, DiversificationService
 
 from .conftest import LAM_S, day_documents, day_queries, run
@@ -127,22 +126,6 @@ def test_parity_survives_a_rebalance():
             assert response.status == "ok"
             assert canonical_fingerprint(response.result) == \
                 fingerprint
-
-
-def test_stitch_mode_covers_are_verifier_valid():
-    responses = cluster_responses(
-        REQUESTS, nodes=3,
-        config=ClusterConfig(stitch_mode="stitch"),
-    )
-    stitched = 0
-    for response in responses:
-        assert response.status == "ok"
-        result = response.result
-        # the stitched cover may differ from the global greedy pick
-        # set, but it must BE a lambda-cover — the verifier guarantee
-        verify_cover(result.instance, result.solution.posts)
-        stitched += response.stitched
-    assert stitched > 0
 
 
 def test_views_on_single_owner_parity():

@@ -17,7 +17,7 @@ import pytest
 
 from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import ClusterError, canonical_fingerprint
-from repro.cluster.router import ClusterConfig, ClusterRouter
+from repro.cluster.router import WARM_KEYS, ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
 from repro.core.instance import Instance
@@ -74,11 +74,22 @@ def test_config_validation():
     with pytest.raises(ClusterError):
         ClusterConfig(replication=0)
     with pytest.raises(ClusterError):
-        ClusterConfig(stitch_mode="sideways")
-    with pytest.raises(ClusterError):
         ClusterConfig(request_timeout=0.0)
     with pytest.raises(ClusterError):
         ClusterConfig(hedge_delay=-1.0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("virtual_nodes", 64),
+    ("warm_keys", 16),
+    ("stitch_mode", "stitch"),
+    ("stitch_mode", "sideways"),
+])
+def test_config_has_no_ring_warm_or_stitch_knobs(name, value):
+    # the ring runs HashRing's default vnodes, the warm list holds
+    # WARM_KEYS keys, and a seam always re-solves: gone, not ignored
+    with pytest.raises(TypeError):
+        ClusterConfig(**{name: value})
 
 
 def test_router_without_nodes_serves_an_error():
@@ -146,22 +157,32 @@ def test_multi_label_scatter_gather_is_byte_identical():
 
 
 def test_stitch_mode_also_matches_when_seam_free():
+    # eight one-keyword topics over three nodes: the digest scatters,
+    # no post spans two legs, and the stitched union of the legs'
+    # covers is the single-process answer
+    queries = [TopicQuery(f"t{i}", [f"kw{i}"]) for i in range(8)]
+    docs = [Document(i, i * 10.0, f"kw{i % 8} body{i}") for i in range(32)]
+    request = DigestRequest(lam=LAM)
+
     async def go():
-        docs = make_docs(24)
         async with LocalCluster(
-            make_queries(), nodes=3,
-            config=fast_cluster(stitch_mode="stitch"),
+            queries, nodes=3, config=fast_cluster(),
             worker_config=batch_config(),
         ) as cluster:
             await cluster.router.ingest(docs)
-            request = DigestRequest(lam=LAM)
             response = await cluster.router.digest(request)
-            assert response.status == "ok"
-            assert response.stitch_repairs == 0
-            assert canonical_fingerprint(response.result) == \
-                await reference_fingerprint(docs, request)
+        reference = DiversificationService(queries, batch_config())
+        reference.ingest(docs)
+        local = await reference.digest(request)
+        return response, local
 
-    run(go())
+    response, local = run(go())
+    assert response.status == "ok"
+    assert len(response.shards) > 1 and response.seam_posts == 0
+    assert response.stitched
+    assert response.stitch_repairs == 0
+    assert canonical_fingerprint(response.result) == \
+        canonical_fingerprint(local.result)
 
 
 def test_unknown_label_is_an_error_response():
@@ -463,7 +484,8 @@ def test_router_health_and_introspect_describe_the_cluster():
 
             info = router.introspect()
             assert info["role"] == "router"
-            assert info["stitch_mode"] == "exact"
+            assert info["ring"]["virtual_nodes"] == 32
+            assert info["hot_keys"] == 1 and WARM_KEYS == 128
             assert info["counters"]["requests"] == 1
             assert info["counters"]["scatter_legs"] >= 1
             assert set(info["clients"]) == set(cluster.names)
@@ -573,7 +595,9 @@ def test_a_corrupt_leg_fails_alone(corrupt, error):
     assert [sorted(e["labels"]) for e in failed] == [dark]
     # the router's own decode or leg check failed the leg, not the worker
     assert failed[0]["reason"].startswith(error + "(")
-    # the legs that decoded still make a valid cover of their labels
+    # the legs that decoded still make a valid cover of their labels:
+    # the stitched merge, verified through stitch_repair
+    assert response.stitched
     verify_cover(response.result.instance, response.result.solution.posts)
     assert not response.result.instance.labels & set(dark)
 

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from repro.core.coverage import uncovered_pairs
+from repro.incremental import REBUILD_RATIO, REBUILD_SLACK
 from repro.index.inverted_index import Document
 from repro.index.query import LabelMatcher, TopicQuery
 from repro.pipeline import DiversificationPipeline
@@ -62,10 +63,7 @@ def assert_view_within_declared_bound(service):
     for view in snapshot["views"]:
         if view["stale"]:
             continue
-        bound = (
-            service.config.view_rebuild_ratio * view["baseline_size"]
-            + service.config.view_rebuild_slack
-        )
+        bound = REBUILD_RATIO * view["baseline_size"] + REBUILD_SLACK
         assert view["size"] <= bound, view
         assert not view["needs_rebuild"] or view["size"] > bound
 

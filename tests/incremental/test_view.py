@@ -8,7 +8,8 @@ import pytest
 
 from repro.core.post import Post
 from repro.errors import ReproError
-from repro.incremental import CoverView, PostStore
+from repro.incremental import REBUILD_RATIO, REBUILD_SLACK, CoverView, \
+    PostStore
 
 LABELS = ("golf", "nba")
 
@@ -35,10 +36,6 @@ class TestConstruction:
         store = PostStore()
         with pytest.raises(ReproError):
             CoverView(store, LABELS, -1.0)
-        with pytest.raises(ReproError):
-            CoverView(store, LABELS, 1.0, rebuild_ratio=0.5)
-        with pytest.raises(ReproError):
-            CoverView(store, LABELS, 1.0, rebuild_slack=-1)
 
     def test_rejects_a_nan_lambda(self):
         with pytest.raises(ReproError):
@@ -145,27 +142,29 @@ class TestExpiryRepair:
 
 
 class TestDrift:
+    # baseline 1: the bound is REBUILD_RATIO * 1 + REBUILD_SLACK members
+    BOUND = int(REBUILD_RATIO * 1 + REBUILD_SLACK)
+
     def test_drift_flags_needs_rebuild(self):
-        store, view = seeded_view(
-            lam=0.0, rebuild_ratio=1.0, rebuild_slack=2
-        )
-        # lam=0: every distinct value selects.  baseline=1, bound=3.
-        for uid in range(4):
+        store, view = seeded_view(lam=0.0)
+        # lam=0: every distinct value selects
+        for uid in range(self.BOUND):
             feed(store, view, make_post(uid, float(uid)))
+        assert not view.needs_rebuild  # at the bound, not past it
+        assert view.fresh(0)
+        feed(store, view, make_post(self.BOUND, float(self.BOUND)))
         assert view.needs_rebuild
         assert view.ledger.rebuild_flags == 1
         assert not view.fresh(0)
-        assert view.drift_ratio() == 4.0
+        assert view.drift_ratio() == self.BOUND + 1
 
     def test_reseed_clears_drift(self):
-        store, view = seeded_view(
-            lam=0.0, rebuild_ratio=1.0, rebuild_slack=2
-        )
-        for uid in range(4):
+        store, view = seeded_view(lam=0.0)
+        for uid in range(self.BOUND + 1):
             feed(store, view, make_post(uid, float(uid)))
         assert view.needs_rebuild
         view.seed(store.materialize(LABELS, 0.0).posts,
-                  baseline_size=4, epoch=3)
+                  baseline_size=self.BOUND + 1, epoch=3)
         assert not view.needs_rebuild
         assert view.fresh(3)
 

@@ -8,28 +8,12 @@ from repro.service import ResultCache
 from repro.service.cache import CacheKey
 
 
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, dt: float) -> None:
-        self.now += dt
-
-
-@pytest.fixture
-def clock():
-    return FakeClock()
-
-
 def key(cache, labels=("golf",), lam=30.0, algorithm="greedy_sc"):
     return cache.key_for(labels, lam, algorithm, "time")
 
 
-def test_put_get_round_trip(clock):
-    cache = ResultCache(clock=clock)
+def test_put_get_round_trip():
+    cache = ResultCache()
     k = key(cache)
     assert cache.get(k) is None
     assert cache.put(k, "digest")
@@ -38,21 +22,21 @@ def test_put_get_round_trip(clock):
     assert cache.stats.misses == 1
 
 
-def test_key_for_normalises_labels(clock):
-    cache = ResultCache(clock=clock)
+def test_key_for_normalises_labels():
+    cache = ResultCache()
     assert key(cache, labels=("b", "a", "a")) == key(cache, labels=("a", "b"))
 
 
-def test_distinct_parameters_distinct_keys(clock):
-    cache = ResultCache(clock=clock)
+def test_distinct_parameters_distinct_keys():
+    cache = ResultCache()
     base = key(cache)
     assert key(cache, lam=31.0) != base
     assert key(cache, algorithm="scan+") != base
     assert key(cache, labels=("nba",)) != base
 
 
-def test_bump_epoch_purges_and_unreaches(clock):
-    cache = ResultCache(clock=clock)
+def test_bump_epoch_purges_and_unreaches():
+    cache = ResultCache()
     k = key(cache)
     cache.put(k, "old")
     assert cache.bump_epoch("ingest") == 1
@@ -65,18 +49,18 @@ def test_bump_epoch_purges_and_unreaches(clock):
     assert key(cache).epoch == 1
 
 
-def test_put_refuses_dead_epoch_keys(clock):
+def test_put_refuses_dead_epoch_keys():
     """A solve that straddled an invalidation must not resurrect the old
     corpus."""
-    cache = ResultCache(clock=clock)
+    cache = ResultCache()
     stale = key(cache)
     cache.bump_epoch("stream-advance")
     assert not cache.put(stale, "stale-digest")
     assert len(cache) == 0
 
 
-def test_lru_eviction_order(clock):
-    cache = ResultCache(capacity=2, clock=clock)
+def test_lru_eviction_order():
+    cache = ResultCache(capacity=2)
     k1, k2, k3 = (key(cache, lam=float(i)) for i in range(3))
     cache.put(k1, 1)
     cache.put(k2, 2)
@@ -88,20 +72,8 @@ def test_lru_eviction_order(clock):
     assert cache.stats.evictions == 1
 
 
-def test_ttl_expiry_is_lazy(clock):
-    cache = ResultCache(ttl=5.0, clock=clock)
-    k = key(cache)
-    cache.put(k, "digest")
-    clock.advance(4.9)
-    assert cache.get(k) == "digest"
-    clock.advance(0.2)
-    assert cache.get(k) is None
-    assert cache.stats.expirations == 1
-    assert k not in cache
-
-
-def test_hit_rate(clock):
-    cache = ResultCache(clock=clock)
+def test_hit_rate():
+    cache = ResultCache()
     k = key(cache)
     assert cache.hit_rate() == 0.0
     cache.get(k)
@@ -113,8 +85,6 @@ def test_hit_rate(clock):
 def test_rejects_bad_parameters():
     with pytest.raises(ValueError):
         ResultCache(capacity=0)
-    with pytest.raises(ValueError):
-        ResultCache(ttl=0.0)
 
 
 def test_cache_key_is_hashable_and_value_typed():
@@ -125,8 +95,8 @@ def test_cache_key_is_hashable_and_value_typed():
 # -- label-targeted invalidation ---------------------------------------------
 
 
-def test_label_bump_invalidates_only_touched_entries(clock):
-    cache = ResultCache(clock=clock)
+def test_label_bump_invalidates_only_touched_entries():
+    cache = ResultCache()
     golf = key(cache, labels=("golf",))
     nba = key(cache, labels=("nba",))
     both = key(cache, labels=("golf", "nba"))
@@ -146,8 +116,8 @@ def test_label_bump_invalidates_only_touched_entries(clock):
     assert cache.stats.invalidations_by_label == {"golf": 2}
 
 
-def test_label_bump_counts_each_affected_label(clock):
-    cache = ResultCache(clock=clock)
+def test_label_bump_counts_each_affected_label():
+    cache = ResultCache()
     cache.put(key(cache, labels=("golf", "nba")), "gn")
     cache.put(key(cache, labels=("golf", "tech")), "gt")
     cache.bump_epoch("ingest", labels={"golf", "nba"})
@@ -155,8 +125,8 @@ def test_label_bump_counts_each_affected_label(clock):
     assert by_label == {"golf": 2, "nba": 1}
 
 
-def test_empty_label_bump_carries_everything(clock):
-    cache = ResultCache(clock=clock)
+def test_empty_label_bump_carries_everything():
+    cache = ResultCache()
     cache.put(key(cache, labels=("golf",)), "g")
     cache.put(key(cache, labels=("nba",)), "n")
     epoch = cache.bump_epoch("noop-ingest", labels=set())
@@ -167,22 +137,11 @@ def test_empty_label_bump_carries_everything(clock):
     assert cache.get(key(cache, labels=("nba",))) == "n"
 
 
-def test_none_label_bump_purges_everything(clock):
-    cache = ResultCache(clock=clock)
+def test_none_label_bump_purges_everything():
+    cache = ResultCache()
     cache.put(key(cache, labels=("golf",)), "g")
     cache.put(key(cache, labels=("nba",)), "n")
     cache.bump_epoch("restore", labels=None)
     assert len(cache) == 0
     assert cache.stats.invalidations == 2
     assert cache.stats.carried_forward == 0
-
-
-def test_label_bump_survivor_respects_ttl(clock):
-    cache = ResultCache(ttl=5.0, clock=clock)
-    cache.put(key(cache, labels=("nba",)), "n")
-    clock.advance(4.0)
-    cache.bump_epoch("ingest", labels={"golf"})
-    # the carry-forward does not refresh the entry's deadline
-    clock.advance(1.5)
-    assert cache.get(key(cache, labels=("nba",))) is None
-    assert cache.stats.expirations == 1

@@ -17,11 +17,12 @@ import threading
 
 import pytest
 
-from repro.errors import ReproError, ServiceOverloadError
+from repro.errors import ReproError
 from repro.core.greedy_sc import greedy_sc
 from repro.core.instance import Instance
 from repro.core.post import Post
 from repro.experiments.common import make_day_instance
+from repro.incremental import MAX_VIEWS, REBUILD_RATIO, REBUILD_SLACK
 from repro.index.inverted_index import Document
 from repro.index.query import LabelMatcher, TopicQuery
 from repro.observability import facade, structlog
@@ -30,6 +31,8 @@ from repro.resilience.faults import FaultInjector
 from repro.resilience.policies import SanitizationPolicy
 from repro.resilience.supervisor import ResilienceConfig
 from repro.service import DigestRequest, ServiceConfig, ServiceResponse
+from repro.service.service import DEFAULT_DEGRADE_LADDER, \
+    SUBSCRIPTION_DEPTH
 
 from .conftest import hold_solves, make_docs, make_queries, \
     make_service, run, solve_entered
@@ -525,7 +528,6 @@ def test_stream_advance_invalidates_cache_only_when_admitted():
 def degrade_service(**overrides):
     overrides.setdefault("soft_watermark", 1)
     overrides.setdefault("hard_watermark", 100)
-    overrides.setdefault("degrade_ladder", ("greedy_sc", "scan+", "scan"))
     service = make_service(**overrides)
     service.ingest(make_docs())
     return service
@@ -607,20 +609,6 @@ def test_token_bucket_sheds_overflow():
                for r in responses if r.status == "shed")
 
 
-def test_raise_on_shed_opts_into_exceptions():
-    service = make_service(
-        rate=0.000001, burst=1.0, raise_on_shed=True
-    )
-    service.ingest(make_docs(n=6))
-
-    async def two():
-        await service.digest(DigestRequest(lam=25.0))
-        await service.digest(DigestRequest(lam=26.0))
-
-    with pytest.raises(ServiceOverloadError):
-        run(two())
-
-
 # -- error surfacing ----------------------------------------------------------
 
 
@@ -653,8 +641,6 @@ def test_config_rejects_unknown_names():
     with pytest.raises(ReproError):
         ServiceConfig(algorithm="quantum")
     with pytest.raises(ReproError):
-        ServiceConfig(degrade_ladder=("greedy_sc", "quantum"))
-    with pytest.raises(ReproError):
         ServiceConfig(stream_algorithm="quantum")
 
 
@@ -663,12 +649,34 @@ def test_config_rejects_unknown_names():
     ("workers", 2),
     ("coalesce_window", 0.0),
     ("max_batch", 8),
+    ("degrade_ladder", ("greedy_sc", "scan")),
+    ("cache_ttl", 60.0),
+    ("raise_on_shed", True),
+    ("subscription_depth", 16),
+    ("slo_objective", 0.999),
+    ("slo_windows", (60.0, 600.0)),
+    ("audit_opt_max", 20),
+    ("view_rebuild_ratio", 2.0),
+    ("view_rebuild_slack", 4),
+    ("max_views", 8),
 ])
 def test_config_has_no_executor_or_batch_knobs(name, value):
     # a cold solve takes one hop to the loop's default executor, and
-    # coalescing needs no window: these knobs are gone, not ignored
+    # coalescing needs no window; what no deployment tuned is a
+    # constant: these knobs are gone, not ignored
     with pytest.raises(TypeError):
         ServiceConfig(**{name: value})
+
+
+def test_retired_knobs_keep_their_served_values():
+    assert DEFAULT_DEGRADE_LADDER == ("greedy_sc", "scan+", "scan")
+    assert (REBUILD_RATIO, REBUILD_SLACK) == (3.0, 8)
+    assert MAX_VIEWS == 64
+    assert SUBSCRIPTION_DEPTH == 256
+    service = make_service()
+    assert service.slo.objective == 0.99
+    assert service.slo.windows == (300.0, 3600.0)
+    assert service.auditor.opt_max_posts == 12
 
 
 @pytest.mark.parametrize("overrides", [
@@ -760,18 +768,20 @@ def test_subscription_next_awaits_future_emissions():
 
 
 def test_subscription_overflow_drops_oldest():
-    service = streaming_service(subscription_depth=2)
+    service = streaming_service()
     sub = service.subscribe(labels=["golf"])
 
     async def flood():
-        for doc in golf_docs(5):
+        for doc in golf_docs(SUBSCRIPTION_DEPTH + 3):
             await service.feed(doc)
 
     run(flood())
     kept = sub.drain()
-    assert len(kept) == 2
+    assert len(kept) == SUBSCRIPTION_DEPTH
     assert sub.dropped == 3
-    assert [e.post.uid for e in kept] == [3, 4]  # newest survive
+    # the oldest three are gone; the newest survive, in order
+    assert [e.post.uid for e in kept] == \
+        list(range(3, SUBSCRIPTION_DEPTH + 3))
 
 
 def test_finish_fans_out_tail_emissions():

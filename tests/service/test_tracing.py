@@ -428,3 +428,22 @@ class TestIntrospect:
                   if s["name"] == "service_slo_requests_total"]
         for session in sessions:
             assert {"tenant": session, "algorithm": "greedy_sc"} in labels
+
+
+# -- head sampling ------------------------------------------------------------
+
+class TestHeadSampling:
+    def test_an_unsampled_request_records_no_span(self):
+        # the solve's executor thread and the solver run under the
+        # request's context too: an unsampled request opens none there
+        with observability.session() as bundle:
+            service = make_service(trace_sample=0.0)
+            service.ingest(make_docs())
+            response = run(service.digest(DigestRequest(lam=25.0)))
+            assert response.status == "ok" and not response.cached
+            assert service.solves == 1
+            assert response.trace_id
+            assert not bundle.tracer.finished
+            counters = bundle.registry.counters()
+            assert counters["service.trace_unsampled"] == 1
+            assert counters["service.solves"] == 1

@@ -395,6 +395,35 @@ def test_encoder_rejects_a_cover_post_unlike_its_instance_post(stale):
         _two_post_digest([stale]).to_dict()
 
 
+def test_encoder_checks_a_result_cover_once(monkeypatch):
+    # a result is frozen: a worker re-shipping its cached result does
+    # not re-check the cover post by post
+    result = _two_post_digest([
+        Post(1, 1.0, frozenset("a")), Post(2, 2.0, frozenset("ab")),
+    ])
+    lookups = []
+    post = Instance.post
+
+    def counted(self, uid):
+        lookups.append(uid)
+        return post(self, uid)
+
+    monkeypatch.setattr(Instance, "post", counted)
+    first, second = result.to_dict(), result.to_dict()
+    assert lookups == [1, 2]
+    assert first == second
+    # each payload carries its own uid list
+    first["solution"]["uids"].append(99)
+    assert second["solution"]["uids"] == [1, 2]
+
+
+def test_encoder_rejects_a_bad_cover_on_every_call():
+    result = _two_post_digest([Post(2, 2.5, frozenset("ab"))])
+    for _ in range(2):
+        with pytest.raises(ReproError):
+            result.to_dict()
+
+
 @given(posts_st, st.floats(min_value=0.0, max_value=1e6, width=32))
 def test_emission_round_trips(post, delay):
     emission = Emission(post=post, emitted_at=post.value + delay)
