@@ -19,8 +19,9 @@ in one block never change gains in another), and Scan/Scan+ decisions
 read only the post's own labels' coverage state.  So the union of the
 shard picks *is* the single-process solution.  Seam posts (labels on
 two nodes) break independence; the router detects them on merge — a
-uid in more than one sub-instance — and re-solves the merged instance
-locally (byte-identical by construction).  Every other merge — seam-free,
+uid in more than one sub-instance — and re-solves the merged columns
+locally (byte-identical by construction; Scan and Scan+ build a post
+only for each pick).  Every other merge — seam-free,
 or degraded because some labels have no live shard — serves the union
 of the shard picks through :func:`repro.engine.sharding.stitch_repair`,
 which repairs any seam damage with bounded extra picks and verifies
@@ -38,7 +39,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import logging
-import operator
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -47,8 +47,7 @@ from itertools import compress
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
     Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.instance import Instance
-from ..core.post import Post
+from ..core.instance import InstanceColumns
 from ..core.registry import solve
 from ..core.solution import Solution
 from ..engine.sharding import stitch_repair
@@ -95,18 +94,13 @@ ERROR = "error"
 WARM_KEYS = 128
 
 
-# an instance's row order
-_ROW_KEY = operator.attrgetter("value", "uid")
-_UID = operator.attrgetter("uid")
-
-
 def _check_leg(
     result: Optional[DigestResult], sub: DigestRequest, node: str
 ) -> None:
     """Raise :class:`ClusterError` when a leg's instance is not over
     the labels and lambda its request asked for — the merge hands the
-    legs' rows to ``Instance.from_sorted`` on that promise.  Reads the
-    decoded columns, so a forward never builds its instance here."""
+    legs' rows to ``InstanceColumns.from_rows`` on that promise.  Reads
+    the decoded columns, so a forward never builds its instance here."""
     if result is None:
         return
     source = result.source
@@ -117,6 +111,83 @@ def _check_leg(
             f"lambda {source.lam}; the leg asked for "
             f"{list(sub.labels)} at lambda {float(sub.lam)}"
         )
+
+
+def _merge_legs(
+    parts: Sequence[InstanceColumns], lam: float, labels: Sequence[str]
+) -> Tuple[InstanceColumns, int]:
+    """The legs' rows as one set of columns over ``labels`` (sorted),
+    and the number of seam posts among them.
+
+    A seam post is a uid in more than one leg (its labels span owners),
+    with partial label sets whose union is its true requested label set:
+    it keeps its first leg's row, whose mask ORs its legs' masks.  Masks
+    move to the merged bit order, and each leg's label-set objects are
+    kept.  Each leg's labels were checked to be the ones it asked for
+    (:func:`_check_leg`) and its rows were decoded sorted and unique, so
+    the merged rows, sorted, meet :meth:`InstanceColumns.from_rows`'s
+    contract.  Raises :class:`ClusterError` when two legs disagree on a
+    seam post's value.
+    """
+    bits = {label: 1 << index for index, label in enumerate(labels)}
+    label_sets: Dict[int, FrozenSet[str]] = {}
+    # the legs' columns end to end: a leg's row r is row offset + r
+    uids: List[int] = []
+    values: List[float] = []
+    masks: List[int] = []
+    texts: List[str] = []
+    offsets: List[int] = []
+    for part in parts:
+        remap = {}
+        for mask, names in part.label_sets.items():
+            merged = sum(map(bits.__getitem__, names))
+            remap[mask] = merged
+            label_sets.setdefault(merged, names)
+        offsets.append(len(uids))
+        uids += part.uids
+        values += part.values
+        masks.extend(map(remap.__getitem__, part.masks))
+        texts += part.texts
+    seam: Set[int] = set()
+    for index, first in enumerate(parts):
+        for other in parts[index + 1:]:
+            seam |= first.rows.keys() & other.rows.keys()
+    keep = [True] * len(uids)
+    legs = [(part.rows.get, offset) for part, offset in zip(parts, offsets)]
+    for uid in sorted(seam):
+        first = -1
+        for row_of, offset in legs:
+            row = row_of(uid)
+            if row is None:
+                continue
+            row += offset
+            if first < 0:
+                first = row
+            elif values[row] != values[first]:
+                raise ClusterError(
+                    f"scatter legs disagree on the value of post {uid}: "
+                    f"{values[first]!r} and {values[row]!r}"
+                )
+            else:
+                masks[first] |= masks[row]
+                keep[row] = False
+        union = masks[first]
+        if union not in label_sets:
+            label_sets[union] = frozenset(
+                label for label in labels if union & bits[label]
+            )
+    # (value, uid) order: two stable sorts, the minor key first
+    order = list(compress(range(len(uids)), keep))
+    order.sort(key=uids.__getitem__)
+    order.sort(key=values.__getitem__)
+    return InstanceColumns.from_rows(
+        lam, frozenset(labels),
+        list(map(uids.__getitem__, order)),
+        list(map(values.__getitem__, order)),
+        list(map(masks.__getitem__, order)),
+        list(map(texts.__getitem__, order)),
+        label_sets,
+    ), len(seam)
 
 
 @dataclass(frozen=True)
@@ -664,10 +735,10 @@ class ClusterRouter:
 
         Attaching also turns on router-level head sampling: a request
         that loses the pipeline policy's coin flip records no span here,
-        its seam re-solve included, and ships no trace context to the
-        workers, whose services sample their legs by their own
-        ``trace_sample`` — the cheap path the p50 gate in
-        ``BENCH_observability.json`` measures."""
+        its seam re-solve included, and its legs carry its context
+        marked unsampled, so no worker records a span for it either —
+        the cheap path the p50 gate in ``BENCH_observability.json``
+        measures."""
         self._trace_pipeline = pipeline
 
     def enable_collector(
@@ -914,7 +985,7 @@ class ClusterRouter:
         elif _obs.enabled():
             # unsampled: the request's context, marked so, stays active
             # through the merge, so not even a seam re-solve records a
-            # span
+            # span, and rides with every leg
             _obs.count("cluster.router.trace_unsampled")
             ctx = ctx.unsampled()
             with _obs.activate(ctx):
@@ -1132,7 +1203,10 @@ class ClusterRouter:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.request_timeout
         want_spans = _obs.enabled() and traced
-        trace = ctx.to_dict() if want_spans else None
+        # the sampling verdict rides with every leg: a sampled request's
+        # context for the worker's spans to join, an unsampled one's
+        # marked so, for the worker to record none
+        trace = ctx.to_dict() if _obs.enabled() else None
         pending: Dict["asyncio.Future", str] = {}
         errors: List[str] = []
         hedges = 0
@@ -1263,79 +1337,27 @@ class ClusterRouter:
                     hedges=hedges,
                     reason=legs[0]["response"].reason,
                 )
-            # merge the legs on their decoded columns: a seam post is a
-            # uid in more than one leg (its labels span owners), with
-            # partial label sets whose union is its true requested
-            # label set.  One Post per merged row: a seam post is built
-            # once, with its union; every other row reuses the cover
-            # post its leg's decode built, or is built here.
-            columns = [leg["response"].result.source for leg in legs]
-            seam: Set[int] = set()
-            for index, first in enumerate(columns):
-                for other in columns[index + 1:]:
-                    seam |= first.rows.keys() & other.rows.keys()
-            posts: List[Post] = []
-            interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
-            for uid in sorted(seam):
-                known: Any = None
-                for leg_columns in columns:
-                    row = leg_columns.rows.get(uid)
-                    if row is None:
-                        continue
-                    value = leg_columns.values[row]
-                    labels = leg_columns.label_sets[leg_columns.masks[row]]
-                    if known is None:
-                        known, known_row, union = leg_columns, row, labels
-                    elif known.values[known_row] != value:
-                        return self._error(
-                            ctx, started,
-                            f"scatter legs disagree on the value of "
-                            f"post {uid}: {known.values[known_row]!r} "
-                            f"and {value!r}",
-                            algorithm=algorithm, shards=shards,
-                            missing_labels=missing, hedges=hedges,
-                        )
-                    else:
-                        union = union | labels
-                posts.append(Post(
-                    uid, known.values[known_row],
-                    interned.setdefault(union, union),
-                    known.texts[known_row],
-                ))
-            for leg, leg_columns in zip(legs, columns):
-                cover = leg["response"].result.solution.posts
-                built = seam.union(map(_UID, cover))
-                keep = list(map(
-                    operator.not_, map(built.__contains__, leg_columns.uids)
-                ))
-                posts.extend(map(
-                    Post,
-                    compress(leg_columns.uids, keep),
-                    compress(leg_columns.values, keep),
-                    map(leg_columns.label_sets.__getitem__,
-                        compress(leg_columns.masks, keep)),
-                    compress(leg_columns.texts, keep),
-                ))
-                posts.extend(
-                    post for post in cover if post.uid not in seam
+            # merge the legs on their decoded columns, building no post
+            try:
+                merged, seams = _merge_legs(
+                    [leg["response"].result.source for leg in legs],
+                    float(request.lam), served_labels,
                 )
-            # each leg's labels were checked to be the ones it was
-            # asked for, and its rows were decoded sorted and unique, so
-            # the merged rows meet from_sorted's contract once sorted
-            posts.sort(key=_ROW_KEY)
-            instance = Instance.from_sorted(
-                posts, float(request.lam), served_labels,
-            )
+            except ClusterError as error:
+                return self._error(
+                    ctx, started, str(error), algorithm=algorithm,
+                    shards=shards, missing_labels=missing, hedges=hedges,
+                )
             resolves = 0
             repairs = 0
             stitched = False
-            if seam:
+            if seams:
                 self.seam_requests += 1
                 _obs.count("cluster.router.seam_requests")
-            if seam and not missing:
+            if seams and not missing:
                 # seams break block independence, so re-solve the
-                # merged instance — byte-identical by construction
-                solution = solve(algorithm, instance)
+                # merged columns — byte-identical by construction
+                solution = solve(algorithm, merged)
                 resolves = 1
                 self.resolves += 1
                 _obs.count("cluster.router.resolves")
@@ -1344,6 +1366,7 @@ class ClusterRouter:
                 # byte-identical, when seam-free — see module docstring),
                 # or a degraded merge's: repaired and verified by the
                 # seam machinery
+                instance = merged.instance
                 pick_uids = sorted({
                     post.uid
                     for leg in legs
@@ -1360,7 +1383,7 @@ class ClusterRouter:
                 solution = Solution.from_posts(
                     algorithm, picks, elapsed=0.0
                 )
-            span.set_attribute("seams", len(seam))
+            span.set_attribute("seams", seams)
             span.set_attribute("repairs", repairs)
             downgrades: Tuple = ()
             for leg in legs:
@@ -1369,11 +1392,11 @@ class ClusterRouter:
                 )
             result = DigestResult(
                 solution=solution,
-                instance=instance,
-                matched=len(instance.posts),
+                source=merged,
+                matched=len(merged.uids),
                 duplicates_dropped=0,
                 unmatched_dropped=max(
-                    0, self.documents_ingested - len(instance.posts)
+                    0, self.documents_ingested - len(merged.uids)
                 ),
                 downgrades=downgrades,
                 trace_id=ctx.trace_id,
@@ -1384,7 +1407,7 @@ class ClusterRouter:
             latency_s=self._clock() - started,
             trace_id=ctx.trace_id or "",
             shards=shards, missing_labels=missing,
-            seam_posts=len(seam),
+            seam_posts=seams,
             stitched=stitched, stitch_repairs=repairs,
             resolves=resolves, hedges=hedges,
             reason="partial cover: some labels have no live shard"

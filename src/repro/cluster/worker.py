@@ -25,7 +25,9 @@ cross-node replay coordination.
 **Trace propagation**: a request frame carrying a ``trace`` context and
 the ``spans`` flag gets a per-request private tracer; the worker's
 spans come back in the response frame and the router grafts them into
-its own trace via the existing ``Tracer.adopt`` path.
+its own trace via the existing ``Tracer.adopt`` path.  A context marked
+unsampled (its router's head sampling left the request out) is served
+active, so the worker's service records no span for the leg.
 """
 
 from __future__ import annotations
@@ -293,6 +295,11 @@ class WorkerNode:
                 for entry in spans:
                     if entry["span_id"] == worker_span.span_id:
                         entry["parent_id"] = None
+            elif trace is not None:
+                # a leg its router left unsampled: served under its
+                # context, marked so, the service records no span
+                with _obs.activate(TraceContext.from_dict(trace)):
+                    result = await self._dispatch(op, payload)
             else:
                 result = await self._dispatch(op, payload)
             response = ok_frame(rid, result, spans=spans)

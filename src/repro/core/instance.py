@@ -16,7 +16,7 @@ import threading
 from array import array
 from base64 import b64decode, b64encode
 from bisect import bisect_left, bisect_right
-from itertools import compress, filterfalse, islice
+from itertools import chain, compress, filterfalse, islice
 from math import isnan
 from operator import eq, le, lt
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, \
@@ -400,20 +400,22 @@ class InstanceColumns:
     go to :meth:`Instance.from_sorted` unchecked.  ``lam`` and
     ``labels`` (the universe, a frozenset) read like an instance's.
     ``uids``, ``values``, ``masks`` and ``texts`` are the rows in
-    ``(value, uid)`` order; ``rows`` maps a uid to its row and
+    ``(value, uid)`` order; :attr:`rows` maps a uid to its row and
     ``label_sets`` a mask to its label set, one object per distinct
     mask.
 
     A digest decoded off the wire keeps its columns as its deferred
-    source, and the router merges scatter legs on them.  Only
-    :meth:`posts_at` and :attr:`instance` build posts: the instance on
-    its first read, once (two threads reading at once build it once),
+    source, and the router merges scatter legs into one set of columns
+    (:meth:`from_rows`).  Scan and Scan+ solve on :attr:`postings`.
+    Only :meth:`posts_at` and :attr:`instance` build posts: the instance
+    on its first read, once (two threads reading at once build it once),
     holding every post :meth:`posts_at` returned.  ``repr`` builds
     nothing.
     """
 
     __slots__ = ("lam", "labels", "uids", "values", "masks", "texts",
-                 "rows", "label_sets", "_built", "_instance", "_lock")
+                 "label_sets", "_rows", "_postings", "_built", "_instance",
+                 "_lock")
 
     @classmethod
     def decode(cls, payload: Mapping[str, Any]) -> "InstanceColumns":
@@ -436,10 +438,43 @@ class InstanceColumns:
             raise InvalidInstanceError(
                 f"malformed instance payload: {error!r}"
             ) from None
+        self._start()
+        return self
+
+    @classmethod
+    def from_rows(
+        cls,
+        lam: float,
+        labels: FrozenSet[str],
+        uids: List[int],
+        values: List[float],
+        masks: List[int],
+        texts: List[str],
+        label_sets: Dict[int, FrozenSet[str]],
+    ) -> "InstanceColumns":
+        """Trusted constructor for rows that meet :meth:`decode`'s
+        checks: strictly increasing in ``(value, uid)``, and every mask a
+        key of ``label_sets``, whose label sets lie inside ``labels``.
+        The router's merge of decoded scatter legs builds its columns
+        here."""
+        self = cls.__new__(cls)
+        self.lam = lam
+        self.labels = labels
+        self.uids = uids
+        self.values = values
+        self.masks = masks
+        self.texts = texts
+        self.label_sets = label_sets
+        self._rows = None
+        self._start()
+        return self
+
+    def _start(self) -> None:
+        self._postings: Optional[Dict[str, Tuple[List[float],
+                                                 List[int]]]] = None
         self._built: Dict[int, Post] = {}
         self._instance: Optional[Instance] = None
         self._lock = threading.Lock()
-        return self
 
     def _decode(self, payload: Mapping[str, Any]) -> None:
         # every check over all rows is one C-level pass (map, set,
@@ -518,7 +553,7 @@ class InstanceColumns:
         self.values: List[float] = values
         self.masks: List[int] = masks
         self.texts: List[str] = texts
-        self.rows: Dict[int, int] = rows
+        self._rows: Optional[Dict[int, int]] = rows
         self.label_sets: Dict[int, FrozenSet[str]] = {
             mask: frozenset(
                 label for index, label in enumerate(names)
@@ -527,22 +562,62 @@ class InstanceColumns:
             for mask in distinct
         }
 
+    @property
+    def rows(self) -> Dict[int, int]:
+        """Maps a uid to its row (derived on first read for
+        :meth:`from_rows` columns)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = dict(zip(self.uids, range(len(self.uids))))
+        return rows
+
+    @property
+    def postings(self) -> Dict[str, Tuple[List[float], List[int]]]:
+        """Per label, the values and row numbers of the rows that carry
+        it, in row order: the columns' posting lists, derived from the
+        masks on first read and kept."""
+        with self._lock:
+            if self._postings is None:
+                rows_of: Dict[int, List[int]] = {
+                    mask: [] for mask in self.label_sets
+                }
+                for row, mask in enumerate(self.masks):
+                    rows_of[mask].append(row)
+                postings = {}
+                values = self.values
+                for label in self.labels:
+                    rows = sorted(chain.from_iterable(
+                        rows_of[mask]
+                        for mask, names in self.label_sets.items()
+                        if label in names
+                    ))
+                    postings[label] = (
+                        list(map(values.__getitem__, rows)), rows
+                    )
+                self._postings = postings
+            return self._postings
+
     def posts_at(self, rows: Sequence[int]) -> Tuple[Post, ...]:
-        """The posts at ``rows``, each built on first request and kept,
-        so the instance built later holds these very objects."""
+        """The posts at ``rows`` (distinct row numbers), each built on
+        first request and kept, so the instance built later holds these
+        very objects."""
         with self._lock:
             if self._instance is not None:
                 return tuple(map(self._instance.posts.__getitem__, rows))
             built = self._built
-            fresh = list(filterfalse(built.__contains__, rows))
-            built.update(zip(fresh, map(
+            fresh = list(filterfalse(built.__contains__, rows)) \
+                if built else rows
+            posts = tuple(map(
                 Post,
                 map(self.uids.__getitem__, fresh),
                 map(self.values.__getitem__, fresh),
                 map(self.label_sets.__getitem__,
                     map(self.masks.__getitem__, fresh)),
                 map(self.texts.__getitem__, fresh),
-            )))
+            ))
+            built.update(zip(fresh, posts))
+            if fresh is rows:  # none was built before: these are all
+                return posts
             return tuple(map(built.__getitem__, rows))
 
     @property

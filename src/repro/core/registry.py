@@ -4,16 +4,20 @@ The experiment drivers and the command-line interface refer to algorithms by
 the names the paper uses; this registry is the single mapping from those
 names to callables.  Every registered solver has the uniform signature
 ``solver(instance) -> Solution``.
+
+:func:`solve` also takes an encoded instance's columns
+(:class:`InstanceColumns`): Scan and Scan+ solve on them and build only
+their picks, and every other solver gets the instance they encode.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Union
 
 from ..errors import UnknownAlgorithmError
 from .brute_force import brute_force, exact_via_setcover
 from .greedy_sc import greedy_sc
-from .instance import Instance
+from .instance import Instance, InstanceColumns
 from .opt import opt
 from .scan import scan, scan_plus
 from .solution import Solution
@@ -55,8 +59,15 @@ def unregister(name: str) -> None:
     del _REGISTRY[name]
 
 
-def solve(name: str, instance: Instance, **kwargs) -> Solution:
-    """Run the named batch algorithm on ``instance``."""
+# the solvers that run on columns as they are
+_ON_COLUMNS = (scan, scan_plus)
+
+
+def solve(
+    name: str, instance: Union[Instance, InstanceColumns], **kwargs
+) -> Solution:
+    """Run the named batch algorithm on ``instance``, an instance or an
+    encoded one's columns."""
     try:
         solver = _REGISTRY[name]
     except KeyError:
@@ -64,4 +75,7 @@ def solve(name: str, instance: Instance, **kwargs) -> Solution:
             f"unknown algorithm {name!r}; available: "
             + ", ".join(available_algorithms())
         ) from None
+    if isinstance(instance, InstanceColumns) \
+            and solver not in _ON_COLUMNS:
+        instance = instance.instance
     return solver(instance, **kwargs)

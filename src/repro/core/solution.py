@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from ..observability import facade as _obs
@@ -10,6 +11,9 @@ from .instance import Instance
 from .post import Post
 
 __all__ = ["Solution", "timed_solution"]
+
+# an instance's post order
+_ROW_KEY = attrgetter("value", "uid")
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class Solution:
                    elapsed: float = 0.0) -> "Solution":
         """Normalise an unordered post list into a :class:`Solution`."""
         unique = {post.uid: post for post in posts}
-        ordered = sorted(unique.values(), key=lambda p: (p.value, p.uid))
+        ordered = sorted(unique.values(), key=_ROW_KEY)
         return Solution(algorithm=algorithm, posts=tuple(ordered),
                         elapsed=elapsed)
 

@@ -96,8 +96,9 @@ class TraceContext:
     ``trace_id`` may be ``None`` for parent-only contexts — engine work
     traced outside any request still parents correctly, it just belongs
     to no named trace.  ``sampled`` is false for a request head sampling
-    left out; it is not on the wire, since a router ships a context
-    only for a sampled request.
+    left out.  It travels only when false: a router ships an unsampled
+    request's context with each leg, so the worker records no span for
+    it either.
     """
 
     trace_id: Optional[str]
@@ -121,11 +122,14 @@ class TraceContext:
     # -- wire format (crosses process boundaries) --------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        payload: Dict[str, Any] = {
             "trace_id": self.trace_id,
             "span_id": self.span_id,
             "tenant": self.tenant,
         }
+        if not self.sampled:
+            payload["sampled"] = False
+        return payload
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "TraceContext":
@@ -133,6 +137,7 @@ class TraceContext:
             trace_id=payload.get("trace_id"),
             span_id=payload.get("span_id"),
             tenant=str(payload.get("tenant", "")),
+            sampled=payload.get("sampled", True) is not False,
         )
 
 

@@ -89,8 +89,9 @@ class DigestResult:
     access: for a maintained-view read a
     :class:`~repro.incremental.store.StoreSnapshot` of the store's rows
     at the read, for a digest decoded off the wire (:meth:`from_dict`)
-    its checked :class:`~repro.core.instance.InstanceColumns`.  Either
-    kind carries ``labels`` and ``lam`` unbuilt.  Pass ``instance=`` for
+    its checked :class:`~repro.core.instance.InstanceColumns`, and for
+    a router's scatter merge the merged columns.  Either kind carries
+    ``labels`` and ``lam`` unbuilt.  Pass ``instance=`` for
     an instance, ``source=`` for a deferred source.  ``repr``,
     ``==`` and ``dataclasses.replace`` never build it: ``source`` is
     left out of the repr and compared by identity, as the instance was.

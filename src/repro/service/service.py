@@ -98,6 +98,13 @@ ERROR = "error"
 _SERVED_PATHS = {"cache_hit": "cache", "view_hit": "view", "solve": "batch"}
 
 
+def _caller_sampled() -> bool:
+    """False when the caller's active trace context is marked unsampled
+    (read only with observability on)."""
+    caller = _obs.current_context()
+    return caller is None or caller.sampled
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Tuning knobs for one :class:`DiversificationService`.
@@ -859,13 +866,13 @@ class DiversificationService:
         ctx = TraceContext.mint(tenant=request.session)
         # Head-based trace sampling: metrics stay exact for every
         # request; spans are only recorded for the sampled fraction.
-        # The decision hashes the trace id, so the router/worker tiers
-        # reach the same verdict for the same request without any flag
-        # on the wire.
+        # The decision hashes the trace id.  A request served under a
+        # caller's unsampled context (a cluster leg whose router left
+        # the request out) follows that verdict instead.
         traced = _obs.enabled() and (
             self.config.trace_sample is None
             or head_sample(ctx.trace_id, self.config.trace_sample)
-        )
+        ) and _caller_sampled()
         if traced:
             with _obs.activate(ctx):
                 with _obs.span(

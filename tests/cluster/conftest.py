@@ -9,7 +9,7 @@ coroutines through :func:`run`.
 from __future__ import annotations
 
 import asyncio
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -41,6 +41,18 @@ def make_docs(
         )
         docs.append(Document(uid, uid * step, text))
     return docs
+
+
+def wide_universe() -> Tuple[List[TopicQuery], List[Document]]:
+    """8 one-keyword labels over 3 nodes: every node owns a strict
+    non-empty subset, so a digest over them genuinely scatters, and a
+    single kill leaves dark labels under replication=1.  (The ring puts
+    all three :func:`make_queries` labels on one node of three.)"""
+    queries = [TopicQuery(f"t{i}", [f"kw{i}"]) for i in range(8)]
+    docs = [
+        Document(i, i * 10.0, f"kw{i % 8} body{i}") for i in range(32)
+    ]
+    return queries, docs
 
 
 # -- the fig13 day workload, rendered into matchable documents -------------

@@ -28,8 +28,6 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
-from repro.index.inverted_index import Document
-from repro.index.query import TopicQuery
 from repro.observability import facade, structlog
 from repro.observability.anomaly import AnomalyEngine
 from repro.observability.exporters import parse_prometheus
@@ -41,7 +39,7 @@ from repro.observability.traces import (
 from repro.observability.tracing import TraceContext
 from repro.service import DigestRequest
 
-from .conftest import make_docs, make_queries, run
+from .conftest import make_docs, make_queries, run, wide_universe
 
 LAM = 30.0
 
@@ -54,17 +52,6 @@ def fast_cluster(**overrides) -> ClusterConfig:
     overrides.setdefault("hedge_delay", 0.05)
     overrides.setdefault("request_timeout", 5.0)
     return ClusterConfig(**overrides)
-
-
-def wide_universe():
-    """8 labels over 3 nodes: every node owns a strict non-empty
-    subset, so digests genuinely scatter and a single kill leaves
-    dark labels under replication=1."""
-    queries = [TopicQuery(f"t{i}", [f"kw{i}"]) for i in range(8)]
-    docs = [
-        Document(i, i * 10.0, f"kw{i % 8} body{i}") for i in range(32)
-    ]
-    return queries, docs
 
 
 # -- the scrape op and metrics federation ----------------------------------
@@ -312,6 +299,57 @@ def test_unsampled_requests_skip_spans_but_errors_leave_skeletons():
             assert snapshot["rate"] == 0.0
 
     run(go())
+
+
+def sampled_digest(rate):
+    """One full-set digest over :func:`wide_universe`, the router at
+    head-sampling ``rate`` and the workers at their default
+    ``trace_sample``: the response, every span recorded, the counters."""
+    queries, docs = wide_universe()
+
+    async def go():
+        async with LocalCluster(
+            queries, nodes=3, config=fast_cluster(),
+            worker_config=batch_config(),
+        ) as cluster:
+            router = cluster.router
+            router.attach_trace_pipeline(
+                TracePipeline(policy=SamplingPolicy(rate=rate))
+            )
+            await router.ingest(docs)
+            with facade.session() as bundle:
+                response = await router.digest(DigestRequest(lam=LAM))
+                return (response, list(bundle.tracer.finished),
+                        bundle.registry.counters())
+
+    return run(go())
+
+
+def test_workers_follow_the_routers_unsampled_verdict():
+    response, spans, counters = sampled_digest(0.0)
+    assert response.status == "ok"
+    assert len(response.shards) > 1
+    # the verdict rides with every leg: no span on the router, and none
+    # on a worker under a trace id no router record names
+    assert spans == []
+    assert counters["cluster.router.trace_unsampled"] == 1
+    assert counters["service.trace_unsampled"] == len(response.shards)
+
+
+def test_sampled_worker_spans_link_to_the_response_trace():
+    response, spans, counters = sampled_digest(1.0)
+    assert response.status == "ok"
+    assert len(response.shards) > 1
+    assert "service.trace_unsampled" not in counters
+    legs = [span for span in spans if span.name == "cluster.worker.digest"]
+    assert len(legs) == len(response.shards)
+    assert {span.trace_id for span in legs} == {response.trace_id}
+    linked = {span.attributes["link_trace_id"] for span in legs}
+    # every worker-side span sits in a trace a leg span links to
+    served = [span for span in spans if span.trace_id != response.trace_id]
+    assert {span.name for span in served} >= {"service.request",
+                                              "service.solve"}
+    assert {span.trace_id for span in served} == linked
 
 
 # -- the dark-shard alert (acceptance criterion) ---------------------------

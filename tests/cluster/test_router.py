@@ -21,8 +21,8 @@ from repro.cluster.router import WARM_KEYS, ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
 from repro.core.instance import Instance
+from repro.core.post import Post
 from repro.index.inverted_index import Document
-from repro.index.query import TopicQuery
 from repro.observability import structlog
 from repro.service import DigestRequest, DiversificationService
 
@@ -35,6 +35,7 @@ from .conftest import (
     make_docs,
     make_queries,
     run,
+    wide_universe,
 )
 from .test_parity import REQUESTS as PARITY_REQUESTS
 
@@ -51,14 +52,18 @@ def fast_cluster(**overrides) -> ClusterConfig:
     return ClusterConfig(**overrides)
 
 
-def reference_service(docs) -> DiversificationService:
-    service = DiversificationService(make_queries(), batch_config())
+def reference_service(docs, queries=None) -> DiversificationService:
+    service = DiversificationService(
+        make_queries() if queries is None else queries, batch_config()
+    )
     service.ingest(docs)
     return service
 
 
-async def reference_fingerprint(docs, request: DigestRequest) -> str:
-    service = reference_service(docs)
+async def reference_fingerprint(
+    docs, request: DigestRequest, queries=None
+) -> str:
+    service = reference_service(docs, queries)
     try:
         response = await service.digest(request)
         assert response.result is not None
@@ -129,10 +134,11 @@ def test_single_label_routes_to_the_owner():
 
 
 def test_multi_label_scatter_gather_is_byte_identical():
+    queries, docs = wide_universe()
+
     async def go():
-        docs = make_docs(24)
         async with LocalCluster(
-            make_queries(), nodes=3, config=fast_cluster(),
+            queries, nodes=3, config=fast_cluster(),
             worker_config=batch_config(),
         ) as cluster:
             await cluster.router.ingest(docs)
@@ -141,15 +147,17 @@ def test_multi_label_scatter_gather_is_byte_identical():
             response = await cluster.router.digest(request)
             assert response.status == "ok"
             assert response.result is not None
-            # make_docs posts carry one label each: no seams, so the
-            # union of the shard picks is the global solution outright
+            # the owners differ, so the legs go through the merge
+            assert len(response.shards) > 1
+            # every post carries one label: no seams, so the union of
+            # the shard picks is the global solution outright
             assert response.seam_posts == 0
             assert response.resolves == 0
             assert canonical_fingerprint(response.result) == \
-                await reference_fingerprint(docs, request)
+                await reference_fingerprint(docs, request, queries)
             owners = {
-                cluster.router.ring.owner(label)
-                for label in ("golf", "nba", "tech")
+                cluster.router.ring.owner(query.label)
+                for query in queries
             }
             assert set(response.shards) == owners
 
@@ -160,8 +168,7 @@ def test_stitch_mode_also_matches_when_seam_free():
     # eight one-keyword topics over three nodes: the digest scatters,
     # no post spans two legs, and the stitched union of the legs'
     # covers is the single-process answer
-    queries = [TopicQuery(f"t{i}", [f"kw{i}"]) for i in range(8)]
-    docs = [Document(i, i * 10.0, f"kw{i % 8} body{i}") for i in range(32)]
+    queries, docs = wide_universe()
     request = DigestRequest(lam=LAM)
 
     async def go():
@@ -228,27 +235,30 @@ def test_ingest_fans_out_to_every_replica():
 
 
 def test_unmatched_documents_are_counted_not_shipped():
+    queries, docs = wide_universe()
+
     async def go():
         async with LocalCluster(
-            make_queries(), nodes=2, config=fast_cluster(),
+            queries, nodes=3, config=fast_cluster(),
             worker_config=batch_config(),
         ) as cluster:
             stray = Document(99, 990.0, "nothing relevant here")
-            report = await cluster.router.ingest(
-                make_docs(6) + [stray]
-            )
-            assert report["documents"] == 7
+            report = await cluster.router.ingest(docs[:12] + [stray])
+            assert report["documents"] == 13
             assert report["unrouted"] == 1
             held = sum(
                 len(cluster.worker(name)._documents)
                 for name in cluster.names
             )
-            assert held == 6  # the stray went nowhere
+            assert held == 12  # the stray went nowhere
             # ...but it still counts toward the cluster-wide
-            # unmatched_dropped, matching a single process that saw it
+            # unmatched_dropped the merge reports, matching a single
+            # process that saw it
             response = await cluster.router.digest(
                 DigestRequest(lam=LAM)
             )
+            assert len(response.shards) > 1
+            assert response.result.matched == 12
             assert response.result.unmatched_dropped == 1
 
     run(go())
@@ -288,14 +298,9 @@ def test_replica_serves_when_the_primary_dies():
 
 
 def test_unreplicated_label_down_degrades_honestly():
-    # a wider universe than the shared fixtures: with 8 labels over 3
-    # nodes, every node owns a strict, non-empty label subset
-    queries = [
-        TopicQuery(f"t{i}", [f"kw{i}"]) for i in range(8)
-    ]
-    docs = [
-        Document(i, i * 10.0, f"kw{i % 8} body{i}") for i in range(32)
-    ]
+    # with 8 labels over 3 nodes, every node owns a strict, non-empty
+    # label subset
+    queries, docs = wide_universe()
     labels = tuple(q.label for q in queries)
 
     async def go():
@@ -463,22 +468,24 @@ def test_set_view_window_reaches_every_owner():
 
 
 def test_router_health_and_introspect_describe_the_cluster():
+    queries, docs = wide_universe()
+
     async def go():
-        docs = make_docs(12)
         async with LocalCluster(
-            make_queries(), nodes=3, config=fast_cluster(),
+            queries, nodes=3, config=fast_cluster(),
             worker_config=batch_config(),
         ) as cluster:
             router = cluster.router
-            await router.ingest(docs)
+            await router.ingest(docs[:12])
             await router.heartbeat_once()
-            await router.digest(DigestRequest(lam=LAM))
+            response = await router.digest(DigestRequest(lam=LAM))
+            assert len(response.shards) > 1
             health = router.health()
             assert health["cluster"]["role"] == "router"
             assert sorted(health["cluster"]["nodes"]) == cluster.names
             assert health["cluster"]["alive"] == cluster.names
             assert health["cluster"]["inflight_scatters"] == 0
-            assert sum(health["cluster"]["ring"].values()) == 3
+            assert sum(health["cluster"]["ring"].values()) == len(queries)
             assert health["requests"] == 1
             assert health["documents"] == 12
 
@@ -487,7 +494,7 @@ def test_router_health_and_introspect_describe_the_cluster():
             assert info["ring"]["virtual_nodes"] == 32
             assert info["hot_keys"] == 1 and WARM_KEYS == 128
             assert info["counters"]["requests"] == 1
-            assert info["counters"]["scatter_legs"] >= 1
+            assert info["counters"]["scatter_legs"] == len(response.shards)
             assert set(info["clients"]) == set(cluster.names)
             assert all(
                 entry["calls"] > 0
@@ -806,3 +813,84 @@ def test_a_scatter_merge_builds_only_the_merged_instance():
     assert all(
         leg["response"].result.source._instance is None for leg in legs
     )
+
+
+def count_post_builds(patch):
+    """Count every ``Post`` built from here on; returns the one-item
+    count list."""
+    builds = [0]
+    init = Post.__init__
+
+    def counting(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    patch.setattr(Post, "__init__", counting)
+    return builds
+
+
+def merged_the_old_way(payloads, lam, labels):
+    """The merged instance as a merge of whole leg instances builds it:
+    one post per uid, a seam post carrying the union of its legs' label
+    sets."""
+    posts = {}
+    for payload in payloads:
+        for post in Instance.from_dict(payload["instance"]).posts:
+            known = posts.get(post.uid)
+            posts[post.uid] = post if known is None else Post(
+                post.uid, post.value, known.labels | post.labels, post.text
+            )
+    return Instance(posts.values(), lam, labels=labels)
+
+
+def test_a_scan_plus_scatter_merge_builds_only_its_cover():
+    async def go(patch):
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            request = DigestRequest(lam=LAM_S, algorithm="scan+")
+            # the owners' caches answer the second digest
+            await router.digest(request)
+            sent = [record_leg_payloads(cluster.worker(name))
+                    for name in cluster.names]
+            instances = count_instance_builds(patch)
+            posts = count_post_builds(patch)
+            merge = router._merge
+            merge_builds = []
+
+            def counting_merge(*args, **kwargs):
+                before = posts[0]
+                response = merge(*args, **kwargs)
+                merge_builds.append(posts[0] - before)
+                return response
+
+            router._merge = counting_merge
+            response = await router.digest(request)
+            return response, sent, instances[0], merge_builds
+
+    with pytest.MonkeyPatch.context() as patch:
+        response, sent, instance_builds, (merge_builds,) = run(go(patch))
+    assert response.status == "ok"
+    assert len(response.shards) > 1
+    assert response.seam_posts > 0 and response.resolves == 1
+    result = response.result
+    # the re-solve ran on the merged columns: no instance anywhere, and
+    # one post per cover post
+    assert instance_builds == 0
+    assert result.source._instance is None
+    assert merge_builds == len(result.solution.posts)
+    instance = result.instance
+    payloads = [payload for worker in sent for payload in worker]
+    assert len(payloads) == len(response.shards)
+    reference = merged_the_old_way(
+        payloads, LAM_S, [query.label for query in day_queries()]
+    )
+    assert instance.posts == reference.posts
+    assert [post.text for post in instance.posts] == \
+        [post.text for post in reference.posts]
+    assert (instance.labels, instance.lam) == \
+        (reference.labels, reference.lam)
+    assert result.matched == len(reference.posts)
+    for post in result.solution.posts:
+        assert post is instance.post(post.uid)
+    verify_cover(instance, result.solution.posts)

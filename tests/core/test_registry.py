@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.greedy_sc import greedy_sc
-from repro.core.registry import available_algorithms, register, solve
+from repro.core.instance import Instance, InstanceColumns
+from repro.core.registry import available_algorithms, register, solve, \
+    unregister
 from repro.core.scan import scan, scan_plus
 from repro.core.solution import Solution
 from repro.errors import UnknownAlgorithmError
@@ -82,3 +84,50 @@ class TestRegistry:
         with pytest.raises(ValueError):
             unregister("scan")
         assert "scan" in available_algorithms()
+
+
+class TestSolveOnColumns:
+    """``solve`` takes an encoded instance's columns: Scan and Scan+ run
+    on them as they are, every other solver on the instance they
+    encode."""
+
+    @staticmethod
+    def columns(instance):
+        return InstanceColumns.decode(instance.to_dict())
+
+    @pytest.mark.parametrize("name", ["scan", "scan+"])
+    def test_scan_builds_only_its_picks(self, figure2_instance, name):
+        columns = self.columns(figure2_instance)
+        solution = solve(name, columns)
+        assert columns._instance is None
+        assert solution.posts == solve(name, figure2_instance).posts
+        assert set(columns._built) == {
+            columns.rows[uid] for uid in solution.uids
+        }
+
+    @pytest.mark.parametrize("name", ["greedy_sc", "opt", "brute_force",
+                                      "exact_setcover"])
+    def test_other_solvers_get_the_instance(self, figure2_instance, name):
+        columns = self.columns(figure2_instance)
+        solution = solve(name, columns)
+        assert columns._instance is not None
+        assert solution.uids == solve(name, figure2_instance).uids
+        for post in solution.posts:
+            assert post is columns.instance.post(post.uid)
+
+    def test_a_custom_solver_gets_the_instance(self, figure2_instance):
+        seen = []
+
+        def fake(instance):
+            seen.append(instance)
+            return Solution.from_posts("fake", list(instance.posts))
+
+        register("columns_test_only", fake)
+        try:
+            columns = self.columns(figure2_instance)
+            assert solve("columns_test_only", columns).size == 4
+        finally:
+            unregister("columns_test_only")
+        assert len(seen) == 1
+        assert isinstance(seen[0], Instance)
+        assert seen[0] is columns.instance

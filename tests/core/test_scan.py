@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from repro.core.brute_force import exact_via_setcover
 from repro.core.coverage import is_cover
-from repro.core.instance import Instance, PostingList
+from repro.core.instance import Instance, InstanceColumns, PostingList
 from repro.core.post import Post
 from repro.core.scan import order_labels, scan, scan_label, scan_plus
 
-from ..conftest import small_instances
+from ..conftest import boundary_instances, small_instances
 
 
 def scan_plus_full_strike_reference(
@@ -342,3 +342,41 @@ class TestScanProperties:
             )
             assert scan_plus(instance, label_order=order).uids == \
                 tuple(p.uid for p in deduped)
+
+
+class TestOnColumns:
+    """Scan and Scan+ on an encoded instance's columns: the picks of the
+    instance, in its order, and no instance built — only the picks'
+    posts, which the instance built later holds."""
+
+    @pytest.mark.parametrize("order",
+                             ["sorted", "longest_first", "shortest_first"])
+    @pytest.mark.parametrize("solver", [scan, scan_plus],
+                             ids=["scan", "scan+"])
+    @given(instance=st.one_of(small_instances(), boundary_instances()))
+    def test_same_picks_as_on_the_instance(self, solver, order, instance):
+        columns = InstanceColumns.decode(instance.to_dict())
+        assert order_labels(columns, order) == \
+            order_labels(instance, order)
+        on_columns = solver(columns, order)
+        assert columns._instance is None
+        on_instance = solver(instance, order)
+        assert on_columns.posts == on_instance.posts
+        assert on_columns.algorithm == on_instance.algorithm
+        built = columns.instance
+        assert all(
+            post is built.post(post.uid) for post in on_columns.posts
+        )
+
+    @given(instance=st.one_of(small_instances(), boundary_instances()))
+    def test_postings_are_the_posting_lists(self, instance):
+        columns = InstanceColumns.decode(instance.to_dict())
+        postings = columns.postings
+        assert set(postings) == set(instance.labels)
+        for label, (values, rows) in postings.items():
+            plist = instance.posting(label)
+            assert values == plist.values
+            assert [columns.uids[row] for row in rows] == \
+                [post.uid for post in plist.posts]
+        assert columns.postings is postings
+        assert columns._instance is None

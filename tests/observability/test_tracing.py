@@ -122,6 +122,15 @@ class TestTraceContext:
         payload = json.loads(json.dumps(ctx.to_dict()))
         assert TraceContext.from_dict(payload) == ctx
 
+    def test_only_an_unsampled_verdict_travels(self):
+        ctx = TraceContext.mint(tenant="t").at(3)
+        assert "sampled" not in ctx.to_dict()
+        unsampled = ctx.unsampled()
+        payload = json.loads(json.dumps(unsampled.to_dict()))
+        assert payload["sampled"] is False
+        again = TraceContext.from_dict(payload)
+        assert again == unsampled and not again.sampled
+
     def test_activation_parents_rootless_spans(self, fake_clock):
         tracer = Tracer(clock=fake_clock(step=1.0))
         ctx = TraceContext.mint(tenant="acme").at(99)

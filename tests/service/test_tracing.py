@@ -16,7 +16,8 @@ import logging
 import pytest
 
 from repro import observability
-from repro.observability import structlog
+from repro.observability import facade, structlog
+from repro.observability.tracing import TraceContext
 from repro.service import DigestRequest
 
 from .conftest import make_docs, make_service, run
@@ -447,3 +448,24 @@ class TestHeadSampling:
             counters = bundle.registry.counters()
             assert counters["service.trace_unsampled"] == 1
             assert counters["service.solves"] == 1
+
+    def test_a_callers_unsampled_verdict_is_followed(self):
+        # a cluster worker serves a leg its router left unsampled under
+        # that context: the service, tracing everything by its own
+        # setting, records no span for it
+        async def leg(service):
+            caller = TraceContext.mint(tenant="router").unsampled()
+            with facade.activate(caller):
+                return await service.digest(DigestRequest(lam=25.0))
+
+        with observability.session() as bundle:
+            service = make_service()
+            service.ingest(make_docs())
+            response = run(leg(service))
+            assert response.status == "ok" and service.solves == 1
+            assert not bundle.tracer.finished
+            assert bundle.registry.counters()[
+                "service.trace_unsampled"] == 1
+            # without the caller's context the same service traces
+            run(service.digest(DigestRequest(lam=25.0)))
+            assert bundle.tracer.finished
