@@ -10,34 +10,32 @@ labels, groups them by live owner, and either
 
 **Why the merge is exact.**  λ-coverage decomposes by label: post ``p``
 with label ``ℓ`` is covered iff some selected post carries ``ℓ`` within
-λ.  Partitioning labels across nodes therefore splits the set-cover
-instance into blocks, and when no post spans blocks (no *seam* posts),
-the blocks are fully independent — the same argument
-:mod:`repro.engine.sharding` proves for gap cuts: GreedySC's global
-pick set restricted to a block equals the block-local pick set (picks
-in one block never change gains in another), and Scan/Scan+ decisions
-read only the post's own labels' coverage state.  So the union of the
-shard picks *is* the single-process solution.  Seam posts (labels on
-two nodes) break independence; the router detects them on merge — a
-uid in more than one sub-instance — and re-solves the merged columns
-locally (byte-identical by construction; Scan and Scan+ build a post
-only for each pick).  Every other merge — seam-free,
-or degraded because some labels have no live shard — serves the union
-of the shard picks through :func:`repro.engine.sharding.stitch_repair`,
-which repairs any seam damage with bounded extra picks and verifies
-the result; an invalid stitched cover cannot escape.
+λ, and Scan, Scan+ and GreedySC read only each label's sorted values
+and the posts' label sets.  A leg's columns hold exactly that for the
+labels it served, so the legs' columns laid end to end — a *seam* post,
+a uid in more than one leg because its labels span owners, gets one row
+with the union of its legs' labels — are the one-process instance over
+the served labels.  A single served leg is the worker's answer over its
+labels and is forwarded as it is.  Two or more are merged on their
+decoded columns (:func:`_merge_legs`) and re-solved there with
+``solve(algorithm, merged)``: pick-identical to one process over the
+served labels by construction, with or without seams, and whether
+every requested label was served or not (Scan and Scan+ build a post
+only for each pick).
 
 **Failure semantics**: per-shard deadlines, hedged retries to replicas
 after ``hedge_delay``, request-path failures feeding the same detector
 as heartbeats.  A label whose owners are all down degrades the
-response explicitly (``missing_labels``) rather than failing it —
-partial answers with honest labels beat outages.
+response explicitly (``missing_labels``) rather than failing it, and
+the cover served is one process's over the labels that remain —
+partial answers with honest labels beat outages.  A request no worker
+could answer (a NaN or negative λ, an unknown algorithm) is refused
+before it scatters.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import logging
 import time as _time
 from collections import OrderedDict
@@ -48,9 +46,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
     Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.instance import InstanceColumns
-from ..core.registry import solve
-from ..core.solution import Solution
-from ..engine.sharding import stitch_repair
+from ..core.registry import lookup, solve
 from ..errors import ReproError
 from ..index.inverted_index import Document
 from ..index.query import LabelMatcher, TopicQuery
@@ -58,7 +54,7 @@ from ..observability import facade as _obs
 from ..observability import structlog
 from ..observability.collector import Collector
 from ..observability.traces import TracePipeline, head_sample
-from ..observability.tracing import INERT_SPAN, TraceContext
+from ..observability.tracing import TraceContext
 from ..pipeline import DigestResult
 from ..service import DigestRequest, ServiceResponse
 from .frames import MAX_FRAME, encode_frame, read_frame
@@ -216,9 +212,18 @@ class ClusterConfig:
             raise ClusterError(
                 f"replication must be >= 1, got {self.replication}"
             )
-        if self.request_timeout <= 0 or self.hedge_delay < 0:
+        # `not x > 0` refuses NaN too: a NaN deadline expires at once,
+        # and a NaN heartbeat interval never wakes the loop
+        for name in (
+            "request_timeout", "heartbeat_interval", "heartbeat_timeout"
+        ):
+            if not getattr(self, name) > 0:
+                raise ClusterError(
+                    f"{name} must be > 0, got {getattr(self, name)}"
+                )
+        if not self.hedge_delay >= 0:
             raise ClusterError(
-                "request_timeout must be > 0 and hedge_delay >= 0"
+                f"hedge_delay must be >= 0, got {self.hedge_delay}"
             )
 
 
@@ -228,8 +233,9 @@ class ClusterResponse:
 
     ``status`` mirrors the service tier (``ok`` / ``degraded`` /
     ``error``); ``missing_labels`` names label blocks no live shard
-    could serve; ``stitched``/``stitch_repairs``/``resolves`` describe
-    how the partial covers were merged.
+    could serve; ``seam_posts`` counts the posts whose labels spanned
+    legs, and ``resolves`` is 1 when the router re-solved two or more
+    legs' merged columns.
     """
 
     status: str
@@ -240,8 +246,6 @@ class ClusterResponse:
     shards: Tuple[str, ...] = ()
     missing_labels: Tuple[str, ...] = ()
     seam_posts: int = 0
-    stitched: bool = False
-    stitch_repairs: int = 0
     resolves: int = 0
     hedges: int = 0
     reason: str = ""
@@ -257,8 +261,6 @@ class ClusterResponse:
             "shards": list(self.shards),
             "missing_labels": list(self.missing_labels),
             "seam_posts": self.seam_posts,
-            "stitched": self.stitched,
-            "stitch_repairs": self.stitch_repairs,
             "resolves": self.resolves,
             "hedges": self.hedges,
             "reason": self.reason,
@@ -277,8 +279,6 @@ class ClusterResponse:
             shards=tuple(payload.get("shards", ())),
             missing_labels=tuple(payload.get("missing_labels", ())),
             seam_posts=int(payload.get("seam_posts", 0)),
-            stitched=bool(payload.get("stitched", False)),
-            stitch_repairs=int(payload.get("stitch_repairs", 0)),
             resolves=int(payload.get("resolves", 0)),
             hedges=int(payload.get("hedges", 0)),
             reason=str(payload.get("reason", "")),
@@ -461,7 +461,6 @@ class ClusterRouter:
         self.scatter_legs = 0
         self.hedges = 0
         self.resolves = 0
-        self.stitch_repairs = 0
         self.seam_requests = 0
         self.degraded_responses = 0
         self.failovers = 0
@@ -735,7 +734,7 @@ class ClusterRouter:
 
         Attaching also turns on router-level head sampling: a request
         that loses the pipeline policy's coin flip records no span here,
-        its seam re-solve included, and its legs carry its context
+        its merge re-solve included, and its legs carry its context
         marked unsampled, so no worker records a span for it either —
         the cheap path the p50 gate in ``BENCH_observability.json``
         measures."""
@@ -914,9 +913,16 @@ class ClusterRouter:
 
     # -- digest ------------------------------------------------------------
 
-    def _resolve_labels(
-        self, requested: Optional[Tuple[str, ...]]
-    ) -> Tuple[str, ...]:
+    def _resolve_labels(self, request: DigestRequest) -> Tuple[str, ...]:
+        """The request's labels; raises for what no worker can answer.
+
+        A foreign ``dimension`` stays the workers' decision: the router
+        does not know their config."""
+        request.check_lam()
+        if request.algorithm is not None:
+            # the registry the merge re-solves with
+            lookup(request.algorithm)
+        requested = request.labels
         if requested is None:
             return self.labels
         unknown = [
@@ -984,18 +990,14 @@ class ClusterRouter:
                     )
         elif _obs.enabled():
             # unsampled: the request's context, marked so, stays active
-            # through the merge, so not even a seam re-solve records a
+            # through the merge, so not even a merge re-solve records a
             # span, and rides with every leg
             _obs.count("cluster.router.trace_unsampled")
             ctx = ctx.unsampled()
             with _obs.activate(ctx):
-                response = await self._serve(
-                    request, ctx, started, traced=False
-                )
+                response = await self._serve(request, ctx, started)
         else:
-            response = await self._serve(
-                request, ctx, started, traced=False
-            )
+            response = await self._serve(request, ctx, started)
         if response.status == ERROR:
             self.errors += 1
             _obs.count("cluster.router.errors")
@@ -1054,16 +1056,11 @@ class ClusterRouter:
         )
 
     async def _serve(
-        self,
-        request: DigestRequest,
-        ctx: TraceContext,
-        started: float,
-        *,
-        traced: bool = True,
+        self, request: DigestRequest, ctx: TraceContext, started: float
     ) -> ClusterResponse:
         try:
-            labels = self._resolve_labels(request.labels)
-        except ClusterError as error:
+            labels = self._resolve_labels(request)
+        except ReproError as error:
             return self._error(ctx, started, str(error))
         if len(self.ring) == 0:
             return self._error(ctx, started, "the cluster has no nodes")
@@ -1088,9 +1085,7 @@ class ClusterRouter:
         if _obs.enabled():
             _obs.set_gauge("cluster.router.inflight", self._inflight)
         try:
-            legs = await self._scatter(
-                request, groups, ctx, traced=traced
-            )
+            legs = await self._scatter(request, groups, ctx)
         finally:
             self._inflight -= 1
             if _obs.enabled():
@@ -1114,7 +1109,6 @@ class ClusterRouter:
         return self._merge(
             request, ctx, started, served,
             missing=tuple(sorted(missing)), hedges=hedges,
-            traced=traced,
         )
 
     async def _scatter(
@@ -1122,8 +1116,6 @@ class ClusterRouter:
         request: DigestRequest,
         groups: "OrderedDict[Tuple[str, ...], List[str]]",
         ctx: TraceContext,
-        *,
-        traced: bool = True,
     ) -> List[Dict[str, Any]]:
         """Fan the label groups out; every leg resolves to a dict with
         its labels, serving node, hedge count and response (or None)."""
@@ -1144,7 +1136,6 @@ class ClusterRouter:
             try:
                 node, frame, hedges = await self._call_with_failover(
                     owners, OP_DIGEST, {"request": sub.to_dict()}, ctx,
-                    traced=traced,
                 )
                 spans = frame.get("spans")
                 if spans:
@@ -1193,8 +1184,6 @@ class ClusterRouter:
         op: str,
         payload: Dict[str, Any],
         ctx: TraceContext,
-        *,
-        traced: bool = True,
     ) -> Tuple[str, Dict[str, Any], int]:
         """Hedged replica fan-out: start the primary, start the next
         replica after ``hedge_delay`` (or on failure), first success
@@ -1202,7 +1191,7 @@ class ClusterRouter:
         """
         loop = asyncio.get_running_loop()
         deadline = loop.time() + self.config.request_timeout
-        want_spans = _obs.enabled() and traced
+        want_spans = _obs.enabled() and ctx.sampled
         # the sampling verdict rides with every leg: a sampled request's
         # context for the worker's spans to join, an unsampled one's
         # marked so, for the worker to record none
@@ -1295,7 +1284,6 @@ class ClusterRouter:
         *,
         missing: Tuple[str, ...],
         hedges: int,
-        traced: bool = True,
     ) -> ClusterResponse:
         algorithm = legs[0]["response"].algorithm
         served_labels = tuple(sorted(
@@ -1305,17 +1293,14 @@ class ClusterRouter:
         degraded = bool(missing) or any(
             leg["response"].status == DEGRADED for leg in legs
         )
-        merge_span = (
-            _obs.span(
-                "cluster.merge", legs=len(legs),
-                labels=len(served_labels),
-            )
-            if traced else contextlib.nullcontext(INERT_SPAN)
-        )
-        with merge_span as span:
-            if len(legs) == 1 and not missing:
-                # single-owner fast path: the worker's digest IS the
-                # answer; only the cluster-wide counters are rewritten
+        reason = "partial cover: some labels have no live shard" \
+            if missing else ""
+        with _obs.span(
+            "cluster.merge", legs=len(legs), labels=len(served_labels),
+        ) as span:
+            if len(legs) == 1:
+                # one served leg: the worker's digest over its labels IS
+                # the answer; only the cluster-wide counters are rewritten
                 response: ServiceResponse = legs[0]["response"]
                 result = response.result
                 assert result is not None
@@ -1334,10 +1319,10 @@ class ClusterRouter:
                     latency_s=self._clock() - started,
                     trace_id=ctx.trace_id or "",
                     shards=shards, missing_labels=missing,
-                    hedges=hedges,
-                    reason=legs[0]["response"].reason,
+                    hedges=hedges, reason=reason or response.reason,
                 )
-            # merge the legs on their decoded columns, building no post
+            # merge the legs on their decoded columns, building no post,
+            # and re-solve them: one process's answer over these labels
             try:
                 merged, seams = _merge_legs(
                     [leg["response"].result.source for leg in legs],
@@ -1348,43 +1333,13 @@ class ClusterRouter:
                     ctx, started, str(error), algorithm=algorithm,
                     shards=shards, missing_labels=missing, hedges=hedges,
                 )
-            resolves = 0
-            repairs = 0
-            stitched = False
             if seams:
                 self.seam_requests += 1
                 _obs.count("cluster.router.seam_requests")
-            if seams and not missing:
-                # seams break block independence, so re-solve the
-                # merged columns — byte-identical by construction
-                solution = solve(algorithm, merged)
-                resolves = 1
-                self.resolves += 1
-                _obs.count("cluster.router.resolves")
-            else:
-                # union of the shard picks (block-independent, hence
-                # byte-identical, when seam-free — see module docstring),
-                # or a degraded merge's: repaired and verified by the
-                # seam machinery
-                instance = merged.instance
-                pick_uids = sorted({
-                    post.uid
-                    for leg in legs
-                    for post in leg["response"].result.solution.posts
-                })
-                picks = [instance.post(uid) for uid in pick_uids]
-                picks, repairs = stitch_repair(instance, picks)
-                stitched = True
-                if repairs:
-                    self.stitch_repairs += repairs
-                    _obs.count(
-                        "cluster.router.stitch_repairs", repairs
-                    )
-                solution = Solution.from_posts(
-                    algorithm, picks, elapsed=0.0
-                )
+            solution = solve(algorithm, merged)
+            self.resolves += 1
+            _obs.count("cluster.router.resolves")
             span.set_attribute("seams", seams)
-            span.set_attribute("repairs", repairs)
             downgrades: Tuple = ()
             for leg in legs:
                 downgrades = downgrades + tuple(
@@ -1407,11 +1362,7 @@ class ClusterRouter:
             latency_s=self._clock() - started,
             trace_id=ctx.trace_id or "",
             shards=shards, missing_labels=missing,
-            seam_posts=seams,
-            stitched=stitched, stitch_repairs=repairs,
-            resolves=resolves, hedges=hedges,
-            reason="partial cover: some labels have no live shard"
-            if missing else "",
+            seam_posts=seams, resolves=1, hedges=hedges, reason=reason,
         )
 
     # -- per-view windows across the cluster --------------------------------
@@ -1508,7 +1459,6 @@ class ClusterRouter:
                 "scatter_legs": self.scatter_legs,
                 "hedges": self.hedges,
                 "resolves": self.resolves,
-                "stitch_repairs": self.stitch_repairs,
                 "seam_requests": self.seam_requests,
                 "failovers": self.failovers,
                 "rebalances": self.rebalances,

@@ -22,7 +22,8 @@ from .opt import opt
 from .scan import scan, scan_plus
 from .solution import Solution
 
-__all__ = ["solve", "available_algorithms", "register", "unregister"]
+__all__ = ["solve", "available_algorithms", "lookup", "register",
+           "unregister"]
 
 _REGISTRY: Dict[str, Callable[[Instance], Solution]] = {
     "opt": opt,
@@ -39,6 +40,18 @@ def available_algorithms() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def lookup(name: str) -> Callable[[Instance], Solution]:
+    """The solver registered under ``name``; raises
+    :class:`UnknownAlgorithmError` for any other name."""
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise UnknownAlgorithmError(
+            f"unknown algorithm {name!r}; available: "
+            + ", ".join(available_algorithms())
+        ) from None
+
+
 def register(name: str, solver: Callable[[Instance], Solution]) -> None:
     """Register a custom solver under ``name`` (overwriting is an error)."""
     if name in _REGISTRY:
@@ -48,11 +61,7 @@ def register(name: str, solver: Callable[[Instance], Solution]) -> None:
 
 def unregister(name: str) -> None:
     """Remove a custom solver; the built-in algorithms are permanent."""
-    if name not in _REGISTRY:
-        raise UnknownAlgorithmError(
-            f"unknown algorithm {name!r}; available: "
-            + ", ".join(available_algorithms())
-        )
+    lookup(name)
     if name in ("opt", "brute_force", "exact_setcover",
                 "greedy_sc", "scan", "scan+"):
         raise ValueError(f"cannot unregister built-in algorithm {name!r}")
@@ -68,13 +77,7 @@ def solve(
 ) -> Solution:
     """Run the named batch algorithm on ``instance``, an instance or an
     encoded one's columns."""
-    try:
-        solver = _REGISTRY[name]
-    except KeyError:
-        raise UnknownAlgorithmError(
-            f"unknown algorithm {name!r}; available: "
-            + ", ".join(available_algorithms())
-        ) from None
+    solver = lookup(name)
     if isinstance(instance, InstanceColumns) \
             and solver not in _ON_COLUMNS:
         instance = instance.instance

@@ -8,24 +8,19 @@ paths need around them:
   numpy GreedySC family builder reads (built once, cached weakly);
 * :mod:`~repro.engine.auto` — the pair-count estimate behind the
   ``engine="auto"`` family-builder selection of GreedySC's rescan (the
-  default lazy heap builds no family);
-* :mod:`~repro.engine.sharding` — the gap-cut independence argument and
-  the verifier-backed :func:`stitch_repair` the cluster router uses.
+  default lazy heap builds no family).
 
 ``docs/performance.md`` gives the measurements behind running each
-solver serially.
+solver serially, and the gap-cut and label-block independence argument.
 """
 
 from .auto import AUTO_PAIR_THRESHOLD, choose_engine, estimate_pair_count
 from .columnar import ColumnarInstance, snapshot
-from .sharding import stitch_repair
 
 __all__ = [
     # columnar snapshots
     "ColumnarInstance",
     "snapshot",
-    # seam repair
-    "stitch_repair",
     # auto engine selection
     "AUTO_PAIR_THRESHOLD",
     "estimate_pair_count",

@@ -81,11 +81,12 @@ class TokenBucket:
         burst: Optional[float] = None,
         clock: Callable[[], float] = _time.monotonic,
     ):
-        if rate <= 0:
+        # `not >` refuses NaN too, whose bucket sheds every request
+        if not rate > 0:
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
         self.burst = float(burst if burst is not None else rate)
-        if self.burst <= 0:
+        if not self.burst > 0:
             raise ValueError(f"burst must be positive, got {burst}")
         self._clock = clock
         self._tokens = self.burst

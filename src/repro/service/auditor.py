@@ -2,7 +2,7 @@
 
 Latency SLOs say nothing about *correctness*: a serving tier can be
 fast, available — and quietly serving digests that no longer λ-cover
-their corpus (a regression in a solver, a stitch repair gone wrong, a
+their corpus (a regression in a solver, a scatter merge gone wrong, a
 cache serving across a bug).  The :class:`DigestAuditor` closes that
 gap with the paper's own definitions:
 

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple
 
 from ..core.instance import Instance
-from ..core.registry import available_algorithms
+from ..core.registry import lookup
 from ..core.streaming import _STREAM_FACTORIES
 from ..errors import ReproError
 from ..incremental import DocumentProjector, PostStore, StoreSnapshot, \
@@ -155,11 +155,7 @@ class ServiceConfig:
     clock: Callable[[], float] = _time.perf_counter
 
     def __post_init__(self) -> None:
-        if self.algorithm not in available_algorithms():
-            raise ReproError(
-                f"unknown algorithm {self.algorithm!r}; available: "
-                + ", ".join(available_algorithms())
-            )
+        lookup(self.algorithm)
         if self.stream_algorithm not in _STREAM_FACTORIES:
             raise ReproError(
                 f"unknown streaming algorithm {self.stream_algorithm!r}"
@@ -181,7 +177,8 @@ class ServiceConfig:
                 f"trace_sample must be in [0, 1], got {self.trace_sample}"
             )
         if self.view_window is not None:
-            if self.view_window <= 0:
+            # `not >` refuses NaN too, which would serve with no window
+            if not self.view_window > 0:
                 raise ReproError(
                     f"view_window must be positive, got {self.view_window}"
                 )
@@ -221,6 +218,15 @@ class DigestRequest:
         if self.labels is not None:
             object.__setattr__(
                 self, "labels", tuple(sorted(set(self.labels)))
+            )
+
+    def check_lam(self) -> None:
+        """Raise :class:`ReproError` unless ``lam`` is a non-negative
+        number: the refusal the service and the cluster router share."""
+        # `not >=` refuses NaN too, whose cache key nothing can hit
+        if not self.lam >= 0:
+            raise ReproError(
+                f"lambda must be a non-negative number, got {self.lam}"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -640,7 +646,8 @@ class DiversificationService:
             )
         if not labels:
             raise ReproError("a view window needs at least one label")
-        if window is not None and window <= 0:
+        # `not >` refuses NaN too, which would serve with no window
+        if window is not None and not window > 0:
             raise ReproError(
                 f"view_window must be positive, got {window}"
             )
@@ -704,11 +711,7 @@ class DiversificationService:
 
     def _resolve_labels(self, request: DigestRequest) -> Tuple[str, ...]:
         """The request's labels; raises for what no solve can answer."""
-        # `not >=` refuses NaN too, whose cache key nothing can hit
-        if not request.lam >= 0:
-            raise ReproError(
-                f"lambda must be a non-negative number, got {request.lam}"
-            )
+        request.check_lam()
         if request.dimension not in (None, self.config.dimension):
             raise ReproError(
                 f"dimension {request.dimension!r}: this service projects "

@@ -246,8 +246,7 @@ def test_cluster_response_round_trip():
         status="degraded", result=_sample_digest(),
         algorithm="greedy_sc", latency_s=0.5, trace_id="t1",
         shards=("node0", "node2"), missing_labels=("tech",),
-        seam_posts=2, stitched=True, stitch_repairs=1, hedges=1,
-        reason="partial",
+        seam_posts=2, resolves=1, hedges=1, reason="partial",
     )
     back = ClusterResponse.from_dict(
         codec_round_trip(response.to_dict())

@@ -85,6 +85,29 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("name, value", [
+    ("request_timeout", math.nan),
+    ("heartbeat_interval", math.nan),
+    ("heartbeat_timeout", math.nan),
+    ("hedge_delay", math.nan),
+    ("heartbeat_interval", 0.0),
+    ("heartbeat_timeout", 0.0),
+])
+def test_config_refuses_a_nan_or_zero_time(name, value):
+    # a NaN deadline expires at once, and a NaN heartbeat interval
+    # never wakes the loop
+    with pytest.raises(ClusterError, match=name):
+        ClusterConfig(**{name: value})
+
+
+def test_config_keeps_infinite_times():
+    config = ClusterConfig(
+        request_timeout=math.inf, heartbeat_interval=math.inf,
+        heartbeat_timeout=math.inf, hedge_delay=math.inf,
+    )
+    assert config.request_timeout == math.inf
+
+
+@pytest.mark.parametrize("name, value", [
     ("virtual_nodes", 64),
     ("warm_keys", 16),
     ("stitch_mode", "stitch"),
@@ -92,7 +115,8 @@ def test_config_validation():
 ])
 def test_config_has_no_ring_warm_or_stitch_knobs(name, value):
     # the ring runs HashRing's default vnodes, the warm list holds
-    # WARM_KEYS keys, and a seam always re-solves: gone, not ignored
+    # WARM_KEYS keys, and every merge of two or more legs re-solves:
+    # gone, not ignored
     with pytest.raises(TypeError):
         ClusterConfig(**{name: value})
 
@@ -149,10 +173,10 @@ def test_multi_label_scatter_gather_is_byte_identical():
             assert response.result is not None
             # the owners differ, so the legs go through the merge
             assert len(response.shards) > 1
-            # every post carries one label: no seams, so the union of
-            # the shard picks is the global solution outright
+            # every post carries one label: no seams, and the merged
+            # columns are re-solved all the same
             assert response.seam_posts == 0
-            assert response.resolves == 0
+            assert response.resolves == 1
             assert canonical_fingerprint(response.result) == \
                 await reference_fingerprint(docs, request, queries)
             owners = {
@@ -164,12 +188,13 @@ def test_multi_label_scatter_gather_is_byte_identical():
     run(go())
 
 
-def test_stitch_mode_also_matches_when_seam_free():
+@pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
+def test_a_seam_free_scatter_re_solves_like_one_process(algorithm):
     # eight one-keyword topics over three nodes: the digest scatters,
-    # no post spans two legs, and the stitched union of the legs'
-    # covers is the single-process answer
+    # no post spans two legs, and the re-solve of the merged columns is
+    # the single-process answer
     queries, docs = wide_universe()
-    request = DigestRequest(lam=LAM)
+    request = DigestRequest(lam=LAM, algorithm=algorithm)
 
     async def go():
         async with LocalCluster(
@@ -186,10 +211,46 @@ def test_stitch_mode_also_matches_when_seam_free():
     response, local = run(go())
     assert response.status == "ok"
     assert len(response.shards) > 1 and response.seam_posts == 0
-    assert response.stitched
-    assert response.stitch_repairs == 0
+    assert response.resolves == 1
     assert canonical_fingerprint(response.result) == \
         canonical_fingerprint(local.result)
+
+
+@pytest.mark.parametrize("request_, reason", [
+    (DigestRequest(lam=math.nan),
+     "lambda must be a non-negative number, got nan"),
+    (DigestRequest(lam=-1.0),
+     "lambda must be a non-negative number, got -1.0"),
+    (DigestRequest(lam=LAM, algorithm="bogus"),
+     "unknown algorithm 'bogus'"),
+], ids=["nan-lambda", "negative-lambda", "unknown-algorithm"])
+def test_a_request_no_worker_can_answer_is_refused_before_it_scatters(
+    request_, reason
+):
+    queries, docs = wide_universe()
+
+    async def go():
+        async with LocalCluster(
+            queries, nodes=3, config=fast_cluster(),
+            worker_config=batch_config(),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(docs)
+            response = await router.digest(request_)
+        reference = reference_service(docs, queries)
+        local = await reference.digest(request_)
+        reference.close()
+        return response, local, router.scatter_legs, router.errors
+
+    response, local, legs, errors = run(go())
+    assert response.status == local.status == "error"
+    assert response.result is None
+    # in one process's words
+    assert response.reason.startswith(reason)
+    assert response.reason in local.reason
+    assert response.missing_labels == ()
+    assert legs == 0
+    assert errors == 1
 
 
 def test_unknown_label_is_an_error_response():
@@ -592,9 +653,9 @@ def test_a_corrupt_leg_fails_alone(corrupt, error):
             corrupt_leg_payloads(cluster.worker(victim), corrupt)
             with structlog.capture() as events:
                 response = await router.digest(DigestRequest(lam=LAM_S))
-            return response, dark, events, router.errors
+            return response, router.labels, dark, events, router.errors
 
-    response, dark, events, errors = run(go())
+    response, labels, dark, events, errors = run(go())
     assert response.status == "degraded"
     assert response.missing_labels == tuple(dark)
     assert errors == 0
@@ -602,11 +663,54 @@ def test_a_corrupt_leg_fails_alone(corrupt, error):
     assert [sorted(e["labels"]) for e in failed] == [dark]
     # the router's own decode or leg check failed the leg, not the worker
     assert failed[0]["reason"].startswith(error + "(")
-    # the legs that decoded still make a valid cover of their labels:
-    # the stitched merge, verified through stitch_repair
-    assert response.stitched
+    # the legs that decoded are re-solved: one process's answer over
+    # the labels that remain, and a valid cover of them
+    assert response.resolves == 1
+    assert canonical_fingerprint(response.result) == run(
+        reference_fingerprint(
+            day_documents(),
+            DigestRequest(lam=LAM_S, labels=tuple(
+                label for label in labels if label not in dark
+            )),
+            day_queries(),
+        )
+    )
     verify_cover(response.result.instance, response.result.solution.posts)
     assert not response.result.instance.labels & set(dark)
+
+
+@pytest.mark.parametrize("algorithm", ["scan", "scan+", "greedy_sc"])
+def test_a_degraded_merge_is_one_process_over_the_labels_that_remain(
+    algorithm,
+):
+    # the surviving legs' covers together are a cover, but with seam
+    # posts among them not the one-process answer: the router re-solves
+    # them like every other merge of two or more legs
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            victim, dark = partial_owner(router)
+            await cluster.kill(victim)
+            response = await router.digest(
+                DigestRequest(lam=LAM_S, algorithm=algorithm)
+            )
+            return response, router.labels, dark
+
+    response, labels, dark = run(go())
+    assert response.status == "degraded"
+    assert response.missing_labels == tuple(dark)
+    assert "no live shard" in response.reason
+    assert len(response.shards) > 1
+    assert response.resolves == 1
+    survivors = tuple(label for label in labels if label not in dark)
+    assert canonical_fingerprint(response.result) == run(
+        reference_fingerprint(
+            day_documents(),
+            DigestRequest(lam=LAM_S, labels=survivors, algorithm=algorithm),
+            day_queries(),
+        )
+    )
 
 
 def test_every_leg_corrupt_is_an_error_response():

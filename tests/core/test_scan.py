@@ -145,7 +145,8 @@ def pick_positions(plist: PostingList, picks: List[Post]) -> List[int]:
 class TestScanLabelBoundaries:
     """Window-edge behaviour of the single-list greedy: exact-lambda
     ties, duplicate values, one-ulp windows, and the restart property
-    the gap-decomposition argument of ``repro.engine.sharding`` uses."""
+    the gap-decomposition argument of ``docs/performance.md`` uses
+    (``tests/engine/test_block_independence.py`` checks it)."""
 
     @given(sorted_value_lists, lambdas)
     def test_matches_index_reference(self, values, lam):

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from repro.service import AdmissionController, TokenBucket
+from repro.index.query import TopicQuery
+from repro.service import AdmissionController, DiversificationService, \
+    ServiceConfig, TokenBucket
 from repro.service.admission import ADMIT, DEGRADE, SHED
 
 
@@ -41,6 +45,29 @@ def test_bucket_rejects_bad_parameters():
         TokenBucket(rate=0.0)
     with pytest.raises(ValueError):
         TokenBucket(rate=1.0, burst=-1.0)
+
+
+@pytest.mark.parametrize("rate, burst", [
+    (math.nan, None), (math.nan, 4.0), (1.0, math.nan),
+])
+def test_bucket_refuses_nan(rate, burst):
+    # a NaN bucket would shed every request as "token bucket empty"
+    with pytest.raises(ValueError):
+        TokenBucket(rate=rate, burst=burst)
+
+
+def test_bucket_keeps_infinite_rate_and_burst():
+    bucket = TokenBucket(rate=math.inf, burst=math.inf)
+    assert all(bucket.try_acquire() for _ in range(100))
+
+
+@pytest.mark.parametrize("field", ["rate", "burst"])
+def test_a_service_with_a_nan_rate_or_burst_is_refused(field):
+    settings = {"rate": 10.0, field: math.nan}
+    with pytest.raises(ValueError):
+        DiversificationService(
+            [TopicQuery("golf", ["golf"])], ServiceConfig(**settings)
+        )
 
 
 def test_admit_below_soft_watermark():

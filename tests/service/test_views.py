@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -265,6 +266,22 @@ def test_view_window_requires_time_dimension_and_no_dedup():
         ServiceConfig(view_window=10.0, dedup_distance=None, views=False)
     with pytest.raises(ReproError):
         ServiceConfig(view_window=-1.0, dedup_distance=None)
+
+
+def test_a_nan_view_window_is_refused():
+    # a NaN window would serve with no window at all
+    with pytest.raises(ReproError, match="view_window"):
+        ServiceConfig(view_window=math.nan, dedup_distance=None)
+    service = make_service()
+    with pytest.raises(ReproError, match="view_window"):
+        service.set_view_window(("golf",), math.nan)
+
+
+def test_an_infinite_view_window_keeps_every_post():
+    service = make_service(view_window=math.inf)
+    service.ingest(make_docs(n=12, step=10.0))
+    response = run(service.digest(DigestRequest(lam=10.0)))
+    assert len(response.result.instance.posts) == 12
 
 
 def test_view_window_bounds_served_instance():
