@@ -4,9 +4,9 @@ The cluster partitions the *label space* with consistent hashing:
 each :class:`~repro.cluster.worker.WorkerNode` wraps one ordinary
 :class:`~repro.service.DiversificationService` holding the documents
 for its labels, and the :class:`~repro.cluster.router.ClusterRouter`
-scatter-gathers multi-label digests and re-solves the legs' merged
-columns — byte-identical to a single process over the labels it
-served.  See ``docs/cluster.md``.
+forwards a digest one owner group holds and otherwise gathers each
+owner's rows and solves them — byte-identical to a single process
+over the labels it served.  See ``docs/cluster.md``.
 """
 
 from .frames import (

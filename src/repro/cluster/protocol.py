@@ -39,9 +39,9 @@ __all__ = [
     "OP_INGEST",
     "OP_INTROSPECT",
     "OP_PROFILE",
+    "OP_ROWS",
     "OP_SCRAPE",
     "OP_SET_WINDOW",
-    "OP_WARM",
     "canonical_fingerprint",
     "document_from_dict",
     "document_to_dict",
@@ -73,15 +73,10 @@ OP_HEARTBEAT = "heartbeat"
 OP_HEALTH = "health"
 OP_INTROSPECT = "introspect"
 OP_EXPORT = "export"
-OP_WARM = "warm"
+OP_ROWS = "rows"
 OP_SET_WINDOW = "set_window"
 OP_SCRAPE = "scrape"
 OP_PROFILE = "profile"
-
-KNOWN_OPS = frozenset({
-    OP_DIGEST, OP_INGEST, OP_HEARTBEAT, OP_HEALTH, OP_INTROSPECT,
-    OP_EXPORT, OP_WARM, OP_SET_WINDOW, OP_SCRAPE, OP_PROFILE,
-})
 
 
 def request_frame(

@@ -4,33 +4,32 @@ One :class:`ClusterRouter` owns the hash ring, the membership table and
 one multiplexed connection per worker.  A digest request resolves its
 labels, groups them by live owner, and either
 
-* **forwards whole** — every requested label lives on one node — or
-* **scatter-gathers** — each owner group solves its label block, and
-  the router merges the partial covers.
+* **forwards whole** — every requested label lives on one owner group,
+  whose worker serves the digest — or
+* **scatter-gathers** — each owner group reads its leg's rows (the
+  ``rows`` op), and the router merges and solves them.
 
 **Why the merge is exact.**  λ-coverage decomposes by label: post ``p``
 with label ``ℓ`` is covered iff some selected post carries ``ℓ`` within
 λ, and Scan, Scan+ and GreedySC read only each label's sorted values
-and the posts' label sets.  A leg's columns hold exactly that for the
-labels it served, so the legs' columns laid end to end — a *seam* post,
-a uid in more than one leg because its labels span owners, gets one row
-with the union of its legs' labels — are the one-process instance over
-the served labels.  A single served leg is the worker's answer over its
-labels and is forwarded as it is.  Two or more are merged on their
-decoded columns (:func:`_merge_legs`) and re-solved there with
+and the posts' label sets.  A leg's rows hold exactly that for its
+labels, so the legs' rows laid end to end — a *seam* post, a uid in
+more than one leg because its labels span owners, gets one row with the
+union of its legs' labels — are the one-process instance over the
+served labels.  Merged on their decoded columns (:func:`_merge_legs`),
+however many legs came back, they are solved with
 ``solve(algorithm, merged)``: pick-identical to one process over the
-served labels by construction, with or without seams, and whether
-every requested label was served or not (Scan and Scan+ build a post
-only for each pick).
+served labels by construction (Scan and Scan+ build a post only for
+each pick).
 
 **Failure semantics**: per-shard deadlines, hedged retries to replicas
 after ``hedge_delay``, request-path failures feeding the same detector
 as heartbeats.  A label whose owners are all down degrades the
-response explicitly (``missing_labels``) rather than failing it, and
-the cover served is one process's over the labels that remain —
-partial answers with honest labels beat outages.  A request no worker
-could answer (a NaN or negative λ, an unknown algorithm) is refused
-before it scatters.
+response explicitly (``missing_labels``, and a ``reason`` naming them
+and each failed leg's cause) rather than failing it, and the cover
+served is one process's over the labels that remain — partial answers
+with honest labels beat outages.  A request no worker could answer (a
+NaN or negative λ, an unknown algorithm) is refused before it scatters.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import asyncio
 import logging
 import time as _time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from dataclasses import replace as _dc_replace
 from itertools import compress
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, \
@@ -56,7 +55,7 @@ from ..observability.collector import Collector
 from ..observability.traces import TracePipeline, head_sample
 from ..observability.tracing import TraceContext
 from ..pipeline import DigestResult
-from ..service import DigestRequest, ServiceResponse
+from ..service import DigestRequest, ServiceConfig, ServiceResponse
 from .frames import MAX_FRAME, encode_frame, read_frame
 from .hashring import HashRing
 from .membership import Membership
@@ -70,9 +69,9 @@ from .protocol import (
     OP_INGEST,
     OP_INTROSPECT,
     OP_PROFILE,
+    OP_ROWS,
     OP_SCRAPE,
     OP_SET_WINDOW,
-    OP_WARM,
     ShardTimeoutError,
     WorkerFaultError,
     document_to_dict,
@@ -80,32 +79,25 @@ from .protocol import (
 )
 
 __all__ = ["ClusterConfig", "ClusterResponse", "ClusterRouter",
-           "NodeClient", "WARM_KEYS"]
+           "NodeClient"]
 
 OK = "ok"
 DEGRADED = "degraded"
 ERROR = "error"
 
-# rebalance warm-up: how many hot digest keys the router remembers
-WARM_KEYS = 128
-
 
 def _check_leg(
-    result: Optional[DigestResult], sub: DigestRequest, node: str
+    columns: InstanceColumns, labels: Sequence[str], lam: float, node: str
 ) -> None:
-    """Raise :class:`ClusterError` when a leg's instance is not over
-    the labels and lambda its request asked for — the merge hands the
+    """Raise :class:`ClusterError` when a leg's decoded rows are not
+    over the labels and lambda the leg asked for — the merge hands the
     legs' rows to ``InstanceColumns.from_rows`` on that promise.  Reads
-    the decoded columns, so a forward never builds its instance here."""
-    if result is None:
-        return
-    source = result.source
-    if source.labels != frozenset(sub.labels) \
-            or source.lam != float(sub.lam):
+    the columns, so a forward never builds its instance here."""
+    if columns.labels != frozenset(labels) or columns.lam != lam:
         raise ClusterError(
-            f"{node} answered over labels {sorted(source.labels)} at "
-            f"lambda {source.lam}; the leg asked for "
-            f"{list(sub.labels)} at lambda {float(sub.lam)}"
+            f"{node} answered over labels {sorted(columns.labels)} at "
+            f"lambda {columns.lam}; the leg asked for "
+            f"{list(labels)} at lambda {lam}"
         )
 
 
@@ -190,8 +182,7 @@ def _merge_legs(
 class ClusterConfig:
     """Tuning knobs for one :class:`ClusterRouter`.
 
-    The ring runs :class:`HashRing`'s default vnodes per worker, and the
-    rebalance warm list holds :data:`WARM_KEYS` keys.
+    The ring runs :class:`HashRing`'s default vnodes per worker.
     """
 
     # placement
@@ -233,9 +224,10 @@ class ClusterResponse:
 
     ``status`` mirrors the service tier (``ok`` / ``degraded`` /
     ``error``); ``missing_labels`` names label blocks no live shard
-    could serve; ``seam_posts`` counts the posts whose labels spanned
-    legs, and ``resolves`` is 1 when the router re-solved two or more
-    legs' merged columns.
+    could serve, and ``reason`` names them with each failed leg's node
+    and cause; ``seam_posts`` counts the posts whose labels spanned
+    legs, and ``resolves`` is 1 when the router solved the legs' merged
+    rows.
     """
 
     status: str
@@ -444,9 +436,9 @@ class ClusterRouter:
         # both old and new owners during the window, so the cutover
         # loses nothing (readers keep seeing old owners until the swap)
         self._joining: Dict[str, Set[str]] = {}
-        # recently served digest identities, per label — the rebalance
-        # warm list (the keys re-issued to a new owner to seed views)
-        self._hot: "OrderedDict[Tuple, None]" = OrderedDict()
+        # the newest document timestamp routed, matched or not: rows
+        # legs count windows back from it, as one process does
+        self._newest: Optional[float] = None
         self._clock = self.config.clock
         self._heartbeat_task: Optional["asyncio.Task"] = None
         # observability control plane (optional, attached post-init)
@@ -479,7 +471,7 @@ class ClusterRouter:
     async def add_worker(
         self, name: str, address: Tuple[str, int]
     ) -> Dict[str, Any]:
-        """Join a node: register, rebalance its labels onto it, warm it.
+        """Join a node: register it and rebalance its labels onto it.
 
         Readers keep hitting the old owners until the ring swap at the
         end; ingest dual-writes to the joining node during the handoff,
@@ -507,7 +499,6 @@ class ClusterRouter:
         structlog.emit(
             "cluster.node_joined", node=name, moved=len(moved),
         )
-        await self._warm(name, moved)
         return {"node": name, "moved_labels": sorted(moved)}
 
     async def remove_worker(self, name: str) -> Dict[str, Any]:
@@ -543,9 +534,6 @@ class ClusterRouter:
         structlog.emit(
             "cluster.node_left", node=name, moved=len(moved_total),
         )
-        for gainer, labels in sorted(gains.items()):
-            if gainer != name:
-                await self._warm(gainer, labels)
         return {"node": name, "moved_labels": sorted(set(moved_total))}
 
     async def _handoff(
@@ -594,36 +582,6 @@ class ClusterRouter:
                 )
         return moved
 
-    async def _warm(
-        self, name: str, labels: Iterable[str]
-    ) -> int:
-        """Re-issue the hot digest keys touching ``labels`` on the new
-        owner, re-seeding its result cache and cover views."""
-        wanted = set(labels)
-        if not wanted:
-            return 0
-        requests = [
-            {
-                "lam": lam, "labels": list(key_labels),
-                "algorithm": algorithm, "dimension": dimension,
-                "session": "cluster-warm",
-            }
-            for (key_labels, lam, algorithm, dimension) in self._hot
-            if wanted & set(key_labels)
-        ]
-        if not requests:
-            return 0
-        try:
-            response = await self._client(name).call(
-                OP_WARM, {"requests": requests},
-                timeout=self.config.request_timeout,
-            )
-        except ClusterError:
-            return 0  # warming is best-effort
-        warmed = int(response["payload"].get("warmed", 0))
-        _obs.count("cluster.router.warmed", warmed)
-        return warmed
-
     async def _resync(self, name: str) -> None:
         """A crashed node came back: its corpus missed every ingest
         while it was down, so re-copy its owned labels from the live
@@ -637,7 +595,6 @@ class ClusterRouter:
         structlog.emit(
             "cluster.node_resynced", node=name, labels=len(moved),
         )
-        await self._warm(name, moved)
 
     # -- heartbeats --------------------------------------------------------
 
@@ -864,6 +821,8 @@ class ClusterRouter:
         total = 0
         for document in documents:
             total += 1
+            if self._newest is None or document.timestamp > self._newest:
+                self._newest = document.timestamp
             labels = self._matcher.match(document.text)
             if not labels:
                 unrouted += 1
@@ -950,17 +909,6 @@ class ClusterRouter:
             self.failovers += 1
             _obs.count("cluster.router.failovers")
         return alive
-
-    def _remember_hot(self, request: DigestRequest,
-                      labels: Tuple[str, ...]) -> None:
-        key = (
-            labels, float(request.lam),
-            request.algorithm, request.dimension,
-        )
-        self._hot[key] = None
-        self._hot.move_to_end(key)
-        while len(self._hot) > WARM_KEYS:
-            self._hot.popitem(last=False)
 
     async def digest(self, request: DigestRequest) -> ClusterResponse:
         """Serve one digest request across the cluster."""
@@ -1064,7 +1012,9 @@ class ClusterRouter:
             return self._error(ctx, started, str(error))
         if len(self.ring) == 0:
             return self._error(ctx, started, "the cluster has no nodes")
-        self._remember_hot(request, labels)
+        # the request's algorithm, else the service default: the router
+        # solves a scatter with it, and a forward names it
+        algorithm = request.algorithm or ServiceConfig.algorithm
         # group the requested labels by their live owner list: labels
         # sharing owners ride one scatter leg (and hedge together)
         groups: "OrderedDict[Tuple[str, ...], List[str]]" = OrderedDict()
@@ -1078,14 +1028,15 @@ class ClusterRouter:
         if not groups:
             return self._error(
                 ctx, started, "no live shard owns any requested label",
-                algorithm=request.algorithm or "",
-                missing_labels=tuple(sorted(missing)),
+                algorithm=algorithm, missing_labels=tuple(sorted(missing)),
             )
         self._inflight += 1
         if _obs.enabled():
             _obs.set_gauge("cluster.router.inflight", self._inflight)
         try:
-            legs = await self._scatter(request, groups, ctx)
+            legs = await self._scatter(
+                request, algorithm, labels, groups, ctx
+            )
         finally:
             self._inflight -= 1
             if _obs.enabled():
@@ -1093,50 +1044,72 @@ class ClusterRouter:
                     "cluster.router.inflight", self._inflight
                 )
         hedges = sum(leg["hedges"] for leg in legs)
-        failed_labels = [
-            label
-            for leg in legs if leg["response"] is None
-            for label in leg["labels"]
-        ]
-        missing.extend(failed_labels)
-        served = [leg for leg in legs if leg["response"] is not None]
+        failed = [leg for leg in legs if leg["error"] is not None]
+        served = [leg for leg in legs if leg["error"] is None]
+        missing_labels = tuple(sorted(
+            missing + [label for leg in failed for label in leg["labels"]]
+        ))
+        causes = "; ".join(
+            f"{leg['node'] or '/'.join(leg['owners'])} "
+            f"({', '.join(leg['labels'])}): {leg['error']}"
+            for leg in failed
+        )
         if not served:
             return self._error(
-                ctx, started, "every scatter leg failed",
-                algorithm=request.algorithm or "",
-                missing_labels=tuple(sorted(missing)), hedges=hedges,
+                ctx, started, "every scatter leg failed: " + causes,
+                algorithm=algorithm, missing_labels=missing_labels,
+                hedges=hedges,
+            )
+        reason = ""
+        if missing_labels:
+            reason = "partial cover: no live shard served " + \
+                ", ".join(missing_labels) + (f" ({causes})" if causes else "")
+        if len(groups) == 1:
+            return self._forwarded(
+                served[0], ctx, started,
+                missing=missing_labels, hedges=hedges, reason=reason,
             )
         return self._merge(
-            request, ctx, started, served,
-            missing=tuple(sorted(missing)), hedges=hedges,
+            request, ctx, started, served, algorithm=algorithm,
+            missing=missing_labels, hedges=hedges, reason=reason,
         )
 
     async def _scatter(
-        self,
-        request: DigestRequest,
-        groups: "OrderedDict[Tuple[str, ...], List[str]]",
-        ctx: TraceContext,
+        self, request: DigestRequest, algorithm: str,
+        labels: Tuple[str, ...],
+        groups: "OrderedDict[Tuple[str, ...], List[str]]", ctx: TraceContext,
     ) -> List[Dict[str, Any]]:
-        """Fan the label groups out; every leg resolves to a dict with
-        its labels, serving node, hedge count and response (or None)."""
+        """Fan the label groups out: one group is forwarded whole as a
+        digest; each of two or more reads its rows.  Every leg resolves
+        to a dict of its labels, owners, node and hedges, and its
+        ``response`` (a forward), ``columns`` (rows) or ``error``."""
+        forward = len(groups) == 1
+        lam = float(request.lam)
 
         async def leg(
             owners: Tuple[str, ...], leg_labels: List[str]
         ) -> Dict[str, Any]:
             self.scatter_legs += 1
             _obs.count("cluster.router.scatter_legs")
-            sub = DigestRequest(
-                lam=request.lam, labels=tuple(leg_labels),
-                algorithm=request.algorithm,
-                dimension=request.dimension,
-                session=request.session,
-            )
-            node: Optional[str] = None
-            hedges = 0
+            if forward:
+                op, payload = OP_DIGEST, {"request": DigestRequest(
+                    lam=request.lam, labels=tuple(leg_labels),
+                    algorithm=algorithm, dimension=request.dimension,
+                    session=request.session,
+                ).to_dict()}
+            else:
+                op, payload = OP_ROWS, {
+                    "labels": leg_labels, "lam": lam,
+                    "dimension": request.dimension,
+                    "window_labels": list(labels), "newest": self._newest,
+                }
+            out: Dict[str, Any] = {
+                "labels": leg_labels, "owners": owners, "node": None,
+                "hedges": 0, "error": None,
+            }
             try:
-                node, frame, hedges = await self._call_with_failover(
-                    owners, OP_DIGEST, {"request": sub.to_dict()}, ctx,
-                )
+                out["node"], frame, out["hedges"] = \
+                    await self._call_with_failover(owners, op, payload, ctx)
                 spans = frame.get("spans")
                 if spans:
                     bundle = _obs.active()
@@ -1148,30 +1121,33 @@ class ClusterRouter:
                         # spans riding along keep their own trace so
                         # the link_trace_id hop stays resolvable
                         bundle.tracer.adopt(spans, parent_id=ctx.span_id)
-                response = ServiceResponse.from_dict(
-                    frame["payload"]["response"]
-                )
-                _check_leg(response.result, sub, node)
+                answer = frame["payload"]
+                if forward:
+                    response = ServiceResponse.from_dict(answer["response"])
+                    if response.result is None:
+                        # the worker refused the leg, in its own words
+                        out["error"] = response.reason or response.status
+                    else:
+                        _check_leg(response.result.source, leg_labels,
+                                   lam, out["node"])
+                        out["response"] = response
+                elif "reason" in answer:
+                    out["error"] = str(answer["reason"])
+                else:
+                    columns = InstanceColumns.decode(answer["instance"])
+                    _check_leg(columns, leg_labels, lam, out["node"])
+                    out["columns"] = columns
             except (ReproError, KeyError, TypeError, ValueError) as error:
                 # a leg that timed out and a leg whose payload does not
                 # decode fail alike: their labels go missing
+                out["error"] = repr(error)
+            if out["error"] is not None:
                 structlog.emit(
                     "cluster.leg_failed", level=logging.WARNING,
-                    trace_id=ctx.trace_id, labels=leg_labels, node=node,
-                    reason=repr(error),
+                    trace_id=ctx.trace_id, labels=leg_labels,
+                    node=out["node"], reason=out["error"],
                 )
-                return {"labels": leg_labels, "node": None,
-                        "hedges": hedges, "response": None}
-            if response.result is None:
-                structlog.emit(
-                    "cluster.leg_empty", level=logging.WARNING,
-                    trace_id=ctx.trace_id, node=node,
-                    labels=leg_labels, reason=response.reason,
-                )
-                return {"labels": leg_labels, "node": node,
-                        "hedges": hedges, "response": None}
-            return {"labels": leg_labels, "node": node,
-                    "hedges": hedges, "response": response}
+            return out
 
         return list(await asyncio.gather(*(
             leg(owners, leg_labels)
@@ -1275,57 +1251,51 @@ class ClusterRouter:
 
     # -- merge -------------------------------------------------------------
 
-    def _merge(
-        self,
-        request: DigestRequest,
-        ctx: TraceContext,
-        started: float,
-        legs: List[Dict[str, Any]],
-        *,
-        missing: Tuple[str, ...],
-        hedges: int,
+    def _forwarded(
+        self, leg: Dict[str, Any], ctx: TraceContext, started: float, *,
+        missing: Tuple[str, ...], hedges: int, reason: str,
     ) -> ClusterResponse:
-        algorithm = legs[0]["response"].algorithm
+        """The one owner group's digest as its worker served it, a
+        worker's own degrade and its reason included; only the
+        cluster-wide counters are rewritten."""
+        response: ServiceResponse = leg["response"]
+        result = _dc_replace(
+            response.result,
+            duplicates_dropped=0,
+            unmatched_dropped=max(
+                0, self.documents_ingested - response.result.matched
+            ),
+            trace_id=ctx.trace_id,
+        )
+        degraded = missing or response.status == DEGRADED \
+            or result.downgrades
+        return ClusterResponse(
+            status=DEGRADED if degraded else OK,
+            result=result, algorithm=response.algorithm,
+            latency_s=self._clock() - started,
+            trace_id=ctx.trace_id or "",
+            shards=(leg["node"],), missing_labels=missing, hedges=hedges,
+            reason="; ".join(filter(None, (reason, response.reason))),
+        )
+
+    def _merge(
+        self, request: DigestRequest, ctx: TraceContext, started: float,
+        legs: List[Dict[str, Any]], *, algorithm: str,
+        missing: Tuple[str, ...], hedges: int, reason: str,
+    ) -> ClusterResponse:
+        """Merge the served legs' rows, one or more, and solve them: one
+        process's answer over the served labels."""
         served_labels = tuple(sorted(
             label for leg in legs for label in leg["labels"]
         ))
         shards = tuple(sorted({leg["node"] for leg in legs}))
-        degraded = bool(missing) or any(
-            leg["response"].status == DEGRADED for leg in legs
-        )
-        reason = "partial cover: some labels have no live shard" \
-            if missing else ""
         with _obs.span(
             "cluster.merge", legs=len(legs), labels=len(served_labels),
         ) as span:
-            if len(legs) == 1:
-                # one served leg: the worker's digest over its labels IS
-                # the answer; only the cluster-wide counters are rewritten
-                response: ServiceResponse = legs[0]["response"]
-                result = response.result
-                assert result is not None
-                result = _dc_replace(
-                    result,
-                    duplicates_dropped=0,
-                    unmatched_dropped=max(
-                        0, self.documents_ingested - result.matched
-                    ),
-                    trace_id=ctx.trace_id,
-                )
-                return ClusterResponse(
-                    status=DEGRADED if degraded
-                    or result.downgrades else OK,
-                    result=result, algorithm=algorithm,
-                    latency_s=self._clock() - started,
-                    trace_id=ctx.trace_id or "",
-                    shards=shards, missing_labels=missing,
-                    hedges=hedges, reason=reason or response.reason,
-                )
-            # merge the legs on their decoded columns, building no post,
-            # and re-solve them: one process's answer over these labels
+            # merge the legs on their decoded columns, building no post
             try:
                 merged, seams = _merge_legs(
-                    [leg["response"].result.source for leg in legs],
+                    [leg["columns"] for leg in legs],
                     float(request.lam), served_labels,
                 )
             except ClusterError as error:
@@ -1340,11 +1310,6 @@ class ClusterRouter:
             self.resolves += 1
             _obs.count("cluster.router.resolves")
             span.set_attribute("seams", seams)
-            downgrades: Tuple = ()
-            for leg in legs:
-                downgrades = downgrades + tuple(
-                    leg["response"].result.downgrades
-                )
             result = DigestResult(
                 solution=solution,
                 source=merged,
@@ -1353,11 +1318,10 @@ class ClusterRouter:
                 unmatched_dropped=max(
                     0, self.documents_ingested - len(merged.uids)
                 ),
-                downgrades=downgrades,
                 trace_id=ctx.trace_id,
             )
         return ClusterResponse(
-            status=DEGRADED if degraded or downgrades else OK,
+            status=DEGRADED if missing else OK,
             result=result, algorithm=algorithm,
             latency_s=self._clock() - started,
             trace_id=ctx.trace_id or "",
@@ -1475,7 +1439,6 @@ class ClusterRouter:
                 node: sorted(labels)
                 for node, labels in self._joining.items()
             },
-            "hot_keys": len(self._hot),
             "fleet": (
                 self._collector.fleet()
                 if self._collector is not None else None

@@ -9,10 +9,12 @@ digest never blocks a heartbeat — and responses are correlated back by
 
 The wrapped service is a completely ordinary single-process service:
 the worker's corpus is exactly the documents the router forwarded to it
-(those matching its owned/replicated labels), and digests over label
-subsets of that partition are byte-identical to what a single-process
-service would answer for the same labels — the parity the router's
-merge step builds on.  Dedup must be off (``dedup_distance=None``):
+(those matching its owned/replicated labels), so a digest over a label
+subset of that partition (a forward) is byte-identical to what a
+single-process service would answer for the same labels, and the rows
+it reads for a scatter leg (the ``rows`` op) are what a single-process
+batch solve over them reads — the parity the router's merge builds on.
+Dedup must be off (``dedup_distance=None``):
 SimHash kept-sets are computed over the *whole* corpus in arrival order
 and cannot be reproduced on per-node partial corpora.
 
@@ -56,9 +58,9 @@ from .protocol import (
     OP_INGEST,
     OP_INTROSPECT,
     OP_PROFILE,
+    OP_ROWS,
     OP_SCRAPE,
     OP_SET_WINDOW,
-    OP_WARM,
     document_from_dict,
     document_to_dict,
     error_frame,
@@ -326,6 +328,8 @@ class WorkerNode:
     async def _dispatch(
         self, op: str, payload: Dict[str, Any]
     ) -> Dict[str, Any]:
+        if op == OP_ROWS:
+            return self._op_rows(payload)
         if op == OP_DIGEST:
             return await self._op_digest(payload)
         if op == OP_INGEST:
@@ -334,8 +338,6 @@ class WorkerNode:
             return self._op_heartbeat(payload)
         if op == OP_EXPORT:
             return self._op_export(payload)
-        if op == OP_WARM:
-            return await self._op_warm(payload)
         if op == OP_SET_WINDOW:
             return self._op_set_window(payload)
         if op == OP_SCRAPE:
@@ -352,6 +354,21 @@ class WorkerNode:
         request = DigestRequest.from_dict(payload["request"])
         response = await self.service.digest(request)
         return {"response": response.to_dict()}
+
+    def _op_rows(self, payload: Dict[str, Any]) -> Dict[str, Any]:
+        """A scatter leg's rows (:meth:`DiversificationService.rows`) as
+        ``{"instance": ...}``, or its refusal as ``{"reason": ...}``."""
+        request = DigestRequest(
+            lam=payload["lam"], labels=payload["labels"],
+            dimension=payload.get("dimension"),
+        )
+        try:
+            instance = self.service.rows(
+                request, payload["window_labels"], payload.get("newest")
+            )
+        except ReproError as error:
+            return {"reason": str(error)}
+        return {"instance": instance.to_dict()}
 
     def _op_ingest(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         documents = [
@@ -412,18 +429,6 @@ class WorkerNode:
             if matcher.match(document.text) & labels:
                 out.append(document_to_dict(document))
         return {"node": self.name, "documents": out}
-
-    async def _op_warm(self, payload: Dict[str, Any]) -> Dict[str, Any]:
-        """Re-seed cover views after a rebalance: run the router's hot
-        digest keys so the new owner's cache and views are populated
-        before it takes reads."""
-        warmed = 0
-        for entry in payload.get("requests", ()):
-            request = DigestRequest.from_dict(entry)
-            response = await self.service.digest(request)
-            if response.status in ("ok", "degraded"):
-                warmed += 1
-        return {"node": self.name, "warmed": warmed}
 
     def _op_scrape(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """The federation pull: this node's telemetry as a versioned

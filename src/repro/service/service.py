@@ -53,7 +53,7 @@ from ..core.instance import Instance
 from ..core.registry import lookup
 from ..core.streaming import _STREAM_FACTORIES
 from ..errors import ReproError
-from ..incremental import DocumentProjector, PostStore, StoreSnapshot, \
+from ..incremental import MAX_VIEWS, DocumentProjector, PostStore, \
     ViewRegistry
 from ..index.inverted_index import Document
 from ..index.query import TopicQuery
@@ -457,6 +457,9 @@ class DiversificationService:
         # solves fail on it too): views stay dark and cold digests answer
         # errors until a rebuild (restore) reprojects a clean corpus.
         self._views_poisoned: Optional[str] = None
+        # rows reads (:meth:`rows`) of the store and version in _rows_at
+        self._rows: Dict[Tuple, Instance] = {}
+        self._rows_at: Tuple[Optional[PostStore], int] = (None, -1)
         self._stream_pipeline = self._build_stream_pipeline()
         # Corpus: batch-ingested and stream-admitted documents, separate
         # so checkpoint restore can roll back exactly the streamed part.
@@ -740,23 +743,53 @@ class DiversificationService:
             start = -1
         return ladder[min(start + steps, len(ladder) - 1)]
 
-    def _read_store(
-        self, labels: Tuple[str, ...], lam: float
-    ) -> StoreSnapshot:
-        """The store read a batch solve over ``labels`` sees now: rows
-        and counters.  The store keeps posts for the *widest* view
-        window; a narrower per-label-set window clips this read
-        further."""
+    def _horizon(
+        self, store: PostStore, labels: Sequence[str],
+        newest: Optional[float] = None,
+    ) -> Optional[float]:
+        """The oldest value a batch solve over ``labels`` reads: the store
+        keeps posts for the *widest* view window, and a narrower
+        per-label-set window clips further, back from the store's newest
+        value or the later ``newest``.  Raises while the store is
+        poisoned."""
         if self._views_poisoned:
             raise ReproError(f"post store poisoned: {self._views_poisoned}")
-        store = self._store
         horizon = store.horizon
         if self._views is not None:
             window = self._views.window_for(labels)
-            if window is not None and store.max_value is not None:
-                own = store.max_value - window
+            anchor = store.max_value
+            if newest is not None and (anchor is None or newest > anchor):
+                anchor = newest
+            if window is not None and anchor is not None:
+                own = anchor - window
                 horizon = own if horizon is None else max(horizon, own)
-        return store.snapshot(labels, lam, min_value=horizon)
+        return horizon
+
+    def rows(
+        self, request: DigestRequest, window_labels: Sequence[str],
+        newest: Optional[float] = None,
+    ) -> Instance:
+        """The instance a batch solve over ``request``'s labels reads,
+        clipped at the window of ``window_labels`` (a cluster digest's
+        whole label set) back from ``newest``; no admission, cache, view
+        or solve.  Memoized per labels, λ and horizon at one store
+        object and version, :data:`MAX_VIEWS` at most.  Raises
+        :class:`ReproError` for what a digest would refuse."""
+        labels = self._resolve_labels(request)
+        store = self._store
+        horizon = self._horizon(store, window_labels, newest)
+        # the version before the read: a write in between makes this
+        # entry one no later read asks for
+        at = (store, store.version)
+        if self._rows_at != at or len(self._rows) >= MAX_VIEWS:
+            self._rows, self._rows_at = {}, at
+        key = (labels, float(request.lam), horizon)
+        instance = self._rows.get(key)
+        if instance is None:
+            instance = self._rows[key] = store.snapshot(
+                labels, request.lam, min_value=horizon
+            ).instance
+        return instance
 
     def _solve_job(
         self,
@@ -979,7 +1012,10 @@ class DiversificationService:
         async def compute() -> DigestResult:
             # before the first await, so at the corpus state key.epoch
             # names, and paid by the coalescing leader only
-            snapshot = self._read_store(labels, request.lam)
+            store = self._store
+            snapshot = store.snapshot(
+                labels, request.lam, min_value=self._horizon(store, labels)
+            )
             instance = snapshot.instance
             self.solves += 1
             _obs.count("service.solves")

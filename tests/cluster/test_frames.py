@@ -369,13 +369,13 @@ def test_fuzz_posts_survive_the_codec_exactly(post):
 @pytest.fixture(scope="module")
 def scatter_leg_frame() -> bytes:
     """The largest frame a worker sends back for one leg of a
-    full-label-set digest on the fig13 day slice."""
+    full-label-set digest on the fig13 day slice: the leg's rows."""
     frames = []
     encode = worker_module.encode_frame
 
     def recording(payload, max_frame=MAX_FRAME):
         blob = encode(payload, max_frame)
-        if "response" in (payload.get("payload") or {}):
+        if "instance" in (payload.get("payload") or {}):
             frames.append(blob)
         return blob
 
@@ -403,12 +403,12 @@ def test_scatter_leg_frame_round_trips_byte_by_byte(scatter_leg_frame):
     decoder.close()
     (frame,) = frames
     assert encode_frame(frame) == scatter_leg_frame
-    payload = frame["payload"]["response"]
-    response = ServiceResponse.from_dict(payload)
-    assert response.to_dict() == payload
+    payload = frame["payload"]["instance"]
+    instance = Instance.from_dict(payload)
+    assert instance.to_dict() == payload
     # a leg: some of the day's labels, not all of them
-    assert 0 < len(response.result.instance.labels) < NUM_LABELS
-    assert len(response.result.instance) > 0
+    assert 0 < len(instance.labels) < NUM_LABELS
+    assert len(instance) > 0
 
 
 def test_every_truncated_scatter_leg_frame_is_rejected(scatter_leg_frame):
@@ -440,6 +440,6 @@ def test_scatter_leg_frame_ships_its_values_packed(scatter_leg_frame):
     # 10,472 bytes when the values travelled as a JSON list of floats
     assert len(scatter_leg_frame) <= 9_000
     (frame,) = FrameDecoder().feed(scatter_leg_frame)
-    instance = frame["payload"]["response"]["result"]["instance"]
+    instance = frame["payload"]["instance"]
     assert isinstance(instance["values"], str)
     assert len(instance["values"]) == -(-8 * len(instance["uids"]) // 3) * 4

@@ -2,10 +2,11 @@
 
 The acceptance criteria from the issue live here:
 
-* a 3-node cluster persists at least one cross-node span tree to the
-  TraceSink whose root is the router's request span and whose leaves
-  (following ``link_trace_id``) include the workers' ``service.solve``
-  spans;
+* a 3-node cluster persists cross-node span trees to the TraceSink
+  whose root is the router's request span: a forwarded request's
+  leaves (following ``link_trace_id``) include the worker's
+  ``service.solve`` spans, and a scattered request adopts one
+  ``cluster.worker.rows`` span per leg;
 * killing the only owner of a label raises a ``dark_shard`` alert
   within two collector cycles;
 * ``health()`` / ``introspect()`` keep their earlier cluster blocks and
@@ -226,37 +227,54 @@ def test_cross_node_span_tree_persists_to_the_sink(tmp_path):
             router.attach_trace_pipeline(pipeline)
             await router.ingest(docs)
             with facade.session():
-                response = await router.digest(DigestRequest(lam=LAM))
-            assert response.status == "ok"
-            assert len(response.shards) >= 2  # genuinely cross-node
-            records = pipeline.sink.read_records()
-            assert records, "expected a persisted trace record"
-            record = records[-1]
-            assert record["trace_id"] == response.trace_id
-            assert record["reason"] == "sampled"
-            tree = record["tree"]
-            assert tree is not None
-            roots = tree["roots"]
-            assert [r["name"] for r in roots] == ["cluster.request"]
+                forwarded = await router.digest(
+                    DigestRequest(lam=LAM, labels=("t0",))
+                )
+                scattered = await router.digest(DigestRequest(lam=LAM))
+            assert forwarded.status == scattered.status == "ok"
+            assert len(forwarded.shards) == 1
+            assert len(scattered.shards) >= 2  # genuinely cross-node
+            records = {
+                record["trace_id"]: record
+                for record in pipeline.sink.read_records()
+            }
+
+            def tree_of(response):
+                record = records[response.trace_id]
+                assert record["reason"] == "sampled"
+                tree = record["tree"]
+                assert tree is not None
+                roots = tree["roots"]
+                assert [r["name"] for r in roots] == ["cluster.request"]
+                return roots
 
             def collect(nodes, names, linked_names):
                 for node in nodes:
-                    names.add(node["name"])
+                    names.append(node["name"])
                     linked = node.get("linked")
                     if linked:
                         collect(linked["roots"], linked_names,
                                 linked_names)
                     collect(node["children"], names, linked_names)
 
-            names: set = set()
-            linked_names: set = set()
-            collect(roots, names, linked_names)
-            # the router's trace reaches the adopted worker spans...
-            assert "cluster.worker.digest" in names
-            # ...and following link_trace_id reaches each worker's
+            names: list = []
+            linked_names: list = []
+            collect(tree_of(forwarded), names, linked_names)
+            # the router's trace reaches the adopted worker span...
+            assert names.count("cluster.worker.digest") == 1
+            # ...and following link_trace_id reaches the worker's
             # service-side spans: the cross-node leaves
             assert "service.request" in linked_names
             assert "service.solve" in linked_names
+
+            names, linked_names = [], []
+            collect(tree_of(scattered), names, linked_names)
+            # a scattered request adopts one rows span per leg; its
+            # legs run no service digest to link to
+            assert names.count("cluster.worker.rows") == \
+                len(scattered.shards)
+            assert "cluster.worker.digest" not in names
+            assert linked_names == []
 
     run(go())
 
@@ -301,10 +319,11 @@ def test_unsampled_requests_skip_spans_but_errors_leave_skeletons():
     run(go())
 
 
-def sampled_digest(rate):
-    """One full-set digest over :func:`wide_universe`, the router at
-    head-sampling ``rate`` and the workers at their default
-    ``trace_sample``: the response, every span recorded, the counters."""
+def sampled_digests(rate):
+    """A full-set digest over :func:`wide_universe` (a scatter) and a
+    one-label digest (a forward), the router at head-sampling ``rate``
+    and the workers at their default ``trace_sample``: the two
+    responses, every span recorded, the counters."""
     queries, docs = wide_universe()
 
     async def go():
@@ -318,38 +337,54 @@ def sampled_digest(rate):
             )
             await router.ingest(docs)
             with facade.session() as bundle:
-                response = await router.digest(DigestRequest(lam=LAM))
-                return (response, list(bundle.tracer.finished),
+                scattered = await router.digest(DigestRequest(lam=LAM))
+                forwarded = await router.digest(
+                    DigestRequest(lam=LAM, labels=("t0",))
+                )
+                return (scattered, forwarded, list(bundle.tracer.finished),
                         bundle.registry.counters())
 
     return run(go())
 
 
 def test_workers_follow_the_routers_unsampled_verdict():
-    response, spans, counters = sampled_digest(0.0)
-    assert response.status == "ok"
-    assert len(response.shards) > 1
-    # the verdict rides with every leg: no span on the router, and none
-    # on a worker under a trace id no router record names
+    scattered, forwarded, spans, counters = sampled_digests(0.0)
+    assert scattered.status == forwarded.status == "ok"
+    assert len(scattered.shards) > 1 and len(forwarded.shards) == 1
+    # the verdict rides with every leg: no span on the router, none on
+    # a worker reading a leg's rows, and none on a worker serving a
+    # forward under a trace id no router record names
     assert spans == []
-    assert counters["cluster.router.trace_unsampled"] == 1
-    assert counters["service.trace_unsampled"] == len(response.shards)
+    assert counters["cluster.router.trace_unsampled"] == 2
+    # the forward's worker served it under the unsampled verdict; the
+    # scatter's legs ran no service digest
+    assert counters["service.trace_unsampled"] == 1
 
 
 def test_sampled_worker_spans_link_to_the_response_trace():
-    response, spans, counters = sampled_digest(1.0)
-    assert response.status == "ok"
-    assert len(response.shards) > 1
+    scattered, forwarded, spans, counters = sampled_digests(1.0)
+    assert scattered.status == forwarded.status == "ok"
+    assert len(scattered.shards) > 1 and len(forwarded.shards) == 1
     assert "service.trace_unsampled" not in counters
-    legs = [span for span in spans if span.name == "cluster.worker.digest"]
-    assert len(legs) == len(response.shards)
-    assert {span.trace_id for span in legs} == {response.trace_id}
-    linked = {span.attributes["link_trace_id"] for span in legs}
-    # every worker-side span sits in a trace a leg span links to
-    served = [span for span in spans if span.trace_id != response.trace_id]
+    # one rows span per leg, in the response's trace, linking nowhere
+    legs = [span for span in spans if span.name == "cluster.worker.rows"]
+    assert len(legs) == len(scattered.shards)
+    assert {span.trace_id for span in legs} == {scattered.trace_id}
+    assert not any("link_trace_id" in span.attributes for span in legs)
+    assert {span.attributes["node"] for span in legs} == \
+        set(scattered.shards)
+    # the forward's worker span links to the trace its service served
+    (leg,) = [span for span in spans
+              if span.name == "cluster.worker.digest"]
+    assert leg.trace_id == forwarded.trace_id
+    # every worker-side span sits in the trace the forward links to
+    served = [span for span in spans
+              if span.trace_id not in (scattered.trace_id,
+                                       forwarded.trace_id)]
     assert {span.name for span in served} >= {"service.request",
                                               "service.solve"}
-    assert {span.trace_id for span in served} == linked
+    assert {span.trace_id for span in served} == \
+        {leg.attributes["link_trace_id"]}
 
 
 # -- the dark-shard alert (acceptance criterion) ---------------------------

@@ -17,14 +17,16 @@ import pytest
 
 from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import ClusterError, canonical_fingerprint
-from repro.cluster.router import WARM_KEYS, ClusterConfig, ClusterRouter
+from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
 from repro.core.instance import Instance
 from repro.core.post import Post
 from repro.index.inverted_index import Document
 from repro.observability import structlog
-from repro.service import DigestRequest, DiversificationService
+from repro.service import DEGRADE, AdmissionController, \
+    AdmissionDecision, DigestRequest, DiversificationService, \
+    ResultCache, ViewRegistry
 
 from ..conftest import pack, unpack
 
@@ -114,9 +116,8 @@ def test_config_keeps_infinite_times():
     ("stitch_mode", "sideways"),
 ])
 def test_config_has_no_ring_warm_or_stitch_knobs(name, value):
-    # the ring runs HashRing's default vnodes, the warm list holds
-    # WARM_KEYS keys, and every merge of two or more legs re-solves:
-    # gone, not ignored
+    # the ring runs HashRing's default vnodes, there is no warm list,
+    # and the router solves every scatter's rows: gone, not ignored
     with pytest.raises(TypeError):
         ClusterConfig(**{name: value})
 
@@ -387,7 +388,8 @@ def test_unreplicated_label_down_degrades_honestly():
             response = await router.digest(DigestRequest(lam=LAM))
             assert response.status == "degraded"
             assert response.missing_labels == tuple(dark)
-            assert "no live shard" in response.reason
+            assert response.reason == \
+                "partial cover: no live shard served " + ", ".join(dark)
             # the served remainder matches a reference over the same
             # label subset
             reference = DiversificationService(
@@ -553,7 +555,8 @@ def test_router_health_and_introspect_describe_the_cluster():
             info = router.introspect()
             assert info["role"] == "router"
             assert info["ring"]["virtual_nodes"] == 32
-            assert info["hot_keys"] == 1 and WARM_KEYS == 128
+            # no rebalance warm list
+            assert "hot_keys" not in info
             assert info["counters"]["requests"] == 1
             assert info["counters"]["scatter_legs"] == len(response.shards)
             assert set(info["clients"]) == set(cluster.names)
@@ -578,9 +581,24 @@ def test_router_health_and_introspect_describe_the_cluster():
 
 
 def corrupt_leg_payloads(worker, corrupt) -> None:
-    """Make ``worker`` pass every digest result payload it sends through
-    ``corrupt`` (the payload is encoded afresh for each answer, so the
-    worker's cache keeps the true result)."""
+    """Make ``worker`` pass every rows answer it sends for a scatter leg
+    through ``corrupt`` (the answer is encoded afresh each time, so the
+    worker's rows memo keeps the true rows)."""
+    serve = worker._op_rows
+
+    def op_rows(payload):
+        out = serve(payload)
+        if "instance" in out:
+            corrupt(out)
+        return out
+
+    worker._op_rows = op_rows
+
+
+def corrupt_forward_payloads(worker, corrupt) -> None:
+    """Make ``worker`` pass every digest result payload it sends for a
+    forward through ``corrupt`` (the payload is encoded afresh for each
+    answer, so the worker's cache keeps the true result)."""
     serve = worker._op_digest
 
     async def op_digest(payload):
@@ -639,7 +657,6 @@ def partial_owner(router):
 @pytest.mark.parametrize("corrupt, error", [
     (drop_a_column, "InvalidInstanceError"),
     (mask_out_of_range, "InvalidInstanceError"),
-    (cover_uid_outside_the_instance, "ReproError"),
     (extra_label, "ClusterError"),
     (other_lambda, "ClusterError"),
     (lam_as_a_string, "InvalidInstanceError"),
@@ -663,6 +680,12 @@ def test_a_corrupt_leg_fails_alone(corrupt, error):
     assert [sorted(e["labels"]) for e in failed] == [dark]
     # the router's own decode or leg check failed the leg, not the worker
     assert failed[0]["reason"].startswith(error + "(")
+    # the reason names the missing labels, the leg's node and its cause
+    assert response.reason.startswith(
+        "partial cover: no live shard served " + ", ".join(dark)
+    )
+    assert f"{failed[0]['node']} ({', '.join(dark)}): " + \
+        failed[0]["reason"] in response.reason
     # the legs that decoded are re-solved: one process's answer over
     # the labels that remain, and a valid cover of them
     assert response.resolves == 1
@@ -695,12 +718,17 @@ def test_a_degraded_merge_is_one_process_over_the_labels_that_remain(
             response = await router.digest(
                 DigestRequest(lam=LAM_S, algorithm=algorithm)
             )
-            return response, router.labels, dark
+            return response, router.labels, victim, dark
 
-    response, labels, dark = run(go())
+    response, labels, victim, dark = run(go())
     assert response.status == "degraded"
     assert response.missing_labels == tuple(dark)
-    assert "no live shard" in response.reason
+    # the labels are named, and the leg that found the node dead names
+    # it and its cause
+    assert response.reason.startswith(
+        "partial cover: no live shard served " + ", ".join(dark)
+        + f" ({victim} ({', '.join(dark)}): NodeUnavailableError("
+    )
     assert len(response.shards) > 1
     assert response.resolves == 1
     survivors = tuple(label for label in labels if label not in dark)
@@ -710,6 +738,38 @@ def test_a_degraded_merge_is_one_process_over_the_labels_that_remain(
             DigestRequest(lam=LAM_S, labels=survivors, algorithm=algorithm),
             day_queries(),
         )
+    )
+
+
+def test_a_corrupt_forward_fails_with_its_cause():
+    # a forward ships its worker's cover: a cover uid its instance does
+    # not hold fails the decode, and with it the only leg
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            owner = router.ring.owner("q0")
+            corrupt_forward_payloads(
+                cluster.worker(owner), cover_uid_outside_the_instance
+            )
+            with structlog.capture() as events:
+                response = await router.digest(
+                    DigestRequest(lam=LAM_S, labels=("q0",))
+                )
+            return response, owner, events, router.errors
+
+    response, owner, events, errors = run(go())
+    assert response.status == "error"
+    assert response.result is None
+    assert response.missing_labels == ("q0",)
+    assert errors == 1
+    failed = [e for e in events if e["event"] == "cluster.leg_failed"]
+    assert [e["labels"] for e in failed] == [["q0"]]
+    assert failed[0]["node"] == owner
+    assert failed[0]["reason"].startswith("ReproError(")
+    assert "is not in the instance" in failed[0]["reason"]
+    assert response.reason == (
+        f"every scatter leg failed: {owner} (q0): {failed[0]['reason']}"
     )
 
 
@@ -734,6 +794,46 @@ def test_every_leg_corrupt_is_an_error_response():
     assert all(
         e["reason"].startswith("InvalidInstanceError(") for e in failed
     )
+    # the reason names every leg's node and cause
+    assert response.reason.startswith("every scatter leg failed: ")
+    for event in failed:
+        assert f"{event['node']} ({', '.join(event['labels'])}): " + \
+            event["reason"] in response.reason
+
+
+def test_one_surviving_leg_of_a_scatter_is_solved_by_the_router():
+    # two of three legs fail after the scatter: the survivor's rows are
+    # merged and solved like any other scatter, not forwarded
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            request = DigestRequest(lam=LAM_S, algorithm="greedy_sc")
+            await router.digest(request)
+            merges = record_merges(router)
+            names = cluster.names
+            for name in names[1:]:
+                corrupt_leg_payloads(cluster.worker(name), drop_a_column)
+            response = await router.digest(request)
+            return response, merges, router.labels, names[0]
+
+    response, merges, labels, survivor = run(go())
+    ((legs, _),) = merges
+    assert [leg["node"] for leg in legs] == [survivor]
+    assert response.status == "degraded"
+    assert response.shards == (survivor,)
+    assert response.resolves == 1 and response.algorithm == "greedy_sc"
+    served = tuple(sorted(legs[0]["labels"]))
+    assert response.missing_labels == tuple(
+        label for label in labels if label not in served
+    )
+    assert canonical_fingerprint(response.result) == run(
+        reference_fingerprint(
+            day_documents(),
+            DigestRequest(lam=LAM_S, labels=served, algorithm="greedy_sc"),
+            day_queries(),
+        )
+    )
 
 
 def record_merges(router):
@@ -754,7 +854,7 @@ def leg_label_sets(legs):
     """uid -> the label sets its legs carried."""
     seen = {}
     for leg in legs:
-        for post in leg["response"].result.instance.posts:
+        for post in leg["columns"].instance.posts:
             seen.setdefault(post.uid, []).append(post.labels)
     return seen
 
@@ -845,10 +945,11 @@ def count_instance_builds(patch):
     return builds
 
 
-def record_leg_payloads(worker):
-    """Keep a JSON copy of every digest result payload ``worker`` sends."""
+def record_leg_payloads(worker, corrupt=corrupt_leg_payloads):
+    """Keep a JSON copy of every rows answer ``worker`` sends (every
+    digest result payload, with ``corrupt=corrupt_forward_payloads``)."""
     sent = []
-    corrupt_leg_payloads(
+    corrupt(
         worker, lambda result: sent.append(json.loads(json.dumps(result)))
     )
     return sent
@@ -864,7 +965,9 @@ def test_a_forward_builds_no_instance_until_one_is_read():
             # below is the router's
             await router.digest(request)
             owner = router._live_owners("q0")[0]
-            sent = record_leg_payloads(cluster.worker(owner))
+            sent = record_leg_payloads(
+                cluster.worker(owner), corrupt_forward_payloads
+            )
             builds = count_instance_builds(patch)
             response = await router.digest(request)
             return response, sent, builds
@@ -914,9 +1017,7 @@ def test_a_scatter_merge_builds_only_the_merged_instance():
     assert builds == 1
     ((legs, _),) = merges
     assert len(legs) > 1
-    assert all(
-        leg["response"].result.source._instance is None for leg in legs
-    )
+    assert all(leg["columns"]._instance is None for leg in legs)
 
 
 def count_post_builds(patch):
@@ -953,7 +1054,7 @@ def test_a_scan_plus_scatter_merge_builds_only_its_cover():
             router = cluster.router
             await router.ingest(day_documents())
             request = DigestRequest(lam=LAM_S, algorithm="scan+")
-            # the owners' caches answer the second digest
+            # the owners' rows memos answer the second digest
             await router.digest(request)
             sent = [record_leg_payloads(cluster.worker(name))
                     for name in cluster.names]
@@ -998,3 +1099,182 @@ def test_a_scan_plus_scatter_merge_builds_only_its_cover():
     for post in result.solution.posts:
         assert post is instance.post(post.uid)
     verify_cover(instance, result.solution.posts)
+
+
+# -- what a scatter leg is -------------------------------------------------
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_a_worker_under_pressure_does_not_shape_a_scatter(position):
+    # a rows leg takes no admission: a worker stepping its digests down
+    # the ladder changes neither the scatter's algorithm nor its status
+    request = DigestRequest(lam=LAM_S, algorithm="greedy_sc")
+
+    async def go():
+        async with day_cluster() as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            label = router.labels[0 if position == "first" else -1]
+            pressed = router.ring.owner(label)
+            cluster.worker(pressed).service.admission.admit = \
+                lambda pending: AdmissionDecision(
+                    DEGRADE, degrade_steps=1, reason="forced"
+                )
+            merges = record_merges(router)
+            response = await router.digest(request)
+            # a forward to that worker is still its worker's digest
+            forwarded = await router.digest(
+                DigestRequest(lam=LAM_S, labels=(label,),
+                              algorithm="greedy_sc")
+            )
+            return response, forwarded, merges, pressed
+
+    response, forwarded, merges, pressed = run(go())
+    legs = merges[0][0]  # the scatter's
+    position_of = [leg["node"] for leg in legs].index(pressed)
+    assert position_of == (0 if position == "first" else len(legs) - 1)
+    assert response.status == "ok"
+    assert response.reason == ""
+    assert response.algorithm == "greedy_sc"
+    assert response.result.solution.algorithm == "greedy_sc"
+    assert canonical_fingerprint(response.result) == run(
+        reference_fingerprint(day_documents(), request, day_queries())
+    )
+    assert (forwarded.status, forwarded.algorithm, forwarded.reason) == \
+        ("degraded", "scan+", "forced")
+
+
+def test_a_window_pinned_on_a_scattered_label_set_clips_every_leg():
+    labels = tuple(query.label for query in day_queries())
+    request = DigestRequest(lam=LAM_S, algorithm="scan+")
+
+    async def go():
+        # views on, on both sides: windows need them
+        reference = DiversificationService(
+            day_queries(), default_worker_config()
+        )
+        reference.ingest(day_documents())
+        reference.set_view_window(labels, 3600.0)
+        local = await reference.digest(request)
+        async with LocalCluster(
+            day_queries(), nodes=3, config=fast_cluster(),
+        ) as cluster:
+            await cluster.router.ingest(day_documents())
+            await cluster.router.set_view_window(labels, 3600.0)
+            routed = await cluster.router.digest(request)
+        return local, routed
+
+    local, routed = run(go())
+    assert routed.status == "ok"
+    assert len(routed.shards) > 1
+    # covers, not fingerprints: the router counts unmatched_dropped
+    # over the whole day
+    assert [post.uid for post in routed.result.posts] == \
+        [post.uid for post in local.result.posts]
+    assert routed.result.matched == local.result.matched
+    assert (len(local.result.posts), local.result.matched) == (22, 77)
+
+
+def test_a_leg_window_counts_back_from_the_newest_document_routed():
+    # the newest document matches no label, so it reaches no worker;
+    # one process's window still counts back from it
+    queries, docs = wide_universe()
+    docs = docs + [Document(99, 1000.0, "nothing relevant here")]
+    config = default_worker_config(view_window=900.0)
+    request = DigestRequest(lam=LAM, algorithm="scan+")
+
+    async def go():
+        reference = DiversificationService(queries, config)
+        reference.ingest(docs)
+        local = await reference.digest(request)
+        async with LocalCluster(
+            queries, nodes=3, config=fast_cluster(), worker_config=config,
+        ) as cluster:
+            await cluster.router.ingest(docs)
+            routed = await cluster.router.digest(request)
+        return local, routed
+
+    local, routed = run(go())
+    assert routed.status == "ok"
+    assert len(routed.shards) > 1
+    assert [post.uid for post in routed.result.posts] == \
+        [post.uid for post in local.result.posts]
+    assert routed.result.matched == local.result.matched
+    assert len(local.result.posts) == 22
+
+
+def count_calls(patch, *targets):
+    """Count the calls of each ``(owner, name)`` method from here on;
+    returns ``{name: count}``."""
+    calls = {}
+    for owner, name in targets:
+        original = getattr(owner, name)
+        key = f"{owner.__name__}.{name}"
+        calls[key] = 0
+
+        def counting(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        patch.setattr(owner, name, counting)
+    return calls
+
+
+def test_a_cold_scatter_runs_one_solve_on_the_router_alone():
+    request = DigestRequest(lam=LAM_S, algorithm="greedy_sc")
+
+    async def go(patch):
+        # views on: a leg's solve used to seed one
+        async with LocalCluster(
+            day_queries(), nodes=3, config=fast_cluster(),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            calls = count_calls(
+                patch, (AdmissionController, "admit"),
+                (ResultCache, "get"), (ResultCache, "put"),
+                (ViewRegistry, "read"), (ViewRegistry, "seed"),
+            )
+            response = await router.digest(request)
+            solves = [w.service.solves for w in cluster.workers.values()]
+            return response, calls, solves, router.resolves
+
+    with pytest.MonkeyPatch.context() as patch:
+        response, calls, solves, resolves = run(go(patch))
+    assert response.status == "ok"
+    assert len(response.shards) == 3
+    assert calls == dict.fromkeys(calls, 0)
+    assert solves == [0, 0, 0]
+    assert resolves == 1
+
+
+def test_a_request_every_worker_refuses_says_why():
+    # the router leaves a foreign dimension to the workers; their
+    # refusal comes back in their own words, naming each leg's node
+    queries, docs = wide_universe()
+    request = DigestRequest(lam=LAM, dimension="sequence")
+
+    async def go():
+        async with LocalCluster(
+            queries, nodes=3, config=fast_cluster(),
+            worker_config=batch_config(),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(docs)
+            response = await router.digest(request)
+            return response, router.labels, cluster.names, \
+                router.introspect()["clients"]
+
+    response, labels, names, clients = run(go())
+    local = run(reference_service(docs, queries).digest(request))
+    assert response.status == local.status == "error"
+    assert response.result is None
+    assert response.missing_labels == labels
+    assert "this service projects values on the 'time' dimension only" \
+        in response.reason
+    assert response.reason.startswith("every scatter leg failed: ")
+    for name in names:
+        assert f"{name} (" in response.reason
+    assert response.reason.count(local.reason) == len(names)
+    # a refusal is an answer, not a node failure
+    assert all(entry["failures"] == 0 for entry in clients.values())

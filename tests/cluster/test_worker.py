@@ -167,6 +167,45 @@ def test_set_window_op_reaches_the_service():
     run(go())
 
 
+def test_rows_op_answers_a_legs_rows_or_the_services_refusal():
+    async def go():
+        worker, client = await started_worker(
+            config=default_worker_config(views=False)
+        )
+        docs = make_docs(24)
+        await client.call(
+            "ingest", {"documents": [document_to_dict(d) for d in docs]}
+        )
+        leg = {"labels": ["golf", "nba"], "lam": 30.0, "dimension": None,
+               "window_labels": ["golf", "nba", "tech"], "newest": None}
+        answer = (await client.call("rows", leg))["payload"]
+        # a foreign dimension is refused as data, in the service's words
+        refused = (await client.call(
+            "rows", dict(leg, dimension="sequence")
+        ))["payload"]
+        served = worker.service.requests
+        await client.close()
+        await worker.stop()
+        return docs, answer, refused, served
+
+    docs, answer, refused, served = run(go())
+    reference = DiversificationService(
+        make_queries(), default_worker_config(views=False)
+    )
+    reference.ingest(docs)
+    local = run(reference.digest(
+        DigestRequest(lam=30.0, labels=("golf", "nba"))
+    ))
+    # the rows a batch solve over the leg's labels reads, in
+    # Instance.to_dict form
+    assert answer == {"instance": local.result.instance.to_dict()}
+    assert refused == {"reason": "dimension 'sequence': this service "
+                                 "projects values on the 'time' dimension "
+                                 "only"}
+    # no digest ran on the worker
+    assert served == 0
+
+
 def test_unknown_op_comes_back_as_a_worker_fault():
     async def go():
         worker, client = await started_worker()
