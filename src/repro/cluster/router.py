@@ -19,8 +19,8 @@ union of its legs' labels — are the one-process instance over the
 served labels.  Merged on their decoded columns (:func:`_merge_legs`),
 however many legs came back, they are solved with
 ``solve(algorithm, merged)``: pick-identical to one process over the
-served labels by construction (Scan and Scan+ build a post only for
-each pick).
+served labels by construction (Scan, Scan+ and GreedySC build a post
+only for each pick).
 
 **Failure semantics**: per-shard deadlines, hedged retries to replicas
 after ``hedge_delay``, request-path failures feeding the same detector
@@ -439,6 +439,9 @@ class ClusterRouter:
         # the newest document timestamp routed, matched or not: rows
         # legs count windows back from it, as one process does
         self._newest: Optional[float] = None
+        # the windows pinned through set_view_window, by label set: a
+        # node that comes to hold one of a set's labels is sent its pin
+        self._pins: Dict[Tuple[str, ...], float] = {}
         self._clock = self.config.clock
         self._heartbeat_task: Optional["asyncio.Task"] = None
         # observability control plane (optional, attached post-init)
@@ -484,6 +487,7 @@ class ClusterRouter:
             name, address, max_frame=self.config.max_frame
         )
         if len(self.ring) == 0:
+            await self._replay_pins(name, self.labels)
             self.ring.add(name)
             structlog.emit("cluster.node_joined", node=name, moved=0)
             return {"node": name, "moved_labels": []}
@@ -492,6 +496,7 @@ class ClusterRouter:
             self.labels, target, self.config.replication
         ).get(name, [])
         moved = await self._handoff(name, gained, source_ring=self.ring)
+        await self._replay_pins(name, gained)
         self.ring = target
         self._joining.pop(name, None)
         self.rebalances += 1
@@ -523,6 +528,7 @@ class ClusterRouter:
                 gainer, labels, source_ring=self.ring,
                 prefer_source=name,
             )
+            await self._replay_pins(gainer, labels)
             moved_total.extend(moved)
         self.ring = target
         client = self._clients.pop(name)
@@ -591,10 +597,45 @@ class ClusterRouter:
             if name in self.ring.owners(label, self.config.replication)
         ]
         moved = await self._handoff(name, owned, source_ring=self.ring)
+        await self._replay_pins(name, owned)
         self._joining.pop(name, None)
         structlog.emit(
             "cluster.node_resynced", node=name, labels=len(moved),
         )
+
+    async def _replay_pins(self, node: str, labels: Iterable[str]) -> None:
+        """Send ``node`` every pinned window whose label set holds one
+        of ``labels``, the labels it has just come to hold: a joining
+        node, a leave's gainer and a revived node start without them."""
+        held = set(labels)
+        for pinned, window in sorted(self._pins.items()):
+            if held.intersection(pinned):
+                await self._send_window(node, pinned, window)
+
+    async def _send_window(
+        self, node: str, labels: Sequence[str], window: Optional[float]
+    ) -> Dict[str, Any]:
+        response = await self._client(node).call(
+            OP_SET_WINDOW, {"labels": list(labels), "window": window},
+            timeout=self.config.request_timeout,
+        )
+        return response["payload"]
+
+    def _window_holders(self, labels: Sequence[str]) -> Set[str]:
+        """The live owners of ``labels`` and the nodes taking one of
+        them over (a handoff under way), the nodes ingest writes to."""
+        holders: Set[str] = set()
+        for label in labels:
+            holders.update(
+                node
+                for node in self.ring.owners(label, self.config.replication)
+                if self.membership.is_alive(node)
+            )
+            holders.update(
+                joiner for joiner, moving in self._joining.items()
+                if label in moving
+            )
+        return holders
 
     # -- heartbeats --------------------------------------------------------
 
@@ -1337,22 +1378,28 @@ class ClusterRouter:
         window: Optional[float],
     ) -> Dict[str, Any]:
         """Pin a view horizon for one label set on every owning shard
-        (the per-tenant-partition window override)."""
+        (the per-tenant-partition window override), and on every node
+        taking one of its labels over.  The router keeps the pin once
+        those nodes have taken it (``None`` drops it) and sends it to
+        each node that later comes to hold one of its labels (a join, a
+        leave's gainers, a revived node)."""
         labels = tuple(sorted(set(labels)))
         unknown = [l for l in labels if l not in self.labels]
         if unknown:
             raise ClusterError(f"unknown labels {unknown}")
-        targets: Set[str] = set()
-        for label in labels:
-            targets.update(self._live_owners(label))
+        targets = self._window_holders(labels)
         acks: Dict[str, Any] = {}
         for node in sorted(targets):
-            response = await self._client(node).call(
-                OP_SET_WINDOW,
-                {"labels": list(labels), "window": window},
-                timeout=self.config.request_timeout,
-            )
-            acks[node] = response["payload"]
+            acks[node] = await self._send_window(node, labels, window)
+        # Keep the pin and read the holders again in one step: a handoff
+        # whose replay read the pins before this one was kept has its
+        # node among them now, and a later replay sends the pin itself.
+        if window is None:
+            self._pins.pop(labels, None)
+        else:
+            self._pins[labels] = window
+        for node in sorted(self._window_holders(labels) - targets):
+            acks[node] = await self._send_window(node, labels, window)
         return {"labels": list(labels), "window": window,
                 "nodes": acks}
 

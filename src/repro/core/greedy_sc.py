@@ -13,24 +13,38 @@ sorted posting list ``LP(a)``.  The default ``strategy="lazy_heap"``
 therefore never materialises the family: each label keeps the sorted
 positions of its still-uncovered pairs, a post's gain is the number of
 those positions inside its windows (two bisects per window), and a pick
-deletes them.  The heap and its revalidation rule are those of
-:func:`repro.setcover.greedy_set_cover`'s lazy heap, so the picks are the
-same, in the same order, as that heap's over the materialised family and
-as the linear rescan the paper's implementation note prefers on bursty
-data (Section 7.3).
+deletes them.  The picks are those of the paper's rescan, in the same
+order (the lowest-index post of largest gain, every round), from a
+queue that does less than a heap of every post:
 
-``strategy="rescan"`` reproduces that implementation: it materialises the
-family with per-label two-pointer windows (:func:`build_setcover_family`,
-or the numpy builder of :mod:`repro.core.fastpath`, as ``engine`` says)
-and hands it to :func:`repro.setcover.greedy_set_cover`.  The figure
-drivers and the oracle tests run it; the ablation benchmark times both.
+* it leaves out posts that cannot win: a single-label post whose
+  window ends where its label-predecessor's does has its window inside
+  that lower-index post's, so it never has a gain the predecessor lacks
+  (``docs/algorithms.md`` gives the argument);
+* it is a bucket queue: one list of rows per stored gain, read from the
+  highest non-empty bucket in index order, so it pops in the
+  ``(-gain, index)`` order of :func:`repro.setcover.greedy_set_cover`'s
+  lazy heap.
+
+The core reads per-label runs, each label's sorted values and the rows
+that carry them, so it solves an :class:`InstanceColumns` (a router's
+merge of scatter legs) as it solves an :class:`Instance`, and builds a
+post only for each pick (:meth:`InstanceColumns.posts_at`).
+
+``strategy="rescan"`` reproduces the paper's implementation (Section
+7.3): it materialises the family with per-label two-pointer windows
+(:func:`build_setcover_family`, or the numpy builder of
+:mod:`repro.core.fastpath`, as ``engine`` says) and hands it to
+:func:`repro.setcover.greedy_set_cover`.  The figure drivers and the
+oracle tests run it; the ablation benchmark times both.
 """
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left, bisect_right
-from typing import Dict, List, Set, Tuple
+from math import nan
+from operator import attrgetter
+from typing import Dict, Iterable, List, Set, Tuple, Union
 
 # Imported with the module, not on the first rescan: the engine package
 # loads numpy, and a lazy import would charge that to the first timed
@@ -38,11 +52,20 @@ from typing import Dict, List, Set, Tuple
 from ..engine import auto as _auto
 from ..observability import facade as _obs
 from ..setcover import greedy_set_cover
-from .instance import Instance
+from .instance import Instance, InstanceColumns
 from .post import Post
 from .solution import Solution, timed_solution
 
 __all__ = ["greedy_sc", "build_setcover_family"]
+
+# what the lazy heap solves: an instance, or an encoded one's columns
+Source = Union[Instance, InstanceColumns]
+# one label's sorted values and, position for position, their rows
+Run = Tuple[List[float], Iterable[int]]
+# one label's uncovered positions, and the first and last a row covers
+Window = Tuple[List[int], int, int]
+
+_UID = attrgetter("uid")
 
 
 def build_setcover_family(
@@ -89,118 +112,171 @@ def build_setcover_family(
     return family, universe
 
 
-def _label_windows(values: List[float], lam: float) -> List[Tuple[int, int]]:
-    """Per position ``j`` of one label's sorted posting values, the
-    positions ``[lo, hi]`` whose pairs post ``j`` covers.
+def _runs(source: Source) -> Tuple[int, Iterable[Run]]:
+    """The row count and per-label runs of ``source``.
 
-    These are the family builder's comparisons, the larger value minus
-    the smaller against ``lam``, never a bisect on ``v +- lam`` (which
-    rounds).  Float subtraction is monotone, so the positions on each
-    side of ``j`` form one run; ``j``'s own pair is always in the window,
-    as the builder's self-pair is.
+    Columns keep their runs (:attr:`InstanceColumns.postings`).  An
+    instance's rows are its posts' indices, looked up lazily, so the
+    lookups happen inside the one pass of :func:`_windows`.
     """
-    windows: List[Tuple[int, int]] = []
-    n = len(values)
-    lo = hi = 0
-    for j, v in enumerate(values):
-        while lo < j and not v - values[lo] <= lam:
-            lo += 1
-        if hi < j:
-            hi = j
-        while hi + 1 < n and values[hi + 1] - v <= lam:
-            hi += 1
-        windows.append((lo, hi))
-    return windows
+    if isinstance(source, InstanceColumns):
+        return len(source.uids), source.postings.values()
+    posts = source.posts
+    index_of = dict(zip(map(_UID, posts), range(len(posts))))
+    row_of = index_of.__getitem__
+    return len(posts), (
+        (plist.values, map(row_of, map(_UID, plist.posts)))
+        for plist in map(source.posting, source.labels)
+    )
 
 
-def _windowed_lazy_heap(instance: Instance) -> List[int]:
-    """The lazy heap over per-label lambda-windows.
+def _windows(
+    lam: float, size: int, runs: Iterable[Run]
+) -> Tuple[List[Tuple[Window, ...]], List[int], int]:
+    """Every row's lambda-windows and gain, in one pass over the runs.
 
-    Returns indices into ``instance.posts`` in pick order: the picks of
-    ``greedy_set_cover(*build_setcover_family(instance),
-    strategy="lazy_heap")``, with the same pops and revalidations.
+    Returns ``(windows, gains, pairs)``.  ``windows[k]`` is a tuple of
+    one ``(uncovered, lo, hi)`` per label of row ``k``: ``uncovered`` is
+    its label's sorted list of uncovered posting positions, shared by
+    the label's rows, and the row covers positions ``lo..hi``.
+    ``gains[k]`` is the number of pairs the row covers, or 0 when it
+    cannot win (see below); ``pairs`` is the universe size.  Tuples, not
+    lists: CPython (3.11) reuses freed tuples without counting them for a
+    collection, and a list per row set off about two gen-0 collections
+    per solve on the 1,443-post day slice.
+
+    The edges are the family builder's comparisons, the larger value
+    minus the smaller against ``lam``, never a bisect on ``v +- lam``
+    (which rounds).  Float subtraction is monotone, so the positions on
+    each side of ``j`` form one run, and both edges only move right as
+    ``j`` does.  A NaN past the last value ends the right edge's walk
+    (no comparison with NaN holds).
+
+    A single-label row whose window ends where its label-predecessor's
+    does has its window inside that lower-index row's: whenever it has
+    the largest gain the predecessor has it too and wins the tie, so the
+    rescan never picks it, and its gain is set to 0.
     """
-    posts = instance.posts
-    index_of: Dict[int, int] = {p.uid: k for k, p in enumerate(posts)}
-    # windows[k]: per label of post k, that label's sorted list of
-    # uncovered posting positions and the positions [lo, hi] the post
-    # covers; the lists are shared by every post of the label
-    windows: List[List[Tuple[List[int], int, int]]] = [[] for _ in posts]
-    gains = [0] * len(posts)
-    remaining = 0
-    for label in instance.labels:
-        plist = instance.posting(label)
-        uncovered = list(range(len(plist)))
-        remaining += len(plist)
-        for post, (lo, hi) in zip(
-            plist.posts, _label_windows(plist.values, instance.lam)
-        ):
-            k = index_of[post.uid]
-            windows[k].append((uncovered, lo, hi))
+    windows: List[Tuple[Window, ...]] = [()] * size
+    gains = [0] * size
+    dominated: List[int] = []
+    pairs = 0
+    for values, rows in runs:
+        uncovered = list(range(len(values)))
+        pairs += len(values)
+        ahead = values + [nan]
+        lo = hi = 0
+        last = -1
+        j = 0
+        for k, v in zip(rows, values):
+            while lo < j and not v - values[lo] <= lam:
+                lo += 1
+            if hi < j:
+                hi = j
+            while ahead[hi + 1] - v <= lam:
+                hi += 1
+            held = windows[k]
+            if not held and hi == last:
+                dominated.append(k)
+            windows[k] = held + ((uncovered, lo, hi),)
             gains[k] += hi - lo + 1
-    pairs = remaining
+            last = hi
+            j += 1
+    for k in dominated:
+        if len(windows[k]) == 1:
+            gains[k] = 0
+    return windows, gains, pairs
 
-    heap = [(-gain, k) for k, gain in enumerate(gains) if gain]
-    heapq.heapify(heap)
+
+def _windowed_lazy_heap(source: Source) -> List[int]:
+    """GreedySC's greedy stage over per-label lambda-windows.
+
+    Returns rows of ``source`` (indices into ``instance.posts``) in pick
+    order: the picks of ``greedy_set_cover(*build_setcover_family(
+    instance), strategy="rescan")``.
+    """
+    size, runs = _runs(source)
+    windows, gains, remaining = _windows(source.lam, size, runs)
+    pairs = remaining
+    # buckets[g]: the rows whose stored gain is g.  Bucket 0 holds the
+    # rows left out, and is never read.
+    buckets: List[List[int]] = [[] for _ in range(max(gains, default=0) + 1)]
+    for k, gain in enumerate(gains):
+        buckets[gain].append(k)
     chosen: List[int] = []
-    pops = 0
     revalidations = 0
-    while remaining and heap:
-        pops += 1
-        neg_gain, k = heapq.heappop(heap)
-        gain = 0
-        for uncovered, lo, hi in windows[k]:
-            gain += bisect_right(uncovered, hi) - bisect_left(uncovered, lo)
-        if gain == 0:
-            continue
-        if -neg_gain != gain:
-            revalidations += 1
-            heapq.heappush(heap, (-gain, k))
-            continue
-        # The rescan's pick: gains only shrink, so every stored gain is at
-        # least its set's current gain, and the heap pops in (-stored
-        # gain, idx) order.  A popped entry whose stored gain is current
-        # therefore has the largest current gain, and any other set with
-        # that gain has a larger index: the lowest-index argmax.
-        chosen.append(k)
-        remaining -= gain
-        for uncovered, lo, hi in windows[k]:
-            del uncovered[
-                bisect_left(uncovered, lo):bisect_right(uncovered, hi)
-            ]
+    emptied = 0
+    top = len(buckets) - 1
+    # The rescan's pick: gains only shrink, so every stored gain is at
+    # least its row's current gain, and the queue pops in (-stored gain,
+    # index) order.  A popped row whose stored gain is current therefore
+    # has the largest current gain, and any other row with that gain has
+    # a larger index: the lowest-index argmax.  A stale row goes to a
+    # lower bucket, never to this one or above, so the top bucket takes
+    # no row while it is read: one sort puts it in index order.
+    while remaining and top:
+        bucket = buckets[top]
+        bucket.sort()
+        for k in bucket:
+            held = windows[k]
+            gain = 0
+            for uncovered, lo, hi in held:
+                gain += bisect_right(uncovered, hi) \
+                    - bisect_left(uncovered, lo)
+            if gain == top:
+                chosen.append(k)
+                remaining -= gain
+                for uncovered, lo, hi in held:
+                    del uncovered[
+                        bisect_left(uncovered, lo):bisect_right(uncovered, hi)
+                    ]
+                if not remaining:
+                    break
+            elif gain:
+                revalidations += 1
+                buckets[gain].append(k)
+            else:
+                emptied += 1
+        top -= 1
     if _obs.enabled():
         _obs.count("greedy_sc.windows", pairs)
-        _obs.count("greedy_sc.heap.pops", pops)
+        _obs.count("greedy_sc.heap.pops",
+                   len(chosen) + revalidations + emptied)
         _obs.count("greedy_sc.heap.revalidations", revalidations)
         _obs.count("greedy_sc.heap.picks", len(chosen))
     return chosen
 
 
 def _greedy_posts(
-    instance: Instance, strategy: str, engine: str
+    source: Source, strategy: str, engine: str
 ) -> List[Post]:
     if engine not in ("auto", "python", "numpy"):
         raise ValueError(f"unknown engine {engine!r}")
     if strategy == "lazy_heap":
-        chosen = _windowed_lazy_heap(instance)
+        chosen = _windowed_lazy_heap(source)
+        if isinstance(source, InstanceColumns):
+            return list(source.posts_at(chosen))
     elif strategy == "rescan":
+        if isinstance(source, InstanceColumns):
+            source = source.instance
         if engine == "auto":
-            engine = _auto.choose_engine(instance)
+            engine = _auto.choose_engine(source)
         if engine == "numpy":
             from .fastpath import build_family_encoded
 
-            family, universe, _ = build_family_encoded(instance)
+            family, universe, _ = build_family_encoded(source)
         else:
-            family, universe = build_setcover_family(instance)
+            family, universe = build_setcover_family(source)
         chosen = greedy_set_cover(family, universe=universe,
                                   strategy="rescan")
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [instance.posts[k] for k in chosen]
+    posts = source.posts
+    return [posts[k] for k in chosen]
 
 
 def greedy_sc(
-    instance: Instance,
+    instance: Source,
     strategy: str = "lazy_heap",
     engine: str = "auto",
 ) -> Solution:
@@ -209,12 +285,14 @@ def greedy_sc(
     Parameters
     ----------
     instance:
-        The MQDP instance.
+        The MQDP instance, or an :class:`InstanceColumns`: the lazy heap
+        then builds only the picks' posts, and the rescan solves the
+        instance the columns encode.
     strategy:
-        ``"lazy_heap"`` (the default) runs a lazy heap over per-label
-        lambda-windows and builds no family; ``"rescan"`` materialises
-        the family and rescans it every round (the paper's choice).
-        Both make the same picks in the same order.
+        ``"lazy_heap"`` (the default) runs a pruned bucket queue over
+        per-label lambda-windows and builds no family; ``"rescan"``
+        materialises the family and rescans it every round (the paper's
+        choice).  Both make the same picks in the same order.
     engine:
         The family builder of the rescan: ``"python"`` (the paper's
         Algorithm 2 shape) or ``"numpy"`` (vectorised, integer-encoded

@@ -406,7 +406,8 @@ class InstanceColumns:
 
     A digest decoded off the wire keeps its columns as its deferred
     source, and the router merges scatter legs into one set of columns
-    (:meth:`from_rows`).  Scan and Scan+ solve on :attr:`postings`.
+    (:meth:`from_rows`).  Scan, Scan+ and GreedySC solve on
+    :attr:`postings`.
     Only :meth:`posts_at` and :attr:`instance` build posts: the instance
     on its first read, once (two threads reading at once build it once),
     holding every post :meth:`posts_at` returned.  ``repr`` builds

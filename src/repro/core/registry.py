@@ -6,8 +6,9 @@ names to callables.  Every registered solver has the uniform signature
 ``solver(instance) -> Solution``.
 
 :func:`solve` also takes an encoded instance's columns
-(:class:`InstanceColumns`): Scan and Scan+ solve on them and build only
-their picks, and every other solver gets the instance they encode.
+(:class:`InstanceColumns`): Scan, Scan+ and GreedySC solve on them and
+build only their picks, and every other solver gets the instance they
+encode.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def unregister(name: str) -> None:
 
 
 # the solvers that run on columns as they are
-_ON_COLUMNS = (scan, scan_plus)
+_ON_COLUMNS = (scan, scan_plus, greedy_sc)
 
 
 def solve(

@@ -153,12 +153,16 @@ class CoverView:
         lo, hi = window(self._index.get(label, ()), value, self.lam)
         return lo < hi
 
+    def _member(self, post: Post) -> Post:
+        """``post`` relabeled to the view's labels (itself when it
+        carries no other label)."""
+        if post.labels <= self.labels:
+            return post
+        return Post(uid=post.uid, value=post.value,
+                    labels=post.labels & self.labels, text=post.text)
+
     def _select(self, post: Post) -> Post:
-        relevant = post.labels & self.labels
-        member = post if relevant == post.labels else Post(
-            uid=post.uid, value=post.value,
-            labels=relevant, text=post.text,
-        )
+        member = self._member(post)
         self._members[member.uid] = member
         for label in member.labels:
             bisect.insort(self._index.setdefault(label, []), member.value)
@@ -187,12 +191,24 @@ class CoverView:
         ``posts`` must cover the store's current materialization of this
         view's labels (they come from a batch digest over the same
         corpus version).  Resets the drift baseline.
+
+        One pass, with what :meth:`_select` leaves per post: each member
+        relabeled to the view's labels and each value appended to its
+        labels' lists, which are sorted once at the end (a solve's cover
+        comes in value order, so the sorts find runs already in order).
         """
-        self._members = {}
-        self._index = {}
+        members: Dict[int, Post] = {}
+        index: Dict[str, List[float]] = {}
+        for member in map(self._member, posts):
+            members[member.uid] = member
+            for label in member.labels:
+                index.setdefault(label, []).append(member.value)
+        for values in index.values():
+            values.sort()
+        self._members = members
+        self._index = index
         self._snapshot = self._solution = None
-        for post in posts:
-            self._select(post)
+        self._mutations += 1
         self.baseline_size = max(1, int(baseline_size))
         self.epoch = epoch
         self.stale = False

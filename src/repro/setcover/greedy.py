@@ -18,7 +18,8 @@ Section 7.3 explicitly discusses the choice:
 
 Both pick the same sets in the same order (ties go to the lowest index).
 GreedySC's rescan materialises its family and calls this function; its
-default lazy heap runs the same heap over per-label lambda-windows instead
+default lazy heap runs a pruned bucket queue over per-label
+lambda-windows instead, with the same picks in the same order
 (:mod:`repro.core.greedy_sc`), and the ablation benchmark
 :mod:`benchmarks.test_ablation_greedy_heap` compares the two.
 """

@@ -9,6 +9,7 @@ these tests pin the *batch* parity guarantee.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import math
 from dataclasses import replace as _dc_replace
@@ -16,7 +17,8 @@ from dataclasses import replace as _dc_replace
 import pytest
 
 from repro.cluster.harness import LocalCluster
-from repro.cluster.protocol import ClusterError, canonical_fingerprint
+from repro.cluster.protocol import OP_SET_WINDOW, ClusterError, \
+    canonical_fingerprint
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
@@ -998,7 +1000,9 @@ def test_a_forward_builds_no_instance_until_one_is_read():
         assert post is instance.post(post.uid)
 
 
-def test_a_scatter_merge_builds_only_the_merged_instance():
+def test_a_greedy_sc_scatter_merge_builds_no_instance():
+    # GreedySC, the default algorithm, solves the merged columns as Scan
+    # and Scan+ do, building only its picks
     async def go(patch):
         async with day_cluster() as cluster:
             router = cluster.router
@@ -1013,8 +1017,9 @@ def test_a_scatter_merge_builds_only_the_merged_instance():
     with pytest.MonkeyPatch.context() as patch:
         response, merges, builds = run(go(patch))
     assert response.status == "ok"
+    assert response.algorithm == "greedy_sc"
     assert response.seam_posts > 0
-    assert builds == 1
+    assert builds == 0
     ((legs, _),) = merges
     assert len(legs) > 1
     assert all(leg["columns"]._instance is None for leg in legs)
@@ -1173,6 +1178,177 @@ def test_a_window_pinned_on_a_scattered_label_set_clips_every_leg():
         [post.uid for post in local.result.posts]
     assert routed.result.matched == local.result.matched
     assert (len(local.result.posts), local.result.matched) == (22, 77)
+
+
+async def pinned_reference(labels, request):
+    """One process's digest with a 3,600 s window pinned on ``labels``."""
+    reference = DiversificationService(
+        day_queries(), default_worker_config()
+    )
+    reference.ingest(day_documents())
+    reference.set_view_window(labels, 3600.0)
+    return await reference.digest(request)
+
+
+def assert_serves_the_pinned_window(routed, local, node, labels):
+    # covers, not fingerprints: the router counts unmatched_dropped
+    # over the whole day
+    assert routed.status == "ok"
+    assert [post.uid for post in routed.result.posts] == \
+        [post.uid for post in local.result.posts]
+    assert routed.result.matched == local.result.matched
+    assert node.service._views.windows() == {labels: 3600.0}
+
+
+def test_a_joining_node_takes_the_pinned_windows_of_its_labels():
+    labels = tuple(query.label for query in day_queries())
+    request = DigestRequest(lam=LAM_S, algorithm="scan+")
+
+    async def go():
+        local = await pinned_reference(labels, request)
+        async with LocalCluster(
+            day_queries(), nodes=2, config=fast_cluster(),
+        ) as cluster:
+            await cluster.router.ingest(day_documents())
+            await cluster.router.set_view_window(labels, 3600.0)
+            await cluster.add_node("node2")
+            routed = await cluster.router.digest(request)
+            return local, routed, cluster.worker("node2")
+
+    local, routed, joined = run(go())
+    # without the replay the new owner's legs read the whole day: 69
+    # posts over 248 matched
+    assert "node2" in routed.shards
+    assert (len(routed.result.posts), routed.result.matched) == (22, 77)
+    assert_serves_the_pinned_window(routed, local, joined, labels)
+
+
+def test_a_revived_node_takes_the_pinned_windows_of_its_labels():
+    labels = tuple(query.label for query in day_queries())
+    request = DigestRequest(lam=LAM_S, algorithm="scan+")
+
+    async def go():
+        local = await pinned_reference(labels, request)
+        async with LocalCluster(
+            day_queries(), nodes=3,
+            config=fast_cluster(replication=2, max_missed=1),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            await router.set_view_window(labels, 3600.0)
+            victim = router.ring.owner(labels[0])
+            await cluster.kill(victim)
+            await router.heartbeat_once()
+            assert not router.membership.is_alive(victim)
+            # the revived node starts empty: the resync copies its
+            # documents and must send it the pin too
+            await cluster.revive(victim)
+            await router.heartbeat_once()
+            routed = await router.digest(request)
+            return local, routed, victim, cluster.worker(victim)
+
+    local, routed, victim, revived = run(go())
+    assert victim in routed.shards
+    assert_serves_the_pinned_window(routed, local, revived, labels)
+
+
+def test_a_leaving_nodes_gainers_take_its_pinned_windows():
+    async def go():
+        async with LocalCluster(
+            day_queries(), nodes=3, config=fast_cluster(),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            # a window pinned on the leaver's labels alone reaches the
+            # leaver alone
+            leaver, owned = partial_owner(router)
+            labels = tuple(owned)
+            request = DigestRequest(
+                lam=LAM_S, algorithm="scan+", labels=labels
+            )
+            local = await pinned_reference(labels, request)
+            ack = await router.set_view_window(labels, 3600.0)
+            assert set(ack["nodes"]) == {leaver}
+            await cluster.remove_node(leaver)
+            routed = await router.digest(request)
+            gainers = {
+                name: cluster.worker(name) for name in routed.shards
+            }
+            return local, routed, labels, gainers
+
+    local, routed, labels, gainers = run(go())
+    assert gainers
+    for gainer in gainers.values():
+        assert_serves_the_pinned_window(routed, local, gainer, labels)
+
+
+def gate_window_calls(router, gate, waiting):
+    """Hold every window call the router makes to the nodes it has now
+    until ``gate`` is set; ``waiting`` is set once one is held."""
+    for client in router._clients.values():
+        async def gated(op, payload, _call=client.call, **kwargs):
+            if op == OP_SET_WINDOW:
+                waiting.set()
+                await gate.wait()
+            return await _call(op, payload, **kwargs)
+        client.call = gated
+
+
+@pytest.mark.parametrize("join_first", [True, False],
+                         ids=["join-then-pin", "pin-then-join"])
+def test_a_window_pinned_during_a_join_reaches_the_joining_node(
+    join_first,
+):
+    labels = tuple(query.label for query in day_queries())
+    request = DigestRequest(lam=LAM_S, algorithm="scan+")
+
+    async def go():
+        local = await pinned_reference(labels, request)
+        async with LocalCluster(
+            day_queries(), nodes=2, config=fast_cluster(),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            # the join's handoff waits once it has copied the documents,
+            # and the pin's calls to the old owners wait until the join
+            # is done, so the join's replay reads the pins before the
+            # pin is kept
+            handed_off, release = asyncio.Event(), asyncio.Event()
+            handoff = router._handoff
+
+            async def slowed(*args, **kwargs):
+                moved = await handoff(*args, **kwargs)
+                handed_off.set()
+                await release.wait()
+                return moved
+
+            router._handoff = slowed
+            joined, held = asyncio.Event(), asyncio.Event()
+            gate_window_calls(router, joined, held)
+            def within(awaitable):
+                return asyncio.wait_for(awaitable, timeout=5.0)
+
+            if join_first:
+                join = asyncio.ensure_future(cluster.add_node("node2"))
+                await within(handed_off.wait())
+            pin = asyncio.ensure_future(
+                router.set_view_window(labels, 3600.0)
+            )
+            await within(held.wait())
+            if not join_first:
+                join = asyncio.ensure_future(cluster.add_node("node2"))
+                await within(handed_off.wait())
+            release.set()
+            await within(join)
+            joined.set()
+            ack = await within(pin)
+            routed = await router.digest(request)
+            return local, routed, ack, cluster.worker("node2")
+
+    local, routed, ack, joined = run(go())
+    assert "node2" in ack["nodes"]
+    assert "node2" in routed.shards
+    assert_serves_the_pinned_window(routed, local, joined, labels)
 
 
 def test_a_leg_window_counts_back_from_the_newest_document_routed():

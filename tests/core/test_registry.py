@@ -87,16 +87,18 @@ class TestRegistry:
 
 
 class TestSolveOnColumns:
-    """``solve`` takes an encoded instance's columns: Scan and Scan+ run
-    on them as they are, every other solver on the instance they
-    encode."""
+    """``solve`` takes an encoded instance's columns: Scan, Scan+ and
+    GreedySC run on them as they are, every other solver on the instance
+    they encode."""
 
     @staticmethod
     def columns(instance):
         return InstanceColumns.decode(instance.to_dict())
 
-    @pytest.mark.parametrize("name", ["scan", "scan+"])
-    def test_scan_builds_only_its_picks(self, figure2_instance, name):
+    @pytest.mark.parametrize("name", ["scan", "scan+", "greedy_sc"])
+    def test_column_solvers_build_only_their_picks(
+        self, figure2_instance, name
+    ):
         columns = self.columns(figure2_instance)
         solution = solve(name, columns)
         assert columns._instance is None
@@ -105,7 +107,7 @@ class TestSolveOnColumns:
             columns.rows[uid] for uid in solution.uids
         }
 
-    @pytest.mark.parametrize("name", ["greedy_sc", "opt", "brute_force",
+    @pytest.mark.parametrize("name", ["opt", "brute_force",
                                       "exact_setcover"])
     def test_other_solvers_get_the_instance(self, figure2_instance, name):
         columns = self.columns(figure2_instance)

@@ -169,6 +169,60 @@ class TestDrift:
         assert view.fresh(3)
 
 
+class TestSeed:
+    """A seed adopts a solve's cover in one pass and leaves the state
+    one ``_select`` per post leaves."""
+
+    # every post carries golf or nba; some carry tech too
+    LABEL_SETS = (("golf",), ("nba",), ("golf", "nba"), ("golf", "tech"),
+                  ("nba", "tech"), ("golf", "nba", "tech"))
+
+    def cover(self, seed):
+        rng = random.Random(seed)
+        # few distinct values: members share them
+        return sorted(
+            (make_post(uid, rng.choice([0.0, 5.0, 7.5, 20.0, 31.0]),
+                       rng.choice(self.LABEL_SETS))
+             for uid in range(40)),
+            key=lambda post: (post.value, post.uid),
+        )
+
+    @pytest.mark.parametrize("labels", [("golf", "nba", "tech"), LABELS],
+                             ids=["full", "subset"])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_pass_equals_a_select_per_post(self, labels, seed):
+        posts = self.cover(seed)
+        seeded = CoverView(PostStore(), labels, 10.0)
+        seeded.seed(posts, baseline_size=len(posts), epoch=0)
+        selected = CoverView(PostStore(), labels, 10.0)
+        for post in posts:
+            selected._select(post)
+        assert seeded._members == selected._members
+        assert seeded._index == selected._index
+        assert all(
+            (member is post) == (post.labels <= frozenset(labels))
+            for member, post in zip(seeded._members.values(), posts)
+        )
+        assert all(
+            values == sorted(values) for values in seeded._index.values()
+        )
+
+    def test_a_read_after_a_seed_serves_its_cover(self):
+        store, view = seeded_view(lam=10.0)
+        for post in self.cover(0):
+            store.add(post)
+        feed(store, view, make_post(99, 40.0))
+        before = view.materialize()[1]
+        mutations = view._mutations
+        cover = store.materialize(LABELS, 10.0).posts[::2]
+        view.seed(cover, baseline_size=len(cover), epoch=1)
+        assert view._mutations > mutations
+        _, solution = view.materialize()
+        assert solution is not before
+        assert solution.uids == tuple(post.uid for post in cover)
+        assert view.materialize()[1] is solution
+
+
 class TestReadPath:
     def test_materialize_memoized_until_mutation(self):
         store, view = seeded_view(lam=10.0)
