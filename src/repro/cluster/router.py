@@ -336,10 +336,13 @@ class NodeClient:
                     future.set_result(frame)
         except Exception:  # frame error / connection reset
             pass
-        self._fail_pending()
+        if self._reader is reader:  # not yet replaced by a reconnect
+            self._fail_pending()
 
     def _fail_pending(self) -> None:
-        self._writer = None
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.close()
         self._reader = None
         pending, self._pending = self._pending, {}
         for future in pending.values():
@@ -1379,29 +1382,60 @@ class ClusterRouter:
     ) -> Dict[str, Any]:
         """Pin a view horizon for one label set on every owning shard
         (the per-tenant-partition window override), and on every node
-        taking one of its labels over.  The router keeps the pin once
-        those nodes have taken it (``None`` drops it) and sends it to
-        each node that later comes to hold one of its labels (a join, a
-        leave's gainers, a revived node)."""
+        taking one of its labels over.  The router keeps the pin before
+        it sends it (``None`` drops it) and sends it to each node that
+        later comes to hold one of its labels (a join, a leave's
+        gainers, a revived node).  Every holder is tried; when one did
+        not take the pin, the call then raises
+        :class:`NodeUnavailableError` naming it, and the pin stays kept
+        for its resync.  A worker that refuses the window (a config
+        without views) raises :class:`WorkerFaultError`, and the
+        router's pin goes back to what it was."""
         labels = tuple(sorted(set(labels)))
         unknown = [l for l in labels if l not in self.labels]
         if unknown:
             raise ClusterError(f"unknown labels {unknown}")
-        targets = self._window_holders(labels)
+        # `not >` refuses NaN too, as the service does
+        if window is not None and not window > 0:
+            raise ClusterError(f"view_window must be positive, got {window}")
+        previous = self._pins.get(labels)
+        self._set_pin(labels, window)
         acks: Dict[str, Any] = {}
-        for node in sorted(targets):
-            acks[node] = await self._send_window(node, labels, window)
-        # Keep the pin and read the holders again in one step: a handoff
-        # whose replay read the pins before this one was kept has its
-        # node among them now, and a later replay sends the pin itself.
+        failed: Dict[str, str] = {}
+
+        async def send(nodes: Iterable[str]) -> None:
+            for node in sorted(nodes):
+                try:
+                    acks[node] = await self._send_window(
+                        node, labels, window
+                    )
+                except WorkerFaultError:
+                    self._set_pin(labels, previous)
+                    raise
+                except ClusterError as error:
+                    failed[node] = str(error)
+
+        targets = self._window_holders(labels)
+        await send(targets)
+        # a node that joined while the sends awaited took the pin from
+        # its join's replay; send it here too, so the ack names it
+        await send(self._window_holders(labels) - targets)
+        if failed:
+            raise NodeUnavailableError(
+                f"window {window} on {list(labels)} not taken by "
+                f"{sorted(failed)} ({'; '.join(failed.values())}); the "
+                f"router keeps it for their resync"
+            )
+        return {"labels": list(labels), "window": window,
+                "nodes": acks}
+
+    def _set_pin(
+        self, labels: Tuple[str, ...], window: Optional[float]
+    ) -> None:
         if window is None:
             self._pins.pop(labels, None)
         else:
             self._pins[labels] = window
-        for node in sorted(self._window_holders(labels) - targets):
-            acks[node] = await self._send_window(node, labels, window)
-        return {"labels": list(labels), "window": window,
-                "nodes": acks}
 
     # -- remote health -----------------------------------------------------
 

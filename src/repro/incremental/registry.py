@@ -151,14 +151,18 @@ class ViewRegistry:
         ``max_value - window``.  Returns the labels of views whose
         horizon actually moved — their cached digests must not be
         carried forward across the epoch bump, even when the arriving
-        batch touched none of their labels."""
-        if max_value is None:
+        batch touched none of their labels.  With no window configured
+        anywhere nothing slides, and the call returns at once."""
+        if max_value is None or (
+            self.default_window is None and not self._windows
+        ):
             return set()
         affected: set = set()
         with self._lock:
             store_horizon = self.store.horizon
             for key, view in self._views.items():
-                window = self.window_for(key.labels)
+                # seed and set_window keep it equal to window_for(labels)
+                window = view.window
                 if window is None:
                     continue
                 cutoff = max_value - window

@@ -365,6 +365,21 @@ class PostStore:
             return self._posts[:]
         return self._posts[bisect.bisect_left(self._keys, (min_value,)):]
 
+    def counters(
+        self, matched: int, min_value: Optional[float] = None
+    ) -> Dict[str, int]:
+        """The batch pipeline's counters for a read from ``min_value``
+        on that matched ``matched`` posts: a kept document in the window
+        either matched or was dropped unmatched, and duplicates count
+        over the whole corpus."""
+        return {
+            "matched": matched,
+            "unmatched_dropped":
+                self.live_documents_since(min_value) - matched,
+            "duplicates_dropped": 0 if self.projector is None
+            else self.projector.duplicates_dropped,
+        }
+
     def snapshot(
         self,
         labels: Iterable[str],
@@ -372,20 +387,13 @@ class PostStore:
         min_value: Optional[float] = None,
     ) -> StoreSnapshot:
         """One read for ``labels`` from ``min_value`` on: the rows and
-        the batch pipeline's counters, from one hold of the lock, so all
-        of it describes one store version.  A kept document in the
-        window either matched or was dropped unmatched.  Builds no
+        the batch pipeline's :meth:`counters`, from one hold of the
+        lock, so all of it describes one store version.  Builds no
         instance."""
         universe = frozenset(labels)
         with self._lock:
-            matched = self.count(universe, min_value)
-            counters = {
-                "matched": matched,
-                "unmatched_dropped":
-                    self.live_documents_since(min_value) - matched,
-                "duplicates_dropped": 0 if self.projector is None
-                else self.projector.duplicates_dropped,
-            }
+            counters = self.counters(self.count(universe, min_value),
+                                     min_value)
             return StoreSnapshot(
                 self, universe, lam, self._rows_since(min_value), counters
             )

@@ -4,17 +4,23 @@
 queries at scale hinges on **reusable coverage structures**: the expensive
 part of a digest is the solver run, and a solver run is a pure function of
 ``(corpus, labels, lambda, algorithm, dimension)``.  This cache exploits
-exactly that purity.  Every entry is keyed by a :class:`CacheKey` that
-embeds the **corpus epoch** — a version counter the service bumps whenever
-the corpus changes (batch ingest, stream advance, checkpoint restore) —
-so a stale entry is not merely evicted *eventually*: it becomes
-unreachable the instant the epoch moves, because no future lookup can
-construct its key.  :meth:`ResultCache.bump_epoch` additionally purges the
-dead generation eagerly so stale entries stop occupying LRU capacity.
+exactly that purity, for as long as reuse is exact and cheaper than the
+solve.  A lookup is keyed by a :class:`CacheKey` that embeds the **corpus
+epoch** — a version counter the service bumps whenever the corpus changes
+(batch ingest, stream advance, checkpoint restore) — and only a key of the
+current epoch can hit: a caller holding a key from before a bump misses,
+and :meth:`ResultCache.put` refuses it.
+
+Entries themselves are stored by query, the key minus its epoch, so every
+resident entry answers for the current epoch.  A bump deletes what the
+write can have changed: with the labels the write touched, exactly the
+entries over one of them, found through a per-label index of resident
+queries (a write that touches no label does no per-entry work); without
+labels, everything.
 
 Bound: LRU capacity (``capacity`` entries).  There is no time-to-live:
-an entry can only ever answer for the corpus epoch it was computed at,
-so expiring it would drop a correct answer.  All operations take the
+an entry only ever answers for the corpus it was computed over, so
+expiring it would drop a correct answer.  All operations take the
 cache lock — the service reads from the event loop while solver threads
 publish results.
 
@@ -28,7 +34,8 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, \
+    Set, Tuple
 
 from ..observability import facade as _obs
 
@@ -49,6 +56,10 @@ class CacheKey(NamedTuple):
     lam: float
     algorithm: str
     dimension: str
+
+
+# a CacheKey minus its epoch: (labels, lam, algorithm, dimension)
+Query = Tuple[Tuple[str, ...], float, str, str]
 
 
 @dataclass
@@ -94,7 +105,10 @@ class ResultCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[CacheKey, Any]" = OrderedDict()
+        # query -> (value, horizon), in LRU order
+        self._entries: "OrderedDict[Query, Tuple[Any, Any]]" = OrderedDict()
+        # label -> the resident queries over it
+        self._by_label: Dict[str, Set[Query]] = {}
         self._epoch = 0
         self.stats = CacheStats()
 
@@ -126,55 +140,76 @@ class ResultCache:
         reason: str = "",
         labels: Optional[Iterable[str]] = None,
     ) -> int:
-        """Advance the corpus version and invalidate the dead generation.
+        """Advance the corpus version and invalidate what the write
+        can have changed.
 
         Called by the service on batch ingest, on every stream advance,
         and on checkpoint restore.  Returns the new epoch.
 
         With ``labels`` (the label sets the write actually touched),
-        invalidation is *fine-grained*: entries whose label set is
-        disjoint from the affected labels describe digests the write
-        cannot have changed — a digest is a pure function of the posts
-        matching its labels — so they are carried forward, re-keyed to
-        the new epoch, instead of purged.  ``labels=None`` keeps the
-        conservative purge-everything behaviour (restore, reprojection).
+        invalidation is *fine-grained*: only the entries whose label set
+        meets the affected labels are deleted.  The rest describe
+        digests the write cannot have changed — a digest is a pure
+        function of the posts matching its labels — so they stay, and
+        answer for the new epoch (``carried_forward`` counts them).
+        ``labels=None`` keeps the conservative purge-everything
+        behaviour (restore, reprojection).
         """
-        affected = None if labels is None else frozenset(labels)
         with self._lock:
             self._epoch += 1
-            if affected is None:
+            if labels is None:
                 stale = len(self._entries)
                 self._entries.clear()
+                self._by_label.clear()
             else:
-                stale = 0
-                survivors: "OrderedDict[CacheKey, Any]" = OrderedDict()
-                for key, entry in self._entries.items():
-                    touched = affected.intersection(key.labels)
-                    if touched:
-                        stale += 1
-                        for label in touched:
-                            self.stats.invalidations_by_label[label] = \
-                                self.stats.invalidations_by_label.get(
-                                    label, 0
-                                ) + 1
-                    else:
-                        survivors[key._replace(epoch=self._epoch)] = entry
-                self._entries = survivors
-                self.stats.carried_forward += len(survivors)
-                carried = len(survivors)
+                by_label = self.stats.invalidations_by_label
+                doomed: Set[Query] = set()
+                for label in labels:  # a repeated label pops nothing
+                    queries = self._by_label.pop(label, None)
+                    if queries:
+                        by_label[label] = by_label.get(label, 0) \
+                            + len(queries)
+                        doomed.update(queries)
+                for query in doomed:
+                    del self._entries[query]
+                    self._unindex(query)
+                stale = len(doomed)
+                carried = len(self._entries)
+                self.stats.carried_forward += carried
             self.stats.invalidations += stale
         if _obs.enabled():
             _obs.count("service.cache.invalidations", stale)
-            if affected is not None:
+            if labels is not None:
                 _obs.count("service.cache.invalidations_by_label", stale)
                 _obs.count("service.cache.carried_forward", carried)
             _obs.set_gauge("service.cache.epoch", self._epoch)
         return self._epoch
 
+    def _unindex(self, query: Query) -> None:
+        """Drop ``query`` from the index sets of its labels (call under
+        the lock; a label already popped is skipped)."""
+        for label in query[0]:
+            queries = self._by_label.get(label)
+            if queries is not None:
+                queries.discard(query)
+                if not queries:
+                    del self._by_label[label]
+
     # -- lookup / publish --------------------------------------------------
 
-    def get(self, key: CacheKey) -> Optional[Any]:
-        """The cached value, or ``None`` on miss or stale epoch."""
+    def get(
+        self,
+        key: CacheKey,
+        horizon: Optional[Callable[[], Any]] = None,
+    ) -> Optional[Any]:
+        """The cached value, or ``None`` on miss or stale epoch.
+
+        ``horizon`` returns the oldest value the lookup's digest would
+        read (``None`` without it).  It is called only when the query
+        has an entry, under the cache lock.  An entry :meth:`put` at
+        another horizon misses and is dropped: the window slid under it
+        with no write on its labels, and a horizon never slides back
+        while its entry lives."""
         with self._lock:
             if key.epoch != self._epoch:
                 # Unreachable via key_for, but callers may hold old keys
@@ -182,33 +217,46 @@ class ResultCache:
                 self.stats.misses += 1
                 _obs.count("service.cache.misses")
                 return None
-            value = self._entries.get(key)
-            if value is None:
+            query = key[1:]
+            entry = self._entries.get(query)
+            if entry is not None and entry[1] != (
+                None if horizon is None else horizon()
+            ):
+                del self._entries[query]
+                self._unindex(query)
+                entry = None
+            if entry is None or entry[0] is None:
                 self.stats.misses += 1
                 _obs.count("service.cache.misses")
                 return None
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(query)
             self.stats.hits += 1
             _obs.count("service.cache.hits")
-            return value
+            return entry[0]
 
-    def put(self, key: CacheKey, value: Any) -> bool:
-        """Publish a result; refuses keys from a dead epoch (a solve
-        that straddled an invalidation must not resurrect the old
-        corpus).  Returns True when the entry was stored.  A refusal is
-        not silent: it lands in ``stats.stale_drops`` and the
-        ``service.cache.stale_drops`` counter — the caller holds the
-        trace context and is responsible for the correlated event."""
+    def put(self, key: CacheKey, value: Any, horizon: Any = None) -> bool:
+        """Publish a result whose digest read from ``horizon`` on;
+        refuses keys from a dead epoch (a solve that straddled an
+        invalidation must not resurrect the old corpus).  Returns True
+        when the entry was stored.  A refusal is not silent: it lands in
+        ``stats.stale_drops`` and the ``service.cache.stale_drops``
+        counter — the caller holds the trace context and is responsible
+        for the correlated event."""
         with self._lock:
             if key.epoch != self._epoch:
                 self.stats.stale_drops += 1
                 _obs.count("service.cache.stale_drops")
                 return False
-            self._entries[key] = value
-            self._entries.move_to_end(key)
+            query = key[1:]
+            entries = self._entries
+            if query not in entries:
+                for label in key.labels:
+                    self._by_label.setdefault(label, set()).add(query)
+            entries[query] = (value, horizon)
+            entries.move_to_end(query)
             evicted = 0
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
+            while len(entries) > self.capacity:
+                self._unindex(entries.popitem(last=False)[0])
                 evicted += 1
             self.stats.evictions += evicted
         if evicted and _obs.enabled():
@@ -223,7 +271,7 @@ class ResultCache:
 
     def __contains__(self, key: CacheKey) -> bool:
         with self._lock:
-            return key in self._entries
+            return key.epoch == self._epoch and key[1:] in self._entries
 
     def hit_rate(self) -> float:
         """Hits over lookups; 0.0 before any lookup."""

@@ -45,7 +45,7 @@ import asyncio
 import logging
 import time as _time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, \
     Optional, Sequence, Tuple
 
@@ -541,8 +541,7 @@ class DiversificationService:
 
         View deltas are applied before the epoch bump, and the bump is
         label-targeted: cached digests whose labels the batch did not
-        touch survive, re-keyed to the new epoch.  Returns the new
-        corpus epoch.
+        touch survive into the new epoch.  Returns the new corpus epoch.
         """
         documents = list(documents)
         self._ingested.extend(documents)
@@ -822,6 +821,22 @@ class DiversificationService:
             **counters,
         )
 
+    @staticmethod
+    def _carried(
+        result: DigestResult, store: PostStore, horizon: Optional[float]
+    ) -> DigestResult:
+        """A cache hit as the read at ``horizon`` sees it.  The entry's
+        cover, instance and ``matched`` stand: no write since its solve
+        touched its labels, and the cache served it at the horizon it
+        was solved at.  Documents outside its labels may have come or
+        gone, so the drop counters are the store's now."""
+        counters = store.counters(result.matched, horizon)
+        if counters["unmatched_dropped"] == result.unmatched_dropped \
+                and counters["duplicates_dropped"] \
+                == result.duplicates_dropped:
+            return result
+        return replace(result, **counters)
+
     def _read_view(self, key: CacheKey) -> Optional[DigestResult]:
         """The maintained-view digest for this cache key, or ``None``.
 
@@ -979,10 +994,16 @@ class DiversificationService:
                 reason=decision.reason,
             )
         status = DEGRADED if degraded else OK
+        store = self._store
         key = self.cache.key_for(labels, request.lam, algorithm,
                                  self.config.dimension)
-        cached = self.cache.get(key)
+        # the horizon is read only when the query has an entry: the
+        # cache holds none while the store is poisoned
+        cached = self.cache.get(key, lambda: self._horizon(store, labels))
         if cached is not None:
+            cached = self._carried(
+                cached, store, self._horizon(store, labels)
+            )
             if traced:
                 # link-span: this request served the digest that trace
                 # computed — the assembled tree can follow it
@@ -1009,25 +1030,26 @@ class DiversificationService:
                 view=True, epoch=key.epoch, reason=decision.reason,
             )
 
-        async def compute() -> DigestResult:
+        async def compute() -> Tuple[DigestResult, Optional[float]]:
+            """The digest and the horizon its solve read from."""
             # before the first await, so at the corpus state key.epoch
             # names, and paid by the coalescing leader only
-            store = self._store
-            snapshot = store.snapshot(
-                labels, request.lam, min_value=self._horizon(store, labels)
-            )
+            horizon = self._horizon(store, labels)
+            snapshot = store.snapshot(labels, request.lam, min_value=horizon)
             instance = snapshot.instance
             self.solves += 1
             _obs.count("service.solves")
             return await self.batcher.run(lambda: self._solve_job(
                 algorithm, instance, snapshot.counters, ctx
-            ))
+            )), horizon
 
         self._pending += 1
         if _obs.enabled():
             _obs.set_gauge("service.pending", self._pending)
         try:
-            result, coalesced = await self.coalescer.submit(key, compute)
+            (result, horizon), coalesced = await self.coalescer.submit(
+                key, compute
+            )
         except Exception as error:  # solver failure becomes data, not a crash
             return dict(
                 status=ERROR, result=None, algorithm=algorithm,
@@ -1047,7 +1069,7 @@ class DiversificationService:
             ):
                 pass
         if not coalesced:
-            stored = self.cache.put(key, result)
+            stored = self.cache.put(key, result, horizon)
             if (
                 self._views is not None
                 and not self._views_poisoned

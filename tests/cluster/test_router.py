@@ -18,7 +18,7 @@ import pytest
 
 from repro.cluster.harness import LocalCluster
 from repro.cluster.protocol import OP_SET_WINDOW, ClusterError, \
-    canonical_fingerprint
+    NodeUnavailableError, WorkerFaultError, canonical_fingerprint
 from repro.cluster.router import ClusterConfig, ClusterRouter
 from repro.cluster.worker import default_worker_config
 from repro.core.coverage import verify_cover
@@ -1250,6 +1250,62 @@ def test_a_revived_node_takes_the_pinned_windows_of_its_labels():
     local, routed, victim, revived = run(go())
     assert victim in routed.shards
     assert_serves_the_pinned_window(routed, local, revived, labels)
+
+
+def test_a_pin_survives_an_owner_that_could_not_take_it():
+    labels = tuple(query.label for query in day_queries())
+    request = DigestRequest(lam=LAM_S, algorithm="scan+")
+
+    async def go():
+        local = await pinned_reference(labels, request)
+        async with LocalCluster(
+            day_queries(), nodes=3,
+            config=fast_cluster(replication=2, max_missed=1),
+        ) as cluster:
+            router = cluster.router
+            await router.ingest(day_documents())
+            # killed with no heartbeat since: the router still counts
+            # it a holder, and its send fails last
+            holders = sorted(router._window_holders(labels))
+            victim = holders[-1]
+            await cluster.kill(victim)
+            with pytest.raises(NodeUnavailableError, match=victim):
+                await router.set_view_window(labels, 3600.0)
+            assert router._pins == {labels: 3600.0}
+            for name in holders[:-1]:
+                views = cluster.worker(name).service._views
+                assert views.windows() == {labels: 3600.0}
+            await router.heartbeat_once()
+            assert not router.membership.is_alive(victim)
+            # the resync on revive sends the kept pin
+            await cluster.revive(victim)
+            await router.heartbeat_once()
+            routed = await router.digest(request)
+            return local, routed, victim, cluster.worker(victim)
+
+    local, routed, victim, revived = run(go())
+    assert victim in routed.shards
+    assert_serves_the_pinned_window(routed, local, revived, labels)
+
+
+def test_a_refused_pin_is_not_kept():
+    async def go():
+        async with LocalCluster(
+            make_queries(), nodes=2, config=fast_cluster(),
+            worker_config=batch_config(),
+        ) as cluster:
+            router = cluster.router
+            # a views-off worker refuses any window
+            with pytest.raises(WorkerFaultError):
+                await router.set_view_window(["golf"], 100.0)
+            with pytest.raises(ClusterError):
+                await router.set_view_window(["golf"], float("nan"))
+            assert router._pins == {}
+            # so no replay sends it, and a join goes through
+            await cluster.add_node("node2")
+            assert "node2" in router.ring.nodes
+
+    run(go())
 
 
 def test_a_leaving_nodes_gainers_take_its_pinned_windows():
